@@ -39,7 +39,6 @@ from .rotation import (
     RotationState,
     Stuck,
     absorb_external_vertex,
-    default_rotation_depth,
     endpoint_set,
     find_hamilton_cycle,
     rotate,

@@ -9,6 +9,7 @@ mutate; edge removal and induced subgraphs build fresh graphs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -94,27 +95,29 @@ class Graph:
         return frozenset(self.edges())
 
     def remove_edges(self, edges: Iterable[Edge]) -> "Graph":
-        """New graph with the given edges removed (absent edges ignored)."""
-        drop = [[] for _ in range(self.n)]
-        removed = set()
+        """New graph with the given edges removed (absent edges ignored).
+
+        Costs O(deg) per touched row: each dropped neighbor is found by
+        bisection and deleted from its sorted row, which stays sorted, and
+        untouched rows are shared.
+        """
+        bits = list(self._bits)
+        drop: dict[int, list[int]] = {}
+        removed = 0
         for u, v in edges:
-            e = edge_key(u, v)
-            if e not in removed and self.has_edge(u, v):
-                removed.add(e)
-                drop[e[0]].append(e[1])
-                drop[e[1]].append(e[0])
-        nbrs = []
-        bits = []
-        for v in range(self.n):
-            if drop[v]:
-                gone = set(drop[v])
-                row = tuple(w for w in self._nbrs[v] if w not in gone)
-                nbrs.append(row)
-                bits.append(self._bits[v] & ~mask_of(gone))
-            else:
-                nbrs.append(self._nbrs[v])
-                bits.append(self._bits[v])
-        return Graph(self.n, tuple(nbrs), tuple(bits), self.m - len(removed))
+            if bits[u] >> v & 1:  # clearing the bit also skips repeats
+                bits[u] ^= 1 << v
+                bits[v] ^= 1 << u
+                drop.setdefault(u, []).append(v)
+                drop.setdefault(v, []).append(u)
+                removed += 1
+        nbrs = list(self._nbrs)
+        for v, gone in drop.items():
+            row = list(nbrs[v])
+            for w in gone:
+                del row[bisect_left(row, w)]
+            nbrs[v] = tuple(row)
+        return Graph(self.n, tuple(nbrs), tuple(bits), self.m - removed)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._bits == other._bits

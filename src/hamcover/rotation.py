@@ -47,8 +47,11 @@ class RotationConstraints:
     ``locked`` edges are never broken; ``soft`` edges (a superset of locked)
     are broken only when no alternative rotation exists, and every such
     break increments ``soft_breaks``. ``rotations`` and ``absorptions``
-    count every edge-breaking move (exploration included), so
-    soft_breaks <= rotations + absorptions always holds.
+    count every edge-breaking move made, exploration included, so
+    soft_breaks <= rotations + absorptions always holds. The rotation BFS
+    makes each rotation only when its consumer asks for the next path, so
+    a search counts the rotations it generated, not every child of every
+    path it expanded.
     """
 
     locked: frozenset[Edge] = frozenset()
@@ -121,6 +124,40 @@ def rotate(G: Graph, state: RotationState, pivot: int,
     )
 
 
+def _rotation_moves(G, path: list[int], seen: set[int],
+                    constraints: RotationConstraints):
+    """(position, pivot, broken edge) of each rotation of ``path`` that breaks
+    no locked edge and whose new endpoint is not in ``seen``: clean ones in
+    ascending pivot order, then soft ones in ascending pivot order.
+
+    Soft moves are held back while the clean ones are yielded. Distinct
+    pivots give distinct new endpoints, so the endpoints a consumer adds
+    to ``seen`` meanwhile never rule a held-back move out.
+    """
+    q = len(path)
+    deferred = []
+    for w in G.neighbors(path[-1]):
+        # consumers usually stop within a few pivots, so one scan of the path
+        # per pivot is cheaper than mapping every position up front
+        try:
+            i = path.index(w)
+        except ValueError:
+            continue
+        if i > q - 3:
+            continue
+        nxt = path[i + 1]
+        if nxt in seen:
+            continue
+        broken = edge_key(w, nxt)
+        if broken in constraints.locked:
+            continue
+        if broken in constraints.soft:
+            deferred.append((i, w, broken))
+        else:
+            yield i, w, broken
+    yield from deferred
+
+
 def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
                   max_depth: int):
     """Breadth-first walk of the rotation tree with fixed endpoint path0[0].
@@ -129,9 +166,10 @@ def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
     path included, never breaking a locked edge. Within one expansion,
     rotations that keep soft edges intact come first. Explores to depth
     ``max_depth``; callers stop consuming when they have enough endpoints.
+    Each rotated path is built, counted in ``constraints`` and yielded only
+    when the consumer asks for it, so rotations past the point where the
+    consumer stops are never made.
     """
-    locked = constraints.locked
-    soft = constraints.soft
     q = len(path0)
     yield path0, ()
     if q < 3 or max_depth <= 0:
@@ -142,29 +180,12 @@ def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
         path, pivots, depth = queue.popleft()
         if depth >= max_depth:
             continue
-        pos = {v: i for i, v in enumerate(path)}
-        end = path[-1]
-        fresh = []
-        for soft_pass in (False, True):
-            for w in G.neighbors(end):
-                i = pos.get(w)
-                if i is None or i > q - 3:
-                    continue
-                nxt = path[i + 1]
-                if nxt in seen:
-                    continue
-                broken = edge_key(w, nxt)
-                if broken in locked:
-                    continue
-                if (broken in soft) != soft_pass:
-                    continue
-                seen.add(nxt)
-                constraints.record(broken)
-                new_path = path[: i + 1] + path[i + 1 :][::-1]
-                fresh.append((new_path, pivots + (w,)))
-        for item in fresh:
-            yield item
-            queue.append((item[0], item[1], depth + 1))
+        for i, w, broken in _rotation_moves(G, path, seen, constraints):
+            seen.add(path[i + 1])
+            constraints.record(broken)
+            child = (path[: i + 1] + path[i + 1 :][::-1], pivots + (w,))
+            yield child
+            queue.append((*child, depth + 1))
 
 
 @dataclass
@@ -181,14 +202,6 @@ class EndpointSet:
     paths: dict[int, tuple[int, ...]]
     external: int | None = None    # endpoint with a neighbor off the path, if found
     depth: int = 0
-
-
-def default_rotation_depth(n: int, s: float | None = None) -> int:
-    """ceil(3*ln(n)/ln(s)) when the expansion factor is meaningful (s >= 21),
-    otherwise n: the logarithmic budget is vacuous for small factors."""
-    if s is not None and s >= 21.0:
-        return max(1, math.ceil(3.0 * math.log(max(n, 2)) / math.log(s)))
-    return n
 
 
 def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
@@ -262,14 +275,16 @@ def _external_neighbor(G: Graph, v: int, outside: int) -> int | None:
 
 def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                             constraints: RotationConstraints | None = None,
-                            max_depth: int | None = None):
+                            max_depth: int | None = None,
+                            path_mask: int | None = None):
     """Two-level rotation search respecting locked edges.
 
     Rotates the seed path from one endpoint and then, for each resulting
     path, from the other. Returns ExtendAt for the first path found whose
     endpoint has a neighbor outside the (invariant) vertex set, else a
     Chord whose endpoints are adjacent, else Stuck. Locked edges of the
-    seed survive into whichever path is returned.
+    seed survive into whichever path is returned. ``path_mask`` is the
+    bitmask of the path's vertices, for callers that already keep it.
     """
     if constraints is None:
         constraints = RotationConstraints()
@@ -278,8 +293,9 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
         raise RotationError("path must be non-trivial (at least 2 vertices)")
     if max_depth is None:
         max_depth = G.n
-    full = G.full_mask()
-    outside = full & ~mask_of(p0)
+    if path_mask is None:
+        path_mask = mask_of(p0)
+    outside = G.full_mask() & ~path_mask
 
     ext = _external_neighbor(G, p0[-1], outside)
     if ext is not None:
@@ -383,32 +399,38 @@ class HamiltonResult:
         return self.cycle is not None
 
 
-def _greedy_extend(G: Graph, path: list[int]) -> list[int]:
-    """Extend a path at both ends, always stepping to the lowest new vertex."""
-    used = mask_of(path)
-    grew = True
-    while grew:
-        grew = False
-        free = G.adjacency_bits(path[-1]) & ~used
-        if free:
-            v = (free & -free).bit_length() - 1
-            path.append(v)
-            used |= 1 << v
-            grew = True
-            continue
-        free = G.adjacency_bits(path[0]) & ~used
-        if free:
-            v = (free & -free).bit_length() - 1
-            path.insert(0, v)
-            used |= 1 << v
-            grew = True
-    return path
+def _greedy_extend(G: Graph, path: list[int], used: int) -> int:
+    """Extend a path in place at both ends, always stepping to the lowest
+    new vertex. ``used`` is the mask of the path's vertices; returns the
+    mask of the extended path.
+
+    The tail is extended first until it is stuck, then the head: a stuck
+    tail stays stuck, because the path only gains vertices.
+    """
+    bits = G.adjacency_bits
+    free = bits(path[-1]) & ~used
+    while free:
+        v = (free & -free).bit_length() - 1
+        path.append(v)
+        used |= 1 << v
+        free = bits(v) & ~used
+    head = []
+    free = bits(path[0]) & ~used
+    while free:
+        v = (free & -free).bit_length() - 1
+        head.append(v)
+        used |= 1 << v
+        free = bits(v) & ~used
+    path[:0] = head[::-1]
+    return used
 
 
 def _greedy_seed(G: Graph, start_hint: int = 0) -> list[int]:
-    order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
-    start = order[start_hint % G.n]
-    return _greedy_extend(G, [start])
+    # descending degree, ties in ascending vertex order (the sort is stable)
+    order = sorted(range(G.n), key=G.degrees().__getitem__, reverse=True)
+    path = [order[start_hint % G.n]]
+    _greedy_extend(G, path, 1 << path[0])
+    return path
 
 
 def _required_segments(required: frozenset[Edge]) -> list[list[int]] | None:
@@ -548,13 +570,16 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
     else:
         path = _greedy_seed(G, start_hint)
 
+    # the path's vertex set changes only on extension and absorption
+    used = mask_of(path)
     iterations = 0
     while iterations < budget:
         iterations += 1
-        path = _greedy_extend(G, path)
-        outcome = rotate_until_extendable(G, path, constraints, max_depth)
+        used = _greedy_extend(G, path, used)
+        outcome = rotate_until_extendable(G, path, constraints, max_depth, path_mask=used)
         if isinstance(outcome, ExtendAt):
             path = list(outcome.path) + [outcome.external]
+            used |= 1 << outcome.external
             continue
         if isinstance(outcome, Chord):
             cyc = list(outcome.path)
@@ -566,7 +591,7 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
                                       rotations=constraints.rotations,
                                       soft_breaks=constraints.soft_breaks,
                                       path_len=n)
-            outside = G.full_mask() & ~mask_of(cyc)
+            outside = G.full_mask() & ~used
             hook = None
             for w in sorted(cyc):
                 a = _external_neighbor(G, w, outside)
@@ -583,6 +608,7 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
                 return HamiltonResult(None, failure=f"absorption blocked: {exc}",
                                       iterations=iterations, rotations=constraints.rotations,
                                       soft_breaks=constraints.soft_breaks, path_len=len(cyc))
+            used |= 1 << hook[1]
             continue
         return HamiltonResult(None, failure=f"stuck: {outcome.message} "
                               f"(level sizes {outcome.level_one}/{outcome.level_two})",

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -15,6 +17,7 @@ from hamcover.cover import (
 from hamcover.gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from hamcover.graph import (
     build_graph,
+    canonical_cycle,
     complete_graph,
     cycle_graph,
     cycle_edges,
@@ -223,3 +226,26 @@ def test_run_experiment_seed_order_stable():
     b = run_gnp_experiment(32, 0.5, seeds=[0, 1, 2], base_seed=4)
     assert [r.cover_size for r in a] == [r.cover_size for r in b]
     assert [r.stream for r in a] == [0, 1, 2]
+
+
+def _cycles_sha256(cycles) -> str:
+    lines = [list(canonical_cycle(c)) for c in cycles]
+    return hashlib.sha256(json.dumps(lines, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_pinned_cycles_are_byte_identical():
+    # The engine is deterministic, so these hashes change only when the
+    # search changes: the BFS order (ascending pivots, clean rotations
+    # before soft ones), the greedy extension or the packing loop. A change
+    # that alters the search on purpose records the new hashes here.
+    G = sample_gnp(96, 0.5, RngSeed(4242, 0))
+    packing = extract_packing(G, G.min_degree() // 2)
+    assert packing.achieved == 17
+    assert _cycles_sha256(packing.cycles) == (
+        "919d33e6fa2360049dc2f27c59192897f6d748a1e509fcacf9c478c480788070")
+
+    G = sample_gnp(64, 0.3, RngSeed(4242, 1))
+    out = cover_graph(G, alpha=expander_params_for_gnp(64, 0.3).alpha)
+    assert out.ok and out.certificate.cover_size == 25
+    assert _cycles_sha256(out.certificate.cycles) == (
+        "c95dabe9344b7f0cf9a8d65d5048564b620a2fd4d03e0968fad199a749aae43a")

@@ -10,6 +10,7 @@ from hamcover.graph import (
     build_graph,
     canonical_cycle,
     complete_graph,
+    cycle_edges,
     cycle_graph,
     diameter,
     format_edge_list,
@@ -19,7 +20,9 @@ from hamcover.graph import (
     path_graph,
     petersen_graph,
 )
+from hamcover.gnp import RngSeed, sample_gnp
 from hamcover.oracle import bfs_distances_reference
+from hamcover.rotation import find_hamilton_cycle
 
 
 def test_build_complete_graph():
@@ -121,6 +124,26 @@ def test_remove_edges():
     assert H.m == 4
     assert not H.has_edge(0, 1) and not H.has_edge(2, 3)
     assert K4.m == 6  # original untouched
+
+
+def test_remove_hamilton_cycle_matches_rebuilt_graph():
+    G = sample_gnp(40, 0.5, RngSeed(41, 0))
+    res = find_hamilton_cycle(G)
+    assert res.ok
+    cyc = res.cycle
+    gone = cycle_edges(cyc)
+    # each edge given in both orientations, plus one edge the graph lacks
+    absent = next((u, v) for u in range(40) for v in range(u + 1, 40) if not G.has_edge(u, v))
+    H = G.remove_edges([(cyc[i], cyc[(i + 1) % 40]) for i in range(40)]
+                       + [(cyc[(i + 1) % 40], cyc[i]) for i in range(40)] + [absent])
+    expect = build_graph(40, sorted(G.edge_set() - gone))
+    assert H == expect
+    assert H.m == expect.m == G.m - 40
+    for v in range(40):
+        assert H.neighbors(v) == expect.neighbors(v)
+        assert list(H.neighbors(v)) == sorted(H.neighbors(v))
+        assert H.degree(v) == G.degree(v) - 2
+    assert G.m == expect.m + 40  # original untouched
 
 
 def test_canonical_cycle():

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -21,6 +22,7 @@ from hamcover.rotation import (
     RotationError,
     RotationState,
     Stuck,
+    _rotation_bfs,
     absorb_external_vertex,
     endpoint_set,
     find_hamilton_cycle,
@@ -155,15 +157,81 @@ def test_endpoint_set_default_cap_is_a_third():
     assert len(es.endpoints) >= 3  # ceil(9/3)
 
 
-def test_default_rotation_depth():
-    from hamcover.rotation import default_rotation_depth
-    import math
+def test_endpoint_set_counts_only_the_rotations_it_made():
+    # a spanning path has no outside neighbor, so only the cap stops the walk;
+    # every endpoint past the seed's own is one rotation, and no other is made
+    G = sample_gnp(30, 0.4, RngSeed(31, 0))
+    res = find_hamilton_cycle(G)
+    assert res.ok
+    path = list(res.cycle)
+    for cap in (1, 2):
+        cons = RotationConstraints()
+        es = endpoint_set(G, path, fixed=path[0], constraints=cons, endpoint_cap=cap)
+        assert len(es.endpoints) == cap
+        assert cons.rotations == sum(1 for e in es.endpoints if es.pivots[e]) == cap - 1
 
-    # meaningful expansion factor: the logarithmic budget
-    assert default_rotation_depth(1000, 30.0) == math.ceil(3 * math.log(1000) / math.log(30))
-    # below the s >= 21 regime the budget falls back to n
-    assert default_rotation_depth(1000, 2.0) == 1000
-    assert default_rotation_depth(1000, None) == 1000
+
+def _eager_rotation_bfs(G, path0, constraints, max_depth):
+    """Reference walk: every child of an expanded path is made and counted
+    before the first of them is yielded."""
+    q = len(path0)
+    out = [(tuple(path0), ())]
+    if q < 3 or max_depth <= 0:
+        return out
+    seen = {path0[-1]}
+    queue = deque([(list(path0), (), 0)])
+    while queue:
+        path, pivots, depth = queue.popleft()
+        if depth >= max_depth:
+            continue
+        pos = {v: i for i, v in enumerate(path)}
+        fresh = []
+        for soft_pass in (False, True):
+            for w in G.neighbors(path[-1]):
+                i = pos.get(w)
+                if i is None or i > q - 3:
+                    continue
+                nxt = path[i + 1]
+                if nxt in seen:
+                    continue
+                broken = edge_key(w, nxt)
+                if broken in constraints.locked or (broken in constraints.soft) != soft_pass:
+                    continue
+                seen.add(nxt)
+                constraints.record(broken)
+                fresh.append((path[: i + 1] + path[i + 1 :][::-1], pivots + (w,)))
+        for new_path, new_pivots in fresh:
+            out.append((tuple(new_path), new_pivots))
+            queue.append((new_path, new_pivots, depth + 1))
+    return out
+
+
+def test_rotation_bfs_matches_eager_reference():
+    rnd = random.Random(5150)
+    soft_breaks = 0
+    for trial in range(80):
+        n = rnd.randint(8, 18)
+        G = sample_gnp(n, rnd.choice((0.3, 0.5, 0.7)), RngSeed(131, trial))
+        # a random path, often not spanning, so some neighbors lie off it
+        verts = list(range(n))
+        rnd.shuffle(verts)
+        path = [verts[0]]
+        for v in verts[1:]:
+            if G.has_edge(path[-1], v):
+                path.append(v)
+        edges = sorted(path_edges(path))
+        soft = frozenset(rnd.sample(edges, len(edges) // 2))
+        locked = frozenset(rnd.sample(sorted(soft), len(soft) // 3))
+        depth = rnd.choice((1, 2, n))
+        lazy_cons = RotationConstraints(locked=locked, soft=soft)
+        eager_cons = RotationConstraints(locked=locked, soft=soft)
+        lazy = [(tuple(p), piv) for p, piv in _rotation_bfs(G, list(path), lazy_cons, depth)]
+        assert lazy == _eager_rotation_bfs(G, path, eager_cons, depth)
+        # fully consumed, the lazy walk makes every rotation the eager one does
+        assert lazy_cons.rotations == eager_cons.rotations
+        assert lazy_cons.soft_breaks == eager_cons.soft_breaks
+        soft_breaks += lazy_cons.soft_breaks
+    assert soft_breaks > 0  # soft rotations, queued after clean ones, were made
 
 
 def test_rotate_until_extendable_chord():
