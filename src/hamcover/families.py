@@ -316,11 +316,6 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     M = frozenset(edge_key(*e) for e in matching)
     if not M:
         raise ValueError("matching must be non-empty")
-    touch: set[int] = set()
-    for u, v in M:
-        if u in touch or v in touch:
-            raise FamilyError(f"edges share vertex: not a matching around ({u}, {v})")
-        touch.update((u, v))
     family = PathFamily.from_matching(M)
     d = max(1, math.ceil(6.0 / alpha))
     out = MergeOutcome(path=(), lost_matching=frozenset())

@@ -112,16 +112,20 @@ def rotate(G: Graph, state: RotationState, pivot: int,
     if not G.has_edge(path[-1], pivot):
         raise RotationError(f"pivot {pivot} not adjacent to endpoint {path[-1]}")
     broken = edge_key(pivot, path[i + 1])
-    if broken in constraints.locked:
-        raise RotationError(f"broken edge {broken} is locked")
-    constraints.record(broken)
-    new_path = path[: i + 1] + path[i + 1 :][::-1]
     return RotationState(
-        path=new_path,
+        path=_rotated(path, i, broken, constraints),
         fixed_endpoint=state.fixed_endpoint,
         rotation_count=state.rotation_count + 1,
         history=state.history + [(pivot, broken)],
     )
+
+
+def _rotated(path: list[int], i: int, broken: Edge,
+             constraints: RotationConstraints) -> list[int]:
+    """The rotation of ``path`` around the pivot at position i: records the
+    broken edge (path[i], path[i+1]) and reverses the suffix past i."""
+    constraints.record(broken)
+    return path[: i + 1] + path[i + 1 :][::-1]
 
 
 def _rotation_moves(G, path: list[int], seen: set[int],
@@ -159,7 +163,7 @@ def _rotation_moves(G, path: list[int], seen: set[int],
 
 
 def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
-                  max_depth: int):
+                  max_depth: float = math.inf):
     """Breadth-first walk of the rotation tree with fixed endpoint path0[0].
 
     Yields (path, pivots) once per distinct non-fixed endpoint, the seed
@@ -182,8 +186,7 @@ def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
             continue
         for i, w, broken in _rotation_moves(G, path, seen, constraints):
             seen.add(path[i + 1])
-            constraints.record(broken)
-            child = (path[: i + 1] + path[i + 1 :][::-1], pivots + (w,))
+            child = (_rotated(path, i, broken, constraints), pivots + (w,))
             yield child
             queue.append((*child, depth + 1))
 
@@ -273,9 +276,27 @@ def _external_neighbor(G: Graph, v: int, outside: int) -> int | None:
     return None
 
 
+def _two_level_walk(G: Graph, p0: list[int], constraints: RotationConstraints):
+    """Yield (level, path) for every path of the two-level rotation search.
+
+    Level one is the rotation BFS of ``p0`` with p0[0] fixed. Once it is
+    exhausted, level two reverses each level-one path, fixing its new
+    endpoint, and walks the rotations of the old fixed end; each unrotated
+    path was already yielded at level one and is skipped. Every yielded
+    path starts at the end its walk keeps fixed.
+    """
+    level_one = []
+    for walked, _ in _rotation_bfs(G, p0, constraints):
+        level_one.append(walked)
+        yield 1, walked
+    for first in level_one:
+        for walked, pivots in _rotation_bfs(G, first[::-1], constraints):
+            if pivots:
+                yield 2, walked
+
+
 def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                             constraints: RotationConstraints | None = None,
-                            max_depth: int | None = None,
                             path_mask: int | None = None):
     """Two-level rotation search respecting locked edges.
 
@@ -291,8 +312,6 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     p0 = list(path)
     if len(p0) < 2:
         raise RotationError("path must be non-trivial (at least 2 vertices)")
-    if max_depth is None:
-        max_depth = G.n
     if path_mask is None:
         path_mask = mask_of(p0)
     outside = G.full_mask() & ~path_mask
@@ -311,43 +330,21 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
             return chord
 
     explored = 0
-    level_one: list[tuple[int, ...]] = []
-    for walked, _ in _rotation_bfs(G, p0, constraints, max_depth):
+    sizes = {1: 0, 2: 0}  # paths walked per level
+    for level, walked in _two_level_walk(G, p0, constraints):
         explored += 1
+        sizes[level] += 1
         e = walked[-1]
         ext = _external_neighbor(G, e, outside)
         if ext is not None:
             return ExtendAt(path=tuple(walked), endpoint=e, external=ext)
-        if chord is None and G.has_edge(p0[0], e):
-            chord = Chord(path=tuple(walked), ends=(p0[0], e))
+        if chord is None and G.has_edge(walked[0], e):
+            chord = Chord(path=tuple(walked), ends=(walked[0], e))
             if not outside:
                 return chord
-        level_one.append(tuple(walked))
         if explored >= SEARCH_NODE_CAP:
-            return chord or Stuck(len(level_one), 0, explored, "node budget exhausted")
-
-    level_two_seen = 0
-    for first in level_one:
-        flipped = list(first[::-1])  # fix the new endpoint, rotate the old fixed end
-        for walked, pivots in _rotation_bfs(G, flipped, constraints, max_depth):
-            if not pivots:
-                continue  # the unrotated path was already handled at level one
-            explored += 1
-            level_two_seen += 1
-            e = walked[-1]
-            ext = _external_neighbor(G, e, outside)
-            if ext is not None:
-                return ExtendAt(path=tuple(walked), endpoint=e, external=ext)
-            if chord is None and G.has_edge(flipped[0], e):
-                chord = Chord(path=tuple(walked), ends=(flipped[0], e))
-                if not outside:
-                    return chord
-            if explored >= SEARCH_NODE_CAP:
-                return chord or Stuck(len(level_one), level_two_seen, explored,
-                                      "node budget exhausted")
-    if chord is not None:
-        return chord
-    return Stuck(len(level_one), level_two_seen, explored, "no extension, no chord")
+            return chord or Stuck(sizes[1], sizes[2], explored, "node budget exhausted")
+    return chord or Stuck(sizes[1], sizes[2], explored, "no extension, no chord")
 
 
 def absorb_external_vertex(G: Graph, cycle: list[int] | tuple[int, ...], w: int, a: int,
@@ -529,8 +526,7 @@ def _chain_segments(G: Graph, segments: list[list[int]]) -> list[int] | None:
 def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None,
                         budget: int | None = None,
                         seed_path: list[int] | tuple[int, ...] | None = None,
-                        start_hint: int = 0,
-                        max_depth: int | None = None) -> HamiltonResult:
+                        start_hint: int = 0) -> HamiltonResult:
     """Heuristic Hamilton cycle search by rotation and extension.
 
     Starts from ``seed_path`` (or a greedy longest path threaded through the
@@ -570,13 +566,18 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
     else:
         path = _greedy_seed(G, start_hint)
 
+    def failed(reason: str, path_len: int) -> HamiltonResult:
+        return HamiltonResult(None, failure=reason, iterations=iterations,
+                              rotations=constraints.rotations,
+                              soft_breaks=constraints.soft_breaks, path_len=path_len)
+
     # the path's vertex set changes only on extension and absorption
     used = mask_of(path)
     iterations = 0
     while iterations < budget:
         iterations += 1
         used = _greedy_extend(G, path, used)
-        outcome = rotate_until_extendable(G, path, constraints, max_depth, path_mask=used)
+        outcome = rotate_until_extendable(G, path, constraints, path_mask=used)
         if isinstance(outcome, ExtendAt):
             path = list(outcome.path) + [outcome.external]
             used |= 1 << outcome.external
@@ -599,21 +600,13 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
                     hook = (w, a)
                     break
             if hook is None:
-                return HamiltonResult(None, failure="cycle spans a whole component; graph disconnected",
-                                      iterations=iterations, rotations=constraints.rotations,
-                                      soft_breaks=constraints.soft_breaks, path_len=len(cyc))
+                return failed("cycle spans a whole component; graph disconnected", len(cyc))
             try:
                 path = absorb_external_vertex(G, cyc, hook[0], hook[1], constraints)
             except RotationError as exc:
-                return HamiltonResult(None, failure=f"absorption blocked: {exc}",
-                                      iterations=iterations, rotations=constraints.rotations,
-                                      soft_breaks=constraints.soft_breaks, path_len=len(cyc))
+                return failed(f"absorption blocked: {exc}", len(cyc))
             used |= 1 << hook[1]
             continue
-        return HamiltonResult(None, failure=f"stuck: {outcome.message} "
-                              f"(level sizes {outcome.level_one}/{outcome.level_two})",
-                              iterations=iterations, rotations=constraints.rotations,
-                              soft_breaks=constraints.soft_breaks, path_len=len(path))
-    return HamiltonResult(None, failure="iteration budget exhausted",
-                          iterations=iterations, rotations=constraints.rotations,
-                          soft_breaks=constraints.soft_breaks, path_len=len(path))
+        return failed(f"stuck: {outcome.message} "
+                      f"(level sizes {outcome.level_one}/{outcome.level_two})", len(path))
+    return failed("iteration budget exhausted", len(path))

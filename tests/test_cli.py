@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from hamcover.cli import main
@@ -176,6 +177,23 @@ def test_experiment_rerun_identical(tmp_path, capsys):
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_experiment_csv_bytes_are_pinned(tmp_path, capsys):
+    # the second configuration samples disconnected graphs, where the
+    # expansion parameters raise and alpha falls back to 0.3
+    pinned = {
+        ("32", "0.5", "3", "77"):
+            "51458ec7d4d35fce206a234ea112b0c6704caec5852d573f7ea5489efc597c9b",
+        ("16", "0.05", "2", "9"):
+            "e3368b2f9e457531c03e170f598fe0a64841718124f7edefa87a1a1126414b87",
+    }
+    for (n, p, seeds, seed), digest in pinned.items():
+        path = tmp_path / f"n{n}.csv"
+        code, _ = run(capsys, "experiment", "--n", n, "--p", p, "--seeds", seeds,
+                      "--seed", seed, "--jobs", "1", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

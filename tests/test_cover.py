@@ -10,7 +10,6 @@ from hamcover.cover import (
     extract_packing,
     greedy_edge_coloring,
     greedy_maximal_matching,
-    matching_chunk_cap,
     run_gnp_experiment,
     run_single_experiment,
 )
@@ -147,11 +146,6 @@ def test_cover_matching_on_sample_covers_every_edge():
         assert is_hamilton_cycle(G, c)
         covered |= cycle_edges(c)
     assert M <= covered
-
-
-def test_chunk_cap_floors_at_one():
-    assert matching_chunk_cap(128, 0.2) == 1
-    assert matching_chunk_cap(10 ** 6, 0.5) == int(0.125 * 10 ** 6 / 9200)
 
 
 def test_cover_graph_walecki_k5():

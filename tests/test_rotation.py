@@ -251,6 +251,31 @@ def test_rotate_until_extendable_stuck_on_tree():
     assert isinstance(out, Stuck)
 
 
+def test_rotate_until_extendable_pins_stuck_level_sizes():
+    # K_{a,b} from the alternating path B A B ... A B over all of A: every
+    # endpoint lies in B, whose neighbors all lie on the path, and no two B
+    # vertices are adjacent, so neither level finds an extension or a chord.
+    # Level one reaches the a unfixed B vertices of the path; level two
+    # rotates each of them back, skipping each one's unrotated path.
+    def stuck_on(a, b):
+        G = build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+        path = [a]
+        for u in range(a):
+            path += [u, a + u + 1]
+        return rotate_until_extendable(G, path)
+
+    assert stuck_on(10, 12) == Stuck(10, 90, 100, "no extension, no chord")
+    assert stuck_on(80, 85) == Stuck(80, 5920, 6000, "node budget exhausted")
+
+
+def test_rotate_until_extendable_extends_at_level_two():
+    # the path 0-1-2-3-4 with chord (0, 2) and vertex 5 hanging off 1: end 4
+    # has no rotation, so only rotating end 0 (with 4 fixed) reaches 1
+    G = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 5)])
+    out = rotate_until_extendable(G, [0, 1, 2, 3, 4])
+    assert out == ExtendAt(path=(4, 3, 2, 0, 1), endpoint=1, external=5)
+
+
 def test_rotate_until_extendable_keeps_locked_edges():
     G = sample_gnp(16, 0.4, RngSeed(29, 0))
     res = find_hamilton_cycle(G)
