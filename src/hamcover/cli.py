@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -150,6 +151,7 @@ def cmd_cover(args) -> int:
         "h": cert.h,
         "cover_size": cert.cover_size,
         "ratio": cert.cover_size / (G.max_degree() / 2.0),
+        "ratio_lower_bound": cert.cover_size / math.ceil(G.max_degree() / 2),
         "losses": outcome.losses,
         "phase_timings_ms": outcome.timings_ms,
         "valid": True,

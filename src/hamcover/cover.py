@@ -124,13 +124,22 @@ def extract_packing(G: Graph, target: int, budget: int | None = None) -> Packing
 
 @dataclass
 class OnceOutcome:
-    """One protected Hamilton cycle aimed at a matching."""
+    """One protected Hamilton cycle aimed at a matching.
+
+    ``merge_lost`` counts matching edges the merged seed path left out,
+    ``soft_lost`` the matching edges on the seed path that the returned
+    cycle dropped (0 for a retry that starts from a greedy path instead of
+    the seed), and ``soft_breaks`` the soft-edge rotations and absorptions
+    the search generated, exploration included; it counts moves, not edges
+    lost, and bounds ``soft_lost``.
+    """
 
     cycle: tuple[int, ...] | None
     uncovered: frozenset[Edge]
     failure: str | None = None
     merge_lost: int = 0
     soft_breaks: int = 0
+    soft_lost: int = 0
 
 
 def cover_matching_once(G: Graph, matching, alpha: float,
@@ -177,19 +186,25 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     if not res.ok:
         return OnceOutcome(None, M, failure=res.failure,
                            merge_lost=len(merged.lost_matching))
-    return OnceOutcome(res.cycle, M - cycle_edges(res.cycle),
+    covered = cycle_edges(res.cycle)
+    return OnceOutcome(res.cycle, M - covered,
                        merge_lost=len(merged.lost_matching),
-                       soft_breaks=res.soft_breaks)
+                       soft_breaks=res.soft_breaks,
+                       soft_lost=len(on_seed - covered) if attempt < 2 else 0)
 
 
 @dataclass
 class MatchingCover:
+    """Cycles covering a matching; the loss counters sum those of every
+    search made, as in ``OnceOutcome``."""
+
     ok: bool
     cycles: list[tuple[int, ...]]
     uncovered: frozenset[Edge] = frozenset()
     failure: str | None = None
     soft_breaks: int = 0
     merge_lost: int = 0
+    soft_lost: int = 0
 
 
 def cover_matching(G: Graph, matching, alpha: float,
@@ -203,23 +218,26 @@ def cover_matching(G: Graph, matching, alpha: float,
     cycles: list[tuple[int, ...]] = []
     soft_breaks = 0
     merge_lost = 0
+    soft_lost = 0
     attempt = 0
     while residual:
         once = cover_matching_once(G, residual, alpha, budget=budget, attempt=attempt)
         soft_breaks += once.soft_breaks
         merge_lost += once.merge_lost
+        soft_lost += once.soft_lost
         if once.cycle is None or len(once.uncovered) >= len(residual):
             attempt += 1
             if attempt >= STALL_LIMIT:
                 detail = once.failure or "no progress on uncovered matching edges"
                 return MatchingCover(False, cycles, uncovered=residual,
                                      failure=detail, soft_breaks=soft_breaks,
-                                     merge_lost=merge_lost)
+                                     merge_lost=merge_lost, soft_lost=soft_lost)
             continue
         cycles.append(once.cycle)
         residual = once.uncovered
         attempt = 0
-    return MatchingCover(True, cycles, soft_breaks=soft_breaks, merge_lost=merge_lost)
+    return MatchingCover(True, cycles, soft_breaks=soft_breaks, merge_lost=merge_lost,
+                         soft_lost=soft_lost)
 
 
 @dataclass
@@ -240,6 +258,13 @@ class CoverCertificate:
 
 @dataclass
 class CoverOutcome:
+    """A certificate or the phase and cause of a failure.
+
+    ``losses`` sums the covering phase's counters (see ``OnceOutcome``):
+    ``merge_lost``, ``soft_breaks`` and ``soft_lost``, plus the matching
+    edges left ``uncovered`` on a covering failure.
+    """
+
     certificate: CoverCertificate | None
     failure_phase: str | None = None
     failure_detail: str | None = None
@@ -287,6 +312,7 @@ def cover_graph(G: Graph, alpha: float, packing_target: int | None = None,
         covered |= cycle_edges(c)
     soft_breaks = 0
     merge_lost = 0
+    soft_lost = 0
     for cls in classes:
         need = cls - covered
         if not need:
@@ -294,6 +320,7 @@ def cover_graph(G: Graph, alpha: float, packing_target: int | None = None,
         mc = cover_matching(G, need, alpha, budget=budget)
         soft_breaks += mc.soft_breaks
         merge_lost += mc.merge_lost
+        soft_lost += mc.soft_lost
         cycles.extend(mc.cycles)
         for c in mc.cycles:
             covered |= cycle_edges(c)
@@ -302,6 +329,7 @@ def cover_graph(G: Graph, alpha: float, packing_target: int | None = None,
             return CoverOutcome(None, "covering", mc.failure,
                                 packing_stopped=packing.stopped,
                                 losses={"merge_lost": merge_lost, "soft_breaks": soft_breaks,
+                                        "soft_lost": soft_lost,
                                         "uncovered": sorted(mc.uncovered)},
                                 timings_ms=timings)
     timings["covering"] = (time.perf_counter() - t0) * 1000.0
@@ -320,7 +348,8 @@ def cover_graph(G: Graph, alpha: float, packing_target: int | None = None,
                             f"cover size {cert.cover_size} beats the degree bound {lower}: "
                             "certificate must be wrong", timings_ms=timings)
     return CoverOutcome(cert, packing_stopped=packing.stopped,
-                        losses={"merge_lost": merge_lost, "soft_breaks": soft_breaks},
+                        losses={"merge_lost": merge_lost, "soft_breaks": soft_breaks,
+                                "soft_lost": soft_lost},
                         timings_ms=timings)
 
 

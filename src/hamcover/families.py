@@ -14,6 +14,17 @@ another's, either as the direct edge (x, y) or as x-a-...-b-y where the
 interior lives entirely outside the family's vertex set and a-...-b has at
 most d edges.
 
+reduce_family works incrementally. What the move search needs of a path
+(its usable k-end vertices in candidate order, their mask, the union of
+their neighbourhoods, and whether a deletion may claim it) is computed
+once per path and call, from the path's first and last k vertices only; a
+merge computes it for the one path it makes, a deletion for none. The
+family's vertex mask and the union of all usable ends are carried across
+moves and updated on each splice or deletion, so the direct-edge scan
+passes over a path with one AND when none of its ends sees another path's.
+The candidate order is unchanged, so the moves are exactly those of
+recomputing everything after every move.
+
 The driver merge_into_single_path feeds a matching through rounds of
 reductions with a growing end-depth schedule, protecting matching edges
 from trims for as long as any protecting move exists.
@@ -23,10 +34,11 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Edge, Graph, edge_key, mask_of, path_edges
+from .graph import Edge, Graph, edge_key, iter_bits, mask_of, path_edges
 
 log = logging.getLogger(__name__)
 
@@ -139,14 +151,45 @@ def _split_at(path: tuple[int, ...], x: int) -> tuple[tuple[int, ...], frozenset
 
 
 def _end_candidates(path: tuple[int, ...], k: int) -> list[int]:
-    """k-end vertices ordered by trim cost, then by vertex index."""
-    L = len(path) - 1
-    cands = {}
-    for i, v in enumerate(path):
-        cost = min(i, L - i)
-        if cost <= k - 1:
-            cands[v] = cost
-    return sorted(cands, key=lambda v: (cands[v], v))
+    """Indices of the k-end vertices of ``path``, ordered by trim cost, then
+    by vertex. Only the first and last k positions are looked at."""
+    n = len(path)
+    idx = range(n) if n <= 2 * k else (*range(k), *range(n - k, n))
+    return sorted(idx, key=lambda i: (min(i, n - 1 - i), path[i]))
+
+
+class _Ends:
+    """What the move search needs of one path, computed once per path and
+    reduce_family call: the k-end vertices a splice may use, in candidate
+    order, their mask, the union of their neighbourhoods, and whether a
+    deletion may claim the path."""
+
+    __slots__ = ("xs", "mask", "reach", "deletable")
+
+    def __init__(self, G: Graph, path: tuple[int, ...], k: int,
+                 protect: frozenset[Edge], spare_protected: bool) -> None:
+        n = len(path)
+        idx = _end_candidates(path, k)
+        if spare_protected and protect:
+            # head[c] / tail[c]: a protected edge among the first / last c
+            # edges, which is what trimming at cost c from that side discards
+            def hits(seq):
+                out = [False]
+                for c in range(min(k, n) - 1):
+                    out.append(out[-1] or edge_key(seq[c], seq[c + 1]) in protect)
+                return out
+            head, tail = hits(path[:k]), hits(path[-k:][::-1])
+            # _split_at trims the tail when the head piece is at least as long
+            idx = [i for i in idx
+                   if not (tail[n - 1 - i] if 2 * i >= n - 1 else head[i])]
+        bits = G.adjacency_bits
+        self.xs = [path[i] for i in idx]
+        self.mask = mask_of(self.xs)
+        self.reach = 0
+        for x in self.xs:
+            self.reach |= bits(x)
+        self.deletable = n - 1 < 2 * k - 1 and not (
+            spare_protected and path_edges(path) & protect)
 
 
 def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[int] | None:
@@ -163,7 +206,7 @@ def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[
         return None
     parent: dict[int, int | None] = {}
     queue: deque[tuple[int, int]] = deque()
-    for a in sorted(v for v in range(G.n) if sources >> v & 1):
+    for a in iter_bits(sources):
         parent[a] = None
         if targets >> a & 1:
             return [a]
@@ -188,52 +231,42 @@ def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[
     return None
 
 
-def _find_merge(G: Graph, paths: list[tuple[int, ...]], k: int, d: int,
-                protect: frozenset[Edge], spare_protected: bool):
+def _find_merge(G: Graph, paths: list[tuple[int, ...]], ends: dict[tuple[int, ...], _Ends],
+                ends_mask: int, family_mask: int, d: int):
     """First applicable merge under the deterministic candidate order.
 
-    Returns (i, j, kept_i, kept_j, interior, lost_edges, gained) or None.
-    kept_i ends at its splice vertex; kept_j starts at its.
+    The order runs over (i, j, x, y): paths i and j in sorted order, x over
+    i's usable ends in candidate order, then y over j's (ascending vertex
+    for a direct edge). ``ends_mask`` is the union of every path's usable
+    ends. Returns (path_i, path_j, x, y, interior) or None; the interior is
+    empty for a direct edge.
     """
-    ends = [_end_candidates(p, k) for p in paths]
-    end_masks = [mask_of(e) for e in ends]
-    fam_mask = 0
-    for p in paths:
-        fam_mask |= mask_of(p)
+    bits = G.adjacency_bits
     # direct edges first: cheapest gain, no outside vertices consumed
-    for i in range(len(paths)):
-        for j in range(len(paths)):
-            if i == j:
+    for pi in paths:
+        ei = ends[pi]
+        hit = ei.reach & ends_mask & ~ei.mask
+        if not hit:
+            continue
+        for pj in paths:
+            ej = ends[pj]
+            if ej.mask & hit:
+                break
+        for x in ei.xs:
+            ys = bits(x) & ej.mask
+            if ys:
+                return pi, pj, x, (ys & -ys).bit_length() - 1, []
+    outside = G.full_mask() & ~family_mask
+    for pi in paths:
+        xs = [x for x in ends[pi].xs if bits(x) & outside]
+        for pj in paths:
+            if pj == pi:
                 continue
-            for x in ends[i]:
-                hit = G.adjacency_bits(x) & end_masks[j]
-                if not hit:
-                    continue
-                kept_i, trim_i = _split_at(paths[i], x)
-                if spare_protected and trim_i & protect:
-                    continue
-                for y in sorted(v for v in ends[j] if hit >> v & 1):
-                    kept_j, trim_j = _split_at(paths[j], y)
-                    if spare_protected and trim_j & protect:
-                        continue
-                    return (i, j, kept_i, kept_j[::-1], [],
-                            trim_i | trim_j, 1)
-    for i in range(len(paths)):
-        for j in range(len(paths)):
-            if i == j:
-                continue
-            for x in ends[i]:
-                kept_i, trim_i = _split_at(paths[i], x)
-                if spare_protected and trim_i & protect:
-                    continue
-                for y in ends[j]:
-                    kept_j, trim_j = _split_at(paths[j], y)
-                    if spare_protected and trim_j & protect:
-                        continue
-                    interior = _find_connector(G, x, y, fam_mask, d)
+            for x in xs:
+                for y in ends[pj].xs:
+                    interior = _find_connector(G, x, y, family_mask, d)
                     if interior is not None:
-                        return (i, j, kept_i, kept_j[::-1], interior,
-                                trim_i | trim_j, len(interior) + 1)
+                        return pi, pj, x, y, interior
     return None
 
 
@@ -249,33 +282,51 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget,
     """
     k, d = budget.k, budget.d
     paths = list(family.paths)
-    while True:
-        # deletions first
-        deleted = False
-        for idx, p in enumerate(paths):
-            if len(p) - 1 < 2 * k - 1:
-                if spare_protected and path_edges(p) & protect:
-                    continue
-                budget.mu += 1
-                budget.lost += len(p) - 1
-                budget.check()
-                paths.pop(idx)
-                deleted = True
-                break
-        if deleted:
-            continue
-        if len(paths) < 2:
-            break
-        found = _find_merge(G, paths, k, d, protect, spare_protected)
+    ends: dict[tuple[int, ...], _Ends] = {}
+    ends_mask = family_mask = 0
+
+    def add(p: tuple[int, ...]) -> None:
+        nonlocal ends_mask, family_mask
+        ends[p] = _Ends(G, p, k, protect, spare_protected)
+        ends_mask |= ends[p].mask
+        family_mask |= mask_of(p)
+
+    def remove(p: tuple[int, ...]) -> None:
+        nonlocal ends_mask, family_mask
+        paths.remove(p)
+        ends_mask &= ~ends.pop(p).mask
+        family_mask &= ~mask_of(p)
+
+    def delete(p: tuple[int, ...]) -> None:
+        budget.mu += 1
+        budget.lost += len(p) - 1
+        budget.check()
+        remove(p)
+
+    for p in paths:
+        add(p)
+    # whether a path may be deleted depends on the path alone: after this
+    # pass, in sorted order, only a freshly merged path can be
+    for p in [p for p in paths if ends[p].deletable]:
+        delete(p)
+    while len(paths) >= 2:
+        found = _find_merge(G, paths, ends, ends_mask, family_mask, d)
         if found is None:
             break
-        i, j, kept_i, kept_j, interior, lost_edges, gained = found
-        merged = _canonical(kept_i + tuple(interior) + kept_j)
+        pi, pj, x, y, interior = found
+        kept_i, trim_i = _split_at(pi, x)
+        kept_j, trim_j = _split_at(pj, y)
+        merged = _canonical(kept_i + tuple(interior) + kept_j[::-1])
         budget.mu += 1
-        budget.lost += len(lost_edges)
-        budget.gained += gained
+        budget.lost += len(trim_i) + len(trim_j)
+        budget.gained += len(interior) + 1
         budget.check()
-        paths = sorted([p for idx, p in enumerate(paths) if idx not in (i, j)] + [merged])
+        remove(pi)
+        remove(pj)
+        insort(paths, merged)
+        add(merged)
+        if ends[merged].deletable:
+            delete(merged)
     return PathFamily(paths=paths, origin_edges=family.origin_edges)
 
 

@@ -46,7 +46,9 @@ class RotationConstraints:
 
     ``locked`` edges are never broken; ``soft`` edges (a superset of locked)
     are broken only when no alternative rotation exists, and every such
-    break increments ``soft_breaks``. ``rotations`` and ``absorptions``
+    break increments ``soft_breaks``: it counts soft rotations and
+    absorptions generated, not soft edges lost, since a rotation the search
+    explores may never reach its result. ``rotations`` and ``absorptions``
     count every edge-breaking move made, exploration included, so
     soft_breaks <= rotations + absorptions always holds. The rotation BFS
     makes each rotation only when its consumer asks for the next path, so

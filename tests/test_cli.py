@@ -86,6 +86,7 @@ def test_cover_reports_and_verifies(tmp_path, capsys):
     report = json.loads(out)
     assert report["valid"] and report["n"] == 9 and report["delta_max"] == 8
     assert report["cover_size"] >= 4
+    assert report["ratio_lower_bound"] == report["cover_size"] / 4
     code, _ = run(capsys, "verify", "--graph", str(gpath), "--cover", str(cycles))
     assert code == 0
 
@@ -98,6 +99,11 @@ def test_cover_report_deterministic_modulo_timings(tmp_path, capsys):
         code, out = run(capsys, "cover", "--graph", str(gpath), "--alpha", "0.4")
         assert code == 0
         reports.append(strip_timings(json.loads(out)))
+    # against ceil(delta/2), the hard lower bound on any cover; delta is odd here
+    report = reports[0]
+    assert report["delta_max"] % 2 == 1
+    assert report["ratio_lower_bound"] == report["cover_size"] / ((report["delta_max"] + 1) // 2)
+    assert 1.0 <= report["ratio_lower_bound"] < report["ratio"]
     assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 
 

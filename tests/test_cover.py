@@ -13,6 +13,7 @@ from hamcover.cover import (
     run_gnp_experiment,
     run_single_experiment,
 )
+from hamcover.families import merge_into_single_path
 from hamcover.gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from hamcover.graph import (
     build_graph,
@@ -21,6 +22,7 @@ from hamcover.graph import (
     cycle_graph,
     cycle_edges,
     is_hamilton_cycle,
+    path_edges,
     petersen_graph,
 )
 from hamcover.oracle import held_karp_hamiltonian, validate_cover
@@ -243,3 +245,27 @@ def test_pinned_cycles_are_byte_identical():
     assert out.ok and out.certificate.cover_size == 25
     assert _cycles_sha256(out.certificate.cycles) == (
         "c95dabe9344b7f0cf9a8d65d5048564b620a2fd4d03e0968fad199a749aae43a")
+
+
+def test_soft_lost_counts_seed_edges_the_cycle_dropped():
+    # soft_breaks counts soft rotations generated; soft_lost counts the
+    # matching edges on the merged seed path missing from the returned
+    # cycle, and each of those was broken by one counted rotation
+    alpha = expander_params_for_gnp(64, 0.3).alpha
+    lost = 0
+    for s in range(6):
+        G = sample_gnp(64, 0.3, RngSeed(5, s))
+        out = cover_graph(G, alpha=alpha)
+        assert out.ok
+        assert 0 <= out.losses["soft_lost"] <= out.losses["soft_breaks"]
+        lost += out.losses["soft_lost"]
+
+        M = greedy_maximal_matching(G)
+        on_seed = M & path_edges(merge_into_single_path(G, M, alpha).path)
+        for attempt in range(3):
+            once = cover_matching_once(G, M, alpha, attempt=attempt)
+            assert once.cycle is not None
+            expected = len(on_seed - cycle_edges(once.cycle)) if attempt < 2 else 0
+            assert once.soft_lost == expected <= once.soft_breaks
+            lost += once.soft_lost
+    assert lost > 0

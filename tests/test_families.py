@@ -1,14 +1,18 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcover import families
 from hamcover.families import (
     BudgetError,
     ExtensionBudget,
     FamilyError,
     PathFamily,
+    _canonical,
+    _split_at,
     k_end,
     merge_into_single_path,
     reduce_family,
@@ -19,6 +23,7 @@ from hamcover.graph import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    mask_of,
     path_edges,
 )
 from hamcover.oracle import validate_family
@@ -202,3 +207,163 @@ def test_budget_error_raises_on_cooked_books():
     budget = ExtensionBudget(d=1, k=1, mu=1, lost=5, gained=0)
     with pytest.raises(BudgetError):
         budget.check()
+
+
+# The eager move search as it was before paths cached their end candidates
+# and the family mask was carried across moves: every move recomputes all
+# end candidates, end masks and the family mask, and splits each candidate
+# end it tries. The incremental search must make exactly its moves.
+
+def _ref_end_candidates(path, k):
+    L = len(path) - 1
+    cands = {}
+    for i, v in enumerate(path):
+        cost = min(i, L - i)
+        if cost <= k - 1:
+            cands[v] = cost
+    return sorted(cands, key=lambda v: (cands[v], v))
+
+
+def _ref_find_connector(G, x, y, family_mask, d):
+    outside = ~family_mask
+    sources = G.adjacency_bits(x) & outside & G.full_mask()
+    targets = G.adjacency_bits(y) & outside & G.full_mask()
+    if not sources or not targets:
+        return None
+    parent = {}
+    queue = deque()
+    for a in sorted(v for v in range(G.n) if sources >> v & 1):
+        parent[a] = None
+        if targets >> a & 1:
+            return [a]
+        queue.append((a, 0))
+    while queue:
+        v, dist = queue.popleft()
+        if dist >= d:
+            continue
+        for w in G.neighbors(v):
+            if w in parent or not (outside >> w & 1):
+                continue
+            parent[w] = v
+            if targets >> w & 1:
+                interior = [w]
+                cur = v
+                while cur is not None:
+                    interior.append(cur)
+                    cur = parent[cur]
+                interior.reverse()
+                return interior
+            queue.append((w, dist + 1))
+    return None
+
+
+def _ref_find_merge(G, paths, k, d, protect, spare_protected):
+    ends = [_ref_end_candidates(p, k) for p in paths]
+    end_masks = [mask_of(e) for e in ends]
+    fam_mask = 0
+    for p in paths:
+        fam_mask |= mask_of(p)
+    for i in range(len(paths)):
+        for j in range(len(paths)):
+            if i == j:
+                continue
+            for x in ends[i]:
+                hit = G.adjacency_bits(x) & end_masks[j]
+                if not hit:
+                    continue
+                kept_i, trim_i = _split_at(paths[i], x)
+                if spare_protected and trim_i & protect:
+                    continue
+                for y in sorted(v for v in ends[j] if hit >> v & 1):
+                    kept_j, trim_j = _split_at(paths[j], y)
+                    if spare_protected and trim_j & protect:
+                        continue
+                    return (i, j, kept_i, kept_j[::-1], [],
+                            trim_i | trim_j, 1)
+    for i in range(len(paths)):
+        for j in range(len(paths)):
+            if i == j:
+                continue
+            for x in ends[i]:
+                kept_i, trim_i = _split_at(paths[i], x)
+                if spare_protected and trim_i & protect:
+                    continue
+                for y in ends[j]:
+                    kept_j, trim_j = _split_at(paths[j], y)
+                    if spare_protected and trim_j & protect:
+                        continue
+                    interior = _ref_find_connector(G, x, y, fam_mask, d)
+                    if interior is not None:
+                        return (i, j, kept_i, kept_j[::-1], interior,
+                                trim_i | trim_j, len(interior) + 1)
+    return None
+
+
+def _ref_reduce_family(G, family, budget, protect=frozenset(), spare_protected=True):
+    k, d = budget.k, budget.d
+    paths = list(family.paths)
+    while True:
+        deleted = False
+        for idx, p in enumerate(paths):
+            if len(p) - 1 < 2 * k - 1:
+                if spare_protected and path_edges(p) & protect:
+                    continue
+                budget.mu += 1
+                budget.lost += len(p) - 1
+                budget.check()
+                paths.pop(idx)
+                deleted = True
+                break
+        if deleted:
+            continue
+        if len(paths) < 2:
+            break
+        found = _ref_find_merge(G, paths, k, d, protect, spare_protected)
+        if found is None:
+            break
+        i, j, kept_i, kept_j, interior, lost_edges, gained = found
+        merged = _canonical(kept_i + tuple(interior) + kept_j)
+        budget.mu += 1
+        budget.lost += len(lost_edges)
+        budget.gained += gained
+        budget.check()
+        paths = sorted([p for idx, p in enumerate(paths) if idx not in (i, j)] + [merged])
+    return PathFamily(paths=paths, origin_edges=family.origin_edges)
+
+
+def _merge_summary(out):
+    return (out.path, out.lost_matching, out.k_schedule, out.rounds, out.dissolved,
+            [(b.k, b.mu, b.lost, b.gained) for b in out.budgets])
+
+
+def test_merge_matches_eager_reference(monkeypatch):
+    rnd = random.Random(4004)
+    merges = 0
+    for trial in range(120):
+        n = rnd.randint(6, 96)
+        p = rnd.choice([0.1, 0.25, 0.5, 0.8])
+        alpha = rnd.choice([0.2, 0.4, 0.8])
+        G = sample_gnp(n, p, RngSeed(4004, trial))
+        M = greedy_maximal_matching(G)
+        if not M:
+            continue
+        if trial % 3 == 0:
+            M = frozenset(sorted(M)[: rnd.randint(1, len(M))])
+        merges += 1
+        got = merge_into_single_path(G, M, alpha)
+        with monkeypatch.context() as mp:
+            mp.setattr(families, "reduce_family", _ref_reduce_family)
+            want = merge_into_single_path(G, M, alpha)
+        assert _merge_summary(got) == _merge_summary(want), (n, p, alpha, trial)
+
+        # single lossy rounds at a fixed (d, k), from the matching and from
+        # the paths the merge left behind
+        d, k = rnd.randint(0, 4), rnd.randint(1, 4)
+        for fam in (PathFamily.from_matching(M), PathFamily.from_paths([got.path])):
+            budgets = ExtensionBudget(d=d, k=k), ExtensionBudget(d=d, k=k)
+            got_fam = reduce_family(G, fam, budgets[0], protect=M, spare_protected=False)
+            want_fam = _ref_reduce_family(G, fam, budgets[1], protect=M,
+                                          spare_protected=False)
+            assert got_fam.paths == want_fam.paths
+            assert budgets[0] == budgets[1]
+    assert merges >= 100
