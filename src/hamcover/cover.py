@@ -128,8 +128,8 @@ class OnceOutcome:
 
     ``merge_lost`` counts matching edges the merged seed path left out,
     ``soft_lost`` the matching edges on the seed path that the returned
-    cycle dropped (0 for a retry that starts from a greedy path instead of
-    the seed), and ``soft_breaks`` the soft-edge rotations and absorptions
+    cycle dropped (both 0 for a retry that starts from a greedy path and
+    merges nothing), and ``soft_breaks`` the soft-edge rotations and absorptions
     the search generated, exploration included; it counts moves, not edges
     lost, and bounds ``soft_lost``.
     """
@@ -149,7 +149,9 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     The matching is merged into a single seed path; edges on the seed are
     soft-protected during the search, and additionally locked when the
     matching is small enough (fewer than alpha^3 * n^(alpha/2) / 136 edges)
-    that full preservation is the contract. Returns the cycle and the
+    that full preservation is the contract. Attempt 1 starts from the
+    reversed seed; attempts 2 and later start from a greedy path with the
+    matching soft-protected and do not merge. Returns the cycle and the
     matching edges it missed.
     """
     M = frozenset(edge_key(*e) for e in matching)
@@ -163,8 +165,18 @@ def cover_matching_once(G: Graph, matching, alpha: float,
             return OnceOutcome(res.cycle, frozenset())
         return OnceOutcome(None, frozenset(), failure=res.failure)
 
+    if attempt >= 2:
+        # later retries abandon the merged seed for greedy variety, so they
+        # do not merge at all
+        res = find_hamilton_cycle(G, RotationConstraints(soft=M), budget=budget,
+                                  start_hint=attempt)
+        if not res.ok:
+            return OnceOutcome(None, M, failure=res.failure)
+        return OnceOutcome(res.cycle, M - cycle_edges(res.cycle),
+                           soft_breaks=res.soft_breaks)
+
     merged = merge_into_single_path(G, M, alpha)
-    seed = merged.path
+    seed = merged.path if attempt == 0 else merged.path[::-1]
     on_seed = M & path_edges(seed)
     small_cap = alpha ** 3 * G.n ** (alpha / 2.0) / 136.0
     locked = on_seed if len(M) < small_cap else frozenset()
@@ -174,15 +186,7 @@ def cover_matching_once(G: Graph, matching, alpha: float,
                  "the rotation guarantees assume (s = %.2f)", len(locked),
                  s / 24.0 - 0.5, s)
     constraints = RotationConstraints(locked=locked, soft=on_seed)
-
-    if attempt == 0:
-        res = find_hamilton_cycle(G, constraints, budget=budget, seed_path=seed)
-    elif attempt == 1:
-        res = find_hamilton_cycle(G, constraints, budget=budget, seed_path=seed[::-1])
-    else:
-        # later retries abandon the merged seed for greedy variety
-        res = find_hamilton_cycle(G, RotationConstraints(soft=M), budget=budget,
-                                  start_hint=attempt)
+    res = find_hamilton_cycle(G, constraints, budget=budget, seed_path=seed)
     if not res.ok:
         return OnceOutcome(None, M, failure=res.failure,
                            merge_lost=len(merged.lost_matching))
@@ -190,7 +194,7 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     return OnceOutcome(res.cycle, M - covered,
                        merge_lost=len(merged.lost_matching),
                        soft_breaks=res.soft_breaks,
-                       soft_lost=len(on_seed - covered) if attempt < 2 else 0)
+                       soft_lost=len(on_seed - covered))
 
 
 @dataclass

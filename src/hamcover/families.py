@@ -215,8 +215,8 @@ def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[
         v, dist = queue.popleft()
         if dist >= d:
             continue
-        for w in G.neighbors(v):
-            if w in parent or not (outside >> w & 1):
+        for w in iter_bits(G.adjacency_bits(v) & outside):
+            if w in parent:
                 continue
             parent[w] = v
             if targets >> w & 1:

@@ -1,15 +1,15 @@
 """Immutable simple undirected graphs on dense integer vertices.
 
-Vertices are 0..n-1. Each graph keeps two adjacency views: a sorted neighbor
-tuple per vertex (deterministic iteration) and an int bitmask per vertex
-(O(1) membership, fast set algebra on whole neighborhoods). Graphs never
-mutate; edge removal and induced subgraphs build fresh graphs.
+Vertices are 0..n-1. Each graph keeps one adjacency view: an int bitmask
+per vertex (O(1) membership, fast set algebra on whole neighborhoods, and
+ascending iteration by walking the set bits). ``neighbors()`` derives the
+sorted neighbor tuple from the bitmask on each call. Graphs never mutate;
+edge removal and induced subgraphs build fresh graphs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -48,32 +48,32 @@ def set_of(mask: int) -> set[int]:
 class Graph:
     """Simple undirected graph; symmetric, loop-free, deduplicated."""
 
-    __slots__ = ("n", "m", "_nbrs", "_bits")
+    __slots__ = ("n", "m", "_bits")
 
-    def __init__(self, n: int, nbrs: tuple[tuple[int, ...], ...], bits: tuple[int, ...], m: int):
+    def __init__(self, n: int, bits: tuple[int, ...], m: int):
         # internal constructor; use build_graph() for validated input
         self.n = n
         self.m = m
-        self._nbrs = nbrs
         self._bits = bits
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        """Neighbors of v in ascending order, derived from its bitmask."""
+        return tuple(iter_bits(self._bits[v]))
 
     def adjacency_bits(self, v: int) -> int:
         return self._bits[v]
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return self._bits[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self._nbrs]
+        return [b.bit_count() for b in self._bits]
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._nbrs), default=0)
+        return max((b.bit_count() for b in self._bits), default=0)
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self._nbrs), default=0)
+        return min((b.bit_count() for b in self._bits), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._bits[u] >> v & 1)
@@ -86,10 +86,9 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        for u in range(self.n):
-            for v in self._nbrs[u]:
-                if u < v:
-                    yield (u, v)
+        for u, b in enumerate(self._bits):
+            for i in iter_bits(b >> (u + 1)):
+                yield (u, u + 1 + i)
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges())
@@ -97,27 +96,16 @@ class Graph:
     def remove_edges(self, edges: Iterable[Edge]) -> "Graph":
         """New graph with the given edges removed (absent edges ignored).
 
-        Costs O(deg) per touched row: each dropped neighbor is found by
-        bisection and deleted from its sorted row, which stays sorted, and
-        untouched rows are shared.
+        Copies the bitmask rows once and clears two bits per dropped edge.
         """
         bits = list(self._bits)
-        drop: dict[int, list[int]] = {}
         removed = 0
         for u, v in edges:
             if bits[u] >> v & 1:  # clearing the bit also skips repeats
                 bits[u] ^= 1 << v
                 bits[v] ^= 1 << u
-                drop.setdefault(u, []).append(v)
-                drop.setdefault(v, []).append(u)
                 removed += 1
-        nbrs = list(self._nbrs)
-        for v, gone in drop.items():
-            row = list(nbrs[v])
-            for w in gone:
-                del row[bisect_left(row, w)]
-            nbrs[v] = tuple(row)
-        return Graph(self.n, tuple(nbrs), tuple(bits), self.m - removed)
+        return Graph(self.n, tuple(bits), self.m - removed)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._bits == other._bits
@@ -136,20 +124,18 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    bits = [0] * n
     m = 0
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        if v not in adj[u]:
-            adj[u].add(v)
-            adj[v].add(u)
+        if not bits[u] >> v & 1:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
             m += 1
-    nbrs = tuple(tuple(sorted(a)) for a in adj)
-    bits = tuple(mask_of(a) for a in adj)
-    return Graph(n, nbrs, bits, m)
+    return Graph(n, tuple(bits), m)
 
 
 def neighborhood_bits(G: Graph, vertices: Iterable[int]) -> int:
@@ -220,15 +206,13 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
             raise GraphError(f"vertex {v} out of range for n={G.n}")
     to_sub = {v: i for i, v in enumerate(keep)}
     kmask = mask_of(keep)
-    nbrs = []
     bits = []
     m = 0
     for v in keep:
-        inside = sorted(to_sub[w] for w in iter_bits(G._bits[v] & kmask))
-        nbrs.append(tuple(inside))
-        bits.append(mask_of(inside))
-        m += len(inside)
-    return Graph(len(keep), tuple(nbrs), tuple(bits), m // 2), to_sub, tuple(keep)
+        row = mask_of(to_sub[w] for w in iter_bits(G._bits[v] & kmask))
+        bits.append(row)
+        m += row.bit_count()
+    return Graph(len(keep), tuple(bits), m // 2), to_sub, tuple(keep)
 
 
 def is_path(G: Graph, seq: Iterable[int]) -> bool:

@@ -26,6 +26,7 @@ from .graph import (
     edge_key,
     is_hamilton_cycle,
     is_path,
+    iter_bits,
     mask_of,
     path_edges,
 )
@@ -142,7 +143,11 @@ def _rotation_moves(G, path: list[int], seen: set[int],
     """
     q = len(path)
     deferred = []
-    for w in G.neighbors(path[-1]):
+    nb = G.adjacency_bits(path[-1])
+    while nb:
+        low = nb & -nb
+        nb ^= low
+        w = low.bit_length() - 1
         # consumers usually stop within a few pivots, so one scan of the path
         # per pivot is cheaper than mapping every position up front
         try:
@@ -491,8 +496,8 @@ def _chain_segments(G: Graph, segments: list[list[int]]) -> list[int] | None:
             target = None
             while queue:
                 x = queue.popleft()
-                for y in G.neighbors(x):
-                    if y in parent or (blocked >> y) & 1:
+                for y in iter_bits(G.adjacency_bits(x) & ~blocked):
+                    if y in parent:
                         continue
                     parent[y] = x
                     if y in entry:
@@ -552,7 +557,7 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
         path = list(seed_path)
         if len(path) < 2 or not is_path(G, path):
             return HamiltonResult(None, failure="seed is not a path of this graph")
-        missing = sorted(e for e in constraints.locked if e not in path_edges(path))
+        missing = sorted(constraints.locked - path_edges(path))
         if missing:
             return HamiltonResult(None, failure=f"seed path misses locked edges {missing}")
     elif constraints.locked:

@@ -269,3 +269,36 @@ def test_soft_lost_counts_seed_edges_the_cycle_dropped():
             assert once.soft_lost == expected <= once.soft_breaks
             lost += once.soft_lost
     assert lost > 0
+
+
+def test_greedy_retries_do_not_merge(monkeypatch):
+    # attempts 0 and 1 start from the merged seed path; later attempts start
+    # from a greedy path, so they must not pay for a merge they ignore
+    import hamcover.cover as cover_mod
+
+    attempts: list[int] = []  # attempt of the cover_matching_once running now
+    merged_at: list[int] = []
+    retries: list[int] = []
+    once, merge = cover_mod.cover_matching_once, cover_mod.merge_into_single_path
+
+    def traced_once(*args, attempt=0, **kwargs):
+        attempts.append(attempt)
+        try:
+            out = once(*args, attempt=attempt, **kwargs)
+        finally:
+            attempts.pop()
+        if attempt >= 2:
+            retries.append(out.merge_lost)
+        return out
+
+    def traced_merge(*args, **kwargs):
+        merged_at.append(attempts[-1])
+        return merge(*args, **kwargs)
+
+    monkeypatch.setattr(cover_mod, "cover_matching_once", traced_once)
+    monkeypatch.setattr(cover_mod, "merge_into_single_path", traced_merge)
+    alpha = expander_params_for_gnp(64, 0.15).alpha
+    for s in (3, 4, 7):  # the G(64, 0.15) covers that retry at attempt 2
+        cover_graph(sample_gnp(64, 0.15, RngSeed(5, s)), alpha=alpha)
+    assert retries == [0, 0, 0]  # three retries, none reporting a merge loss
+    assert merged_at and all(a < 2 for a in merged_at)

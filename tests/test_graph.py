@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcover.graph import (
+    Graph,
     GraphError,
     INFINITE,
     build_graph,
@@ -144,6 +145,60 @@ def test_remove_hamilton_cycle_matches_rebuilt_graph():
         assert list(H.neighbors(v)) == sorted(H.neighbors(v))
         assert H.degree(v) == G.degree(v) - 2
     assert G.m == expect.m + 40  # original untouched
+
+
+@st.composite
+def edge_lists_and_removals(draw):
+    # up to 70 vertices, so rows span more than one 64-bit word
+    n = draw(st.integers(min_value=1, max_value=70))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=4 * n)) if n > 1 else []
+    # part of the edge list (either orientation, repeats allowed) plus pairs
+    # that may not be edges at all
+    chosen = draw(st.lists(st.sampled_from(edges), max_size=len(edges))) if edges else []
+    chosen = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    extra = draw(st.lists(pair, max_size=5)) if n > 1 else []
+    return n, edges, chosen + extra
+
+
+def _reference_rows(n, edge_set):
+    rows = [set() for _ in range(n)]
+    for u, v in edge_set:
+        rows[u].add(v)
+        rows[v].add(u)
+    return [tuple(sorted(r)) for r in rows]
+
+
+def _snapshot(G):
+    return G.m, list(G.edges()), [G.neighbors(v) for v in range(G.n)]
+
+
+@given(edge_lists_and_removals())
+@settings(max_examples=120, deadline=None)
+def test_remove_edges_matches_set_reference(case):
+    n, edges, drop = case
+    G = build_graph(n, edges)
+    before = _snapshot(G)
+    H = G.remove_edges(drop)
+    kept = {tuple(sorted(e)) for e in edges} - {tuple(sorted(e)) for e in drop}
+    rows = _reference_rows(n, kept)
+    degs = [len(r) for r in rows]
+    assert H.m == len(kept)
+    assert list(H.edges()) == sorted(kept)
+    assert H.degrees() == degs
+    assert H.min_degree() == min(degs)
+    assert H.max_degree() == max(degs)
+    for v in range(n):
+        assert H.neighbors(v) == rows[v]
+        assert list(H.neighbors(v)) == sorted(set(H.neighbors(v)))
+        assert H.degree(v) == degs[v]
+    assert H == build_graph(n, sorted(kept))
+    assert _snapshot(G) == before  # the source graph is unchanged
+
+
+def test_graph_stores_one_adjacency_view():
+    assert "_nbrs" not in Graph.__slots__
+    assert "_bits" in Graph.__slots__
 
 
 def test_canonical_cycle():

@@ -343,6 +343,17 @@ def test_find_hamilton_rejects_seed_missing_locked():
     assert not res.ok and "locked" in res.failure
 
 
+def test_find_hamilton_names_every_locked_edge_the_seed_misses():
+    K8 = complete_graph(8)
+    # (2, 3) is on the seed; (6, 7) and (0, 5) are not, given in any orientation
+    locked = {(7, 6), (2, 3), (5, 0)}
+    res = find_hamilton_cycle(K8, RotationConstraints(locked=locked),
+                              seed_path=[1, 2, 3, 4])
+    assert not res.ok
+    assert res.failure == "seed path misses locked edges [(0, 5), (6, 7)]"
+    assert res.iterations == 0
+
+
 def test_find_hamilton_impossible_required_shape():
     K6 = complete_graph(6)
     # three required edges through one vertex can never sit on one cycle
