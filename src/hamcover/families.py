@@ -25,9 +25,12 @@ passes over a path with one AND when none of its ends sees another path's.
 The candidate order is unchanged, so the moves are exactly those of
 recomputing everything after every move.
 
-The driver merge_into_single_path feeds a matching through rounds of
+reduce_family is the one code that joins paths, and it has two users. The
+driver merge_into_single_path feeds a matching through rounds of
 reductions with a growing end-depth schedule, protecting matching edges
-from trims for as long as any protecting move exists.
+from trims for as long as any protecting move exists. find_hamilton_cycle
+joins the paths of its locked edges into one seed with a single round at
+k = 1, where a splice uses path ends only and so trims nothing.
 """
 
 from __future__ import annotations

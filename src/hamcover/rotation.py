@@ -20,13 +20,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+from .families import ExtensionBudget, PathFamily, reduce_family
 from .graph import (
     Edge,
     Graph,
     edge_key,
     is_hamilton_cycle,
     is_path,
-    iter_bits,
     mask_of,
     path_edges,
 )
@@ -465,69 +465,10 @@ def _required_segments(required: frozenset[Edge]) -> list[list[int]] | None:
             prev, cur = cur, nxts[0]
             seg.append(cur)
             visited.add(cur)
-        segments.append(seg if seg[0] <= seg[-1] else seg[::-1])
+        segments.append(seg)
     if len(visited) != len(adj):
         return None  # leftover degree-2 vertices form a required cycle
-    return sorted(segments)
-
-
-def _chain_segments(G: Graph, segments: list[list[int]]) -> list[int] | None:
-    """Join segments into one path via BFS connectors through free vertices."""
-    if not segments:
-        return None
-    remaining = segments[1:]
-    path = list(segments[0])
-    used = mask_of(path)
-    while remaining:
-        seg_mask = 0
-        entry = {}
-        for idx, seg in enumerate(remaining):
-            seg_mask |= mask_of(seg)
-            entry[seg[0]] = (idx, False)
-            entry[seg[-1]] = (idx, True)
-        connector = None
-        for endside in (False, True):
-            tip = path[0] if endside else path[-1]
-            # BFS from tip through vertices free of the path and of segment
-            # interiors; stop on any segment endpoint
-            parent = {tip: None}
-            queue = deque([tip])
-            blocked = used | (seg_mask & ~mask_of(entry))
-            target = None
-            while queue:
-                x = queue.popleft()
-                for y in iter_bits(G.adjacency_bits(x) & ~blocked):
-                    if y in parent:
-                        continue
-                    parent[y] = x
-                    if y in entry:
-                        target = y
-                        queue.clear()
-                        break
-                    queue.append(y)
-            if target is None:
-                continue
-            hop = []
-            x = target
-            while x is not None:
-                hop.append(x)
-                x = parent[x]
-            hop.reverse()  # tip ... target
-            connector = (endside, hop, entry[target])
-            break
-        if connector is None:
-            return None
-        endside, hop, (idx, reversed_seg) = connector
-        seg = remaining.pop(idx)
-        if reversed_seg:
-            seg = seg[::-1]
-        tail = hop[1:-1] + seg  # connector interior, then the segment from its entry end
-        if endside:
-            path = tail[::-1] + path
-        else:
-            path = path + tail
-        used = mask_of(path)
-    return path
+    return segments
 
 
 def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None,
@@ -536,12 +477,14 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
                         start_hint: int = 0) -> HamiltonResult:
     """Heuristic Hamilton cycle search by rotation and extension.
 
-    Starts from ``seed_path`` (or a greedy longest path threaded through the
-    locked edges), then alternates: extend greedily, rotate until extendable,
-    extend; when a chord closes a non-spanning cycle, absorb an outside
-    vertex and continue. Any returned cycle contains every locked edge of
-    the seed and validates against the graph; exhausting the iteration
-    budget or getting stuck returns a failure report, never an exception.
+    Starts from ``seed_path``; without one, from the locked edges' paths
+    joined end to end by one ``reduce_family`` round at k = 1, which trims
+    no edge; with no locked edges either, from a greedy longest path. Then
+    it alternates: extend greedily, rotate until extendable, extend; when a
+    chord closes a non-spanning cycle, absorb an outside vertex and
+    continue. Any returned cycle contains every locked edge of the seed and
+    validates against the graph; exhausting the iteration budget or getting
+    stuck returns a failure report, never an exception.
     """
     if constraints is None:
         constraints = RotationConstraints()
@@ -567,9 +510,13 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
         segments = _required_segments(constraints.locked)
         if segments is None:
             return HamiltonResult(None, failure="locked edges admit no spanning path through them")
-        path = _chain_segments(G, segments)
-        if path is None:
+        # at k = 1 a splice joins path ends only; budget.check() asserts that
+        # it trims no locked edge
+        family = reduce_family(G, PathFamily(segments, constraints.locked),
+                               ExtensionBudget(d=n, k=1))
+        if family.size() != 1:
             return HamiltonResult(None, failure="could not chain locked edges into one path")
+        path = list(family.paths[0])
     else:
         path = _greedy_seed(G, start_hint)
 
@@ -593,8 +540,7 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             cyc = list(outcome.path)
             if len(cyc) == n:
                 if not is_hamilton_cycle(G, cyc):
-                    return HamiltonResult(None, failure="internal: closed sequence is not "
-                                          "a Hamilton cycle", iterations=iterations)
+                    return failed("internal: closed sequence is not a Hamilton cycle", n)
                 return HamiltonResult(tuple(cyc), iterations=iterations,
                                       rotations=constraints.rotations,
                                       soft_breaks=constraints.soft_breaks,

@@ -7,7 +7,9 @@ from hamcover.gnp import RngSeed, sample_gnp
 from hamcover.graph import (
     build_graph,
     complete_graph,
+    cycle_edges,
     cycle_graph,
+    disjoint_union,
     edge_key,
     is_hamilton_cycle,
     path_edges,
@@ -331,8 +333,6 @@ def test_find_hamilton_through_perfect_matching():
     F = frozenset([(0, 1), (2, 3), (4, 5)])
     res = find_hamilton_cycle(K6, RotationConstraints(locked=F, soft=F))
     assert res.ok
-    from hamcover.graph import cycle_edges
-
     assert F <= cycle_edges(res.cycle)
 
 
@@ -361,6 +361,54 @@ def test_find_hamilton_impossible_required_shape():
     assert not res.ok
 
 
+def test_locked_seed_failures_name_their_cause():
+    K6 = complete_graph(6)
+    for shape in ({(0, 1), (0, 2), (0, 3)}, {(0, 1), (1, 2), (0, 2)}):  # claw, triangle
+        res = find_hamilton_cycle(K6, RotationConstraints(locked=shape))
+        assert res.failure == "locked edges admit no spanning path through them"
+    # no path joins the two halves, so the locked edges stay on two paths
+    G = disjoint_union(complete_graph(4), complete_graph(4))
+    res = find_hamilton_cycle(G, RotationConstraints(locked={(0, 1), (4, 5)}))
+    assert res.failure == "could not chain locked edges into one path"
+
+
+def test_internal_failure_reports_search_state(monkeypatch):
+    monkeypatch.setattr("hamcover.rotation.is_hamilton_cycle", lambda G, cyc: False)
+    constraints = RotationConstraints()
+    res = find_hamilton_cycle(complete_graph(6), constraints)
+    assert res.failure == "internal: closed sequence is not a Hamilton cycle"
+    assert res.path_len == 6
+    assert res.iterations == 1
+    assert res.rotations == constraints.rotations
+    assert res.soft_breaks == constraints.soft_breaks
+
+
+def _linear_forest(G, rnd, size):
+    """At most ``size`` edges of G, taken first-fit in random order while
+    every vertex stays on at most two of them and they close no cycle."""
+    edges = sorted(G.edges())
+    rnd.shuffle(edges)
+    root = list(range(G.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    deg = [0] * G.n
+    forest = set()
+    for u, v in edges:
+        if len(forest) == size:
+            break
+        ru, rv = find(u), find(v)
+        if deg[u] < 2 and deg[v] < 2 and ru != rv:
+            root[ru] = rv
+            deg[u] += 1
+            deg[v] += 1
+            forest.add(edge_key(u, v))
+    return frozenset(forest)
+
+
 def test_locked_edges_never_break_fuzz():
     rnd = random.Random(404)
     checked = 0
@@ -374,12 +422,25 @@ def test_locked_edges_never_break_fuzz():
         cons = RotationConstraints(locked=locked, soft=locked)
         res = find_hamilton_cycle(G, cons)
         if res.ok and locked:
-            from hamcover.graph import cycle_edges
-
             assert locked <= cycle_edges(res.cycle)
             checked += 1
         assert cons.soft_breaks <= cons.rotations + cons.absorptions
     assert checked > 10
+    # linear forests, most with a path of two or more edges, so the seed
+    # joins multi-edge paths
+    rnd = random.Random(405)
+    multi = forests = 0
+    for trial in range(60):
+        G = sample_gnp(20, 0.4, RngSeed(72, trial))
+        locked = _linear_forest(G, rnd, rnd.randint(3, 9))
+        cons = RotationConstraints(locked=locked, soft=locked)
+        res = find_hamilton_cycle(G, cons)
+        if res.ok:
+            assert locked <= cycle_edges(res.cycle)
+            forests += 1
+            multi += 2 * len(locked) > len(set().union(*locked))
+        assert cons.soft_breaks <= cons.rotations + cons.absorptions
+    assert forests >= 50 and multi >= 40
 
 
 def test_soft_break_accounting_bounds_lost_soft_edges():
@@ -399,8 +460,6 @@ def test_soft_break_accounting_bounds_lost_soft_edges():
         res = find_hamilton_cycle(G, cons, seed_path=seed)
         if not res.ok:
             continue
-        from hamcover.graph import cycle_edges
-
         lost = soft - cycle_edges(res.cycle)
         assert len(lost) <= cons.soft_breaks
         assert cons.soft_breaks <= cons.rotations + cons.absorptions
