@@ -99,12 +99,12 @@ def cmd_hamilton(args) -> int:
         if F.n != G.n:
             return _usage_error(f"forbid file is on {F.n} vertices, graph on {G.n}")
         constraints = RotationConstraints(locked=F.edge_set(), soft=F.edge_set())
-    res = find_hamilton_cycle(G, constraints, budget=args.budget)
+    res = find_hamilton_cycle(G, constraints)
     if res.ok:
         _emit(" ".join(map(str, res.cycle)) + "\n", args.out)
         return 0
     _emit_json({
-        "config": _config(args, ["graph", "forbid", "budget"]),
+        "config": _config(args, ["graph", "forbid"]),
         "failure": res.failure,
         "iterations": res.iterations,
         "path_len": res.path_len,
@@ -114,10 +114,10 @@ def cmd_hamilton(args) -> int:
 
 def cmd_pack(args) -> int:
     G = _load_graph(args.graph)
-    target = args.target if args.target is not None else G.min_degree() // 2
-    packing = cover_mod.extract_packing(G, target, budget=args.budget)
+    target = G.min_degree() // 2
+    packing = cover_mod.extract_packing(G, target)
     _emit_json({
-        "config": _config(args, ["graph", "target", "budget"]),
+        "config": _config(args, ["graph"]),
         "target": target,
         "achieved": packing.achieved,
         "stopped": packing.stopped,
@@ -129,9 +129,8 @@ def cmd_pack(args) -> int:
 
 def cmd_cover(args) -> int:
     G = _load_graph(args.graph)
-    outcome = cover_mod.cover_graph(G, args.alpha, packing_target=args.pack,
-                                    budget=args.budget)
-    config = _config(args, ["graph", "alpha", "pack", "budget"])
+    outcome = cover_mod.cover_graph(G, args.alpha)
+    config = _config(args, ["graph", "alpha"])
     if not outcome.ok:
         _emit_json({
             "config": config,
@@ -168,9 +167,7 @@ def cmd_cover(args) -> int:
 def cmd_experiment(args) -> int:
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     reports = cover_mod.run_gnp_experiment(
-        args.n, args.p, list(range(args.seeds)), alpha=args.alpha,
-        base_seed=args.seed, packing_target=args.pack, budget=args.budget,
-        jobs=jobs)
+        args.n, args.p, list(range(args.seeds)), base_seed=args.seed, jobs=jobs)
     import csv
     import io
 
@@ -237,22 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--forbid", default=None,
                    help="edge-list file of edges the search must never break")
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_hamilton)
 
     p = sub.add_parser("pack", help="greedy edge-disjoint Hamilton cycle packing")
     p.add_argument("--graph", required=True)
-    p.add_argument("--target", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("cover", help="full packing-then-cover pipeline")
     p.add_argument("--graph", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--pack", type=int, default=None, help="packing target override")
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--cycles-out", default=None,
                    help="also write cycles one-per-line for `verify`")
@@ -263,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seeds", type=int, required=True, help="number of seed streams (0..K-1)")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--pack", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)

@@ -90,7 +90,7 @@ class PackingResult:
         return len(self.cycles)
 
 
-def extract_packing(G: Graph, target: int, budget: int | None = None) -> PackingResult:
+def extract_packing(G: Graph, target: int) -> PackingResult:
     """Greedily extract up to ``target`` edge-disjoint Hamilton cycles.
 
     Each found cycle is removed before the next search. Stops at the
@@ -107,7 +107,7 @@ def extract_packing(G: Graph, target: int, budget: int | None = None) -> Packing
         if residual.min_degree() < 2:
             stopped = "residual minimum degree below 2"
             break
-        res = find_hamilton_cycle(residual, budget=budget, start_hint=attempt)
+        res = find_hamilton_cycle(residual, start_hint=attempt)
         if res.ok:
             cycles.append(res.cycle)
             residual = residual.remove_edges(cycle_edges(res.cycle))
@@ -143,7 +143,7 @@ class OnceOutcome:
 
 
 def cover_matching_once(G: Graph, matching, alpha: float,
-                        budget: int | None = None, attempt: int = 0) -> OnceOutcome:
+                        attempt: int = 0) -> OnceOutcome:
     """Find one Hamilton cycle covering as much of a matching as possible.
 
     The matching is merged into a single seed path; edges on the seed are
@@ -160,7 +160,7 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     if any(not G.has_edge(u, v) for u, v in M):
         return OnceOutcome(None, M, failure="matching contains edges absent from the graph")
     if not M:
-        res = find_hamilton_cycle(G, budget=budget, start_hint=attempt)
+        res = find_hamilton_cycle(G, start_hint=attempt)
         if res.ok:
             return OnceOutcome(res.cycle, frozenset())
         return OnceOutcome(None, frozenset(), failure=res.failure)
@@ -168,8 +168,7 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     if attempt >= 2:
         # later retries abandon the merged seed for greedy variety, so they
         # do not merge at all
-        res = find_hamilton_cycle(G, RotationConstraints(soft=M), budget=budget,
-                                  start_hint=attempt)
+        res = find_hamilton_cycle(G, RotationConstraints(soft=M), start_hint=attempt)
         if not res.ok:
             return OnceOutcome(None, M, failure=res.failure)
         return OnceOutcome(res.cycle, M - cycle_edges(res.cycle),
@@ -179,7 +178,7 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     seed = merged.path if attempt == 0 else merged.path[::-1]
     on_seed = M & path_edges(seed)
     constraints = RotationConstraints(soft=on_seed)
-    res = find_hamilton_cycle(G, constraints, budget=budget, seed_path=seed)
+    res = find_hamilton_cycle(G, constraints, seed_path=seed)
     if not res.ok:
         return OnceOutcome(None, M, failure=res.failure,
                            merge_lost=len(merged.lost_matching))
@@ -204,8 +203,7 @@ class MatchingCover:
     soft_lost: int = 0
 
 
-def cover_matching(G: Graph, matching, alpha: float,
-                   budget: int | None = None) -> MatchingCover:
+def cover_matching(G: Graph, matching, alpha: float) -> MatchingCover:
     """Cover every edge of a matching by Hamilton cycles of G.
 
     Iterates cover_matching_once on whatever part of the matching remains
@@ -218,7 +216,7 @@ def cover_matching(G: Graph, matching, alpha: float,
     soft_lost = 0
     attempt = 0
     while residual:
-        once = cover_matching_once(G, residual, alpha, budget=budget, attempt=attempt)
+        once = cover_matching_once(G, residual, alpha, attempt=attempt)
         soft_breaks += once.soft_breaks
         merge_lost += once.merge_lost
         soft_lost += once.soft_lost
@@ -274,15 +272,14 @@ class CoverOutcome:
         return self.certificate is not None
 
 
-def cover_graph(G: Graph, alpha: float, packing_target: int | None = None,
-                budget: int | None = None) -> CoverOutcome:
+def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     """Cover all edges of G by Hamilton cycles: pack, color, cover.
 
-    Phase 1 extracts up to packing_target (default: half the minimum
-    degree) edge-disjoint cycles. Phase 2 colors the residual edges into
-    matchings. Phase 3 covers each matching - minus edges the certificate
-    already covers - by protected-cycle searches over the whole graph. The
-    assembled certificate is validated internally before being returned.
+    Phase 1 extracts edge-disjoint cycles, at most half the minimum degree.
+    Phase 2 colors the residual edges into matchings. Phase 3 covers each
+    matching - minus edges the certificate already covers - by
+    protected-cycle searches over the whole graph. The assembled
+    certificate is validated internally before being returned.
     """
     if G.n < 3 or G.m == 0:
         return CoverOutcome(None, "precheck", f"degenerate graph (n={G.n}, m={G.m})")
@@ -290,12 +287,10 @@ def cover_graph(G: Graph, alpha: float, packing_target: int | None = None,
         return CoverOutcome(None, "precheck", "graph is disconnected")
     if G.min_degree() < 2:
         return CoverOutcome(None, "precheck", "minimum degree below 2")
-    if packing_target is None:
-        packing_target = G.min_degree() // 2
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    packing = extract_packing(G, packing_target, budget=budget)
+    packing = extract_packing(G, G.min_degree() // 2)
     timings["packing"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
@@ -314,7 +309,7 @@ def cover_graph(G: Graph, alpha: float, packing_target: int | None = None,
         need = cls - covered
         if not need:
             continue
-        mc = cover_matching(G, need, alpha, budget=budget)
+        mc = cover_matching(G, need, alpha)
         soft_breaks += mc.soft_breaks
         merge_lost += mc.merge_lost
         soft_lost += mc.soft_lost
@@ -386,9 +381,7 @@ def csv_row(r: ExperimentReport) -> dict:
     }
 
 
-def run_single_experiment(n: int, p: float, seed: RngSeed, alpha: float | None = None,
-                          packing_target: int | None = None,
-                          budget: int | None = None) -> ExperimentReport:
+def run_single_experiment(n: int, p: float, seed: RngSeed) -> ExperimentReport:
     report = ExperimentReport(n=n, p=p, base=seed.base, stream=seed.stream)
     if n * p < 20:
         log.warning("n*p = %.1f is small; samples may well not be Hamiltonian", n * p)
@@ -402,14 +395,12 @@ def run_single_experiment(n: int, p: float, seed: RngSeed, alpha: float | None =
     try:
         params = expander_params_for_gnp(n, p)
         report.expander = {"params": params.to_dict()}
-        if alpha is None:
-            alpha = params.alpha
+        alpha = params.alpha
     except ValueError as exc:
         report.expander = {"error": str(exc)}
-        if alpha is None:
-            alpha = 0.3
+        alpha = 0.3
 
-    outcome = cover_graph(G, alpha, packing_target=packing_target, budget=budget)
+    outcome = cover_graph(G, alpha)
     report.timings_ms.update(outcome.timings_ms)
     report.losses = outcome.losses
     if not outcome.ok:
@@ -423,24 +414,17 @@ def run_single_experiment(n: int, p: float, seed: RngSeed, alpha: float | None =
     return report
 
 
-def run_gnp_experiment(n: int, p: float, seeds, alpha: float | None = None,
-                       base_seed: int = 0, packing_target: int | None = None,
-                       budget: int | None = None, jobs: int = 1) -> list[ExperimentReport]:
+def run_gnp_experiment(n: int, p: float, seeds, base_seed: int = 0,
+                       jobs: int = 1) -> list[ExperimentReport]:
     """End-to-end experiment over a list of seed streams.
 
     Per-seed failures land in the report's error field; the run continues.
     Reports come back in seed order regardless of worker scheduling.
     """
-    tasks = [(n, p, RngSeed(base_seed, s), alpha, packing_target, budget) for s in seeds]
+    tasks = [(n, p, RngSeed(base_seed, s)) for s in seeds]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_experiment_task, tasks))
-    return [_experiment_task(t) for t in tasks]
-
-
-def _experiment_task(task) -> ExperimentReport:
-    n, p, seed, alpha, packing_target, budget = task
-    return run_single_experiment(n, p, seed, alpha=alpha, packing_target=packing_target,
-                                 budget=budget)
+            return list(pool.map(run_single_experiment, *zip(*tasks)))
+    return [run_single_experiment(*task) for task in tasks]

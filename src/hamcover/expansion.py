@@ -220,11 +220,8 @@ class PeelResult:
     remainder: set[int] = field(default_factory=set)   # U = V minus (D and Z)
     size_bound_ok: bool = True                         # |Z| <= 2|D|/s
 
-    def as_tuple(self) -> tuple[set[int], set[int]]:
-        return self.removed, self.remainder
 
-
-def peel_non_expanding(G: Graph, deleted: set[int], s: float, g: float = 0.0) -> PeelResult:
+def peel_non_expanding(G: Graph, deleted: set[int], s: float) -> PeelResult:
     """Peel vertices of low remaining degree after deleting a set.
 
     Iteratively moves any vertex with fewer than s/2 neighbors in the

@@ -87,8 +87,11 @@ class Graph:
     def edges(self) -> Iterator[Edge]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         for u, b in enumerate(self._bits):
-            for i in iter_bits(b >> (u + 1)):
-                yield (u, u + 1 + i)
+            b >>= u + 1
+            while b:
+                low = b & -b
+                yield (u, u + low.bit_length())
+                b ^= low
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges())

@@ -472,7 +472,6 @@ def _required_segments(required: frozenset[Edge]) -> list[list[int]] | None:
 
 
 def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None,
-                        budget: int | None = None,
                         seed_path: list[int] | tuple[int, ...] | None = None,
                         start_hint: int = 0) -> HamiltonResult:
     """Heuristic Hamilton cycle search by rotation and extension.
@@ -482,15 +481,14 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
     no edge; with no locked edges either, from a greedy longest path. Then
     it alternates: extend greedily, rotate until extendable, extend; when a
     chord closes a non-spanning cycle, absorb an outside vertex and
-    continue. Any returned cycle contains every locked edge of the seed and
-    validates against the graph; exhausting the iteration budget or getting
-    stuck returns a failure report, never an exception.
+    continue. Every pass that does not return adds a vertex to the path, so
+    the search makes at most n passes. Any returned cycle contains every
+    locked edge of the seed and validates against the graph; getting stuck
+    returns a failure report, never an exception.
     """
     if constraints is None:
         constraints = RotationConstraints()
     n = G.n
-    if budget is None:
-        budget = 10 * max(n, 1)
     if n < 3:
         return HamiltonResult(None, failure=f"no Hamilton cycle on {n} < 3 vertices")
     if G.min_degree() < 2:
@@ -527,9 +525,7 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
 
     # the path's vertex set changes only on extension and absorption
     used = mask_of(path)
-    iterations = 0
-    while iterations < budget:
-        iterations += 1
+    for iterations in range(1, n + 1):
         used = _greedy_extend(G, path, used)
         outcome = rotate_until_extendable(G, path, constraints, path_mask=used)
         if isinstance(outcome, ExtendAt):
@@ -562,4 +558,4 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             continue
         return failed(f"stuck: {outcome.message} "
                       f"(level sizes {outcome.level_one}/{outcome.level_two})", len(path))
-    return failed("iteration budget exhausted", len(path))
+    return failed("internal: path stopped growing", len(path))

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
-from hamcover.cli import main
+from hamcover.cli import build_parser, main
 from hamcover.graph import (
     complete_graph,
     is_hamilton_cycle,
@@ -159,6 +161,7 @@ def test_pack_subcommand(tmp_path, capsys):
     code, out = run(capsys, "pack", "--graph", str(gpath))
     assert code == 0
     report = json.loads(out)
+    assert report["config"] == {"command": "pack", "graph": str(gpath)}
     assert report["target"] == 3 and report["achieved"] == 3
     assert report["residual_m"] == 0
 
@@ -211,3 +214,19 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("not a graph\n")
     code, _ = run(capsys, "hamilton", "--graph", str(bad))
     assert code == 2
+
+
+def test_readme_command_lines_parse():
+    # every command of the README's "Command line" block is one the parser
+    # accepts, with the optional flags in [ ] included
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("hamcover ")]
+    assert len(lines) == 7
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line.replace("[", "").replace("]", ""), comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: {line}") from None

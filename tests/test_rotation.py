@@ -421,6 +421,7 @@ def test_locked_edges_never_break_fuzz():
             if G.has_edge(*e))
         cons = RotationConstraints(locked=locked, soft=locked)
         res = find_hamilton_cycle(G, cons)
+        assert res.iterations <= G.n
         if res.ok and locked:
             assert locked <= cycle_edges(res.cycle)
             checked += 1
@@ -435,6 +436,7 @@ def test_locked_edges_never_break_fuzz():
         locked = _linear_forest(G, rnd, rnd.randint(3, 9))
         cons = RotationConstraints(locked=locked, soft=locked)
         res = find_hamilton_cycle(G, cons)
+        assert res.iterations <= G.n
         if res.ok:
             assert locked <= cycle_edges(res.cycle)
             forests += 1
@@ -536,5 +538,6 @@ def test_succeeds_on_dirac_dense_graphs():
             if G.min_degree() >= n / 2:
                 break
             trial += 1000
-        res = find_hamilton_cycle(G, budget=10 * n)
+        res = find_hamilton_cycle(G)
         assert res.ok, f"engine failed a Dirac instance n={n}"
+        assert res.iterations <= n
