@@ -299,9 +299,9 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
 
     t0 = time.perf_counter()
     cycles = list(packing.cycles)
+    # the classes colour packing.residual, which holds no packing edge, so
+    # only the covering cycles can cover a class edge
     covered: set[Edge] = set()
-    for c in cycles:
-        covered |= cycle_edges(c)
     soft_breaks = 0
     merge_lost = 0
     soft_lost = 0

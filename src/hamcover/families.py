@@ -16,14 +16,18 @@ most d edges.
 
 reduce_family works incrementally. What the move search needs of a path
 (its usable k-end vertices in candidate order, their mask, the union of
-their neighbourhoods, and whether a deletion may claim it) is computed
-once per path and call, from the path's first and last k vertices only; a
-merge computes it for the one path it makes, a deletion for none. The
-family's vertex mask and the union of all usable ends are carried across
-moves and updated on each splice or deletion, so the direct-edge scan
-passes over a path with one AND when none of its ends sees another path's.
-The candidate order is unchanged, so the moves are exactly those of
-recomputing everything after every move.
+their neighbourhoods, its vertex mask, and whether a deletion may claim
+it) is computed once per path and call, from the path's first and last k
+vertices only; only the starting paths have their vertex masks built from
+all their vertices. A merge computes it for the one path it makes, a
+deletion for none, and a merged path's vertex mask is its two parents'
+minus the at most k-1 cut vertices per side plus the connector interior.
+The family's vertex mask and the union of all usable ends are carried
+across moves and updated on each splice or deletion, so a move touches
+only the cut vertices, the connector and the two end sets, and the
+direct-edge scan passes over a path with one AND when none of its ends
+sees another path's. The candidate order is unchanged, so the moves are
+exactly those of recomputing everything after every move.
 
 reduce_family is the one code that joins paths, and it has two users. The
 driver merge_into_single_path feeds a matching through rounds of
@@ -138,42 +142,48 @@ def k_end(path, k: int) -> set[int]:
     return set(p[:k]) | set(p[-k:])
 
 
-def _split_at(path: tuple[int, ...], x: int) -> tuple[tuple[int, ...], frozenset[Edge]]:
+def _split_at(path: tuple[int, ...], x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Keep the longer piece of ``path`` around ``x`` (oriented to end at x);
-    return it with the trimmed piece's edges."""
+    return it with the trimmed piece's vertices other than x, one per
+    trimmed edge."""
     idx = path.index(x)
-    head_edges = idx
-    tail_edges = len(path) - 1 - idx
-    if head_edges >= tail_edges:
-        kept = path[: idx + 1]
-        trimmed = path_edges(path[idx:])
-    else:
-        kept = path[idx:][::-1]
-        trimmed = path_edges(path[: idx + 1])
-    return kept, trimmed
+    if idx >= len(path) - 1 - idx:
+        return path[: idx + 1], path[idx + 1:]
+    return path[idx:][::-1], path[:idx]
 
 
 def _end_candidates(path: tuple[int, ...], k: int) -> list[int]:
     """Indices of the k-end vertices of ``path``, ordered by trim cost, then
-    by vertex. Only the first and last k positions are looked at."""
+    by vertex. Only the first and last k positions are looked at: cost c
+    holds positions c and n-1-c, one position when they meet."""
     n = len(path)
-    idx = range(n) if n <= 2 * k else (*range(k), *range(n - k, n))
-    return sorted(idx, key=lambda i: (min(i, n - 1 - i), path[i]))
+    out = []
+    for c in range(min(k, (n + 1) // 2)):
+        i, j = c, n - 1 - c
+        if i == j:
+            out.append(i)
+        elif path[i] < path[j]:
+            out += (i, j)
+        else:
+            out += (j, i)
+    return out
 
 
 class _Ends:
     """What the move search needs of one path, computed once per path and
     reduce_family call: the k-end vertices a splice may use, in candidate
-    order, their mask, the union of their neighbourhoods, and whether a
-    deletion may claim the path."""
+    order, their mask, the union of their neighbourhoods, the path's vertex
+    mask ``path_mask`` (given, not computed) and whether a deletion may
+    claim the path."""
 
-    __slots__ = ("xs", "mask", "reach", "deletable")
+    __slots__ = ("xs", "mask", "reach", "path_mask", "deletable")
 
     def __init__(self, G: Graph, path: tuple[int, ...], k: int,
-                 protect: frozenset[Edge], spare_protected: bool) -> None:
+                 protect: frozenset[Edge], spare_protected: bool, path_mask: int) -> None:
         n = len(path)
         idx = _end_candidates(path, k)
-        if spare_protected and protect:
+        # at k = 1 every candidate is an endpoint, so a splice trims nothing
+        if spare_protected and protect and k > 1:
             # head[c] / tail[c]: a protected edge among the first / last c
             # edges, which is what trimming at cost c from that side discards
             def hits(seq):
@@ -186,11 +196,12 @@ class _Ends:
             idx = [i for i in idx
                    if not (tail[n - 1 - i] if 2 * i >= n - 1 else head[i])]
         bits = G.adjacency_bits
-        self.xs = [path[i] for i in idx]
-        self.mask = mask_of(self.xs)
-        self.reach = 0
-        for x in self.xs:
-            self.reach |= bits(x)
+        self.xs = xs = [path[i] for i in idx]
+        mask = reach = 0
+        for x in xs:
+            mask |= 1 << x
+            reach |= bits(x)
+        self.mask, self.reach, self.path_mask = mask, reach, path_mask
         self.deletable = n - 1 < 2 * k - 1 and not (
             spare_protected and path_edges(path) & protect)
 
@@ -288,17 +299,18 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget,
     ends: dict[tuple[int, ...], _Ends] = {}
     ends_mask = family_mask = 0
 
-    def add(p: tuple[int, ...]) -> None:
+    def add(p: tuple[int, ...], path_mask: int) -> None:
         nonlocal ends_mask, family_mask
-        ends[p] = _Ends(G, p, k, protect, spare_protected)
-        ends_mask |= ends[p].mask
-        family_mask |= mask_of(p)
+        e = ends[p] = _Ends(G, p, k, protect, spare_protected, path_mask)
+        ends_mask |= e.mask
+        family_mask |= path_mask
 
     def remove(p: tuple[int, ...]) -> None:
         nonlocal ends_mask, family_mask
         paths.remove(p)
-        ends_mask &= ~ends.pop(p).mask
-        family_mask &= ~mask_of(p)
+        e = ends.pop(p)
+        ends_mask &= ~e.mask
+        family_mask &= ~e.path_mask
 
     def delete(p: tuple[int, ...]) -> None:
         budget.mu += 1
@@ -307,7 +319,7 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget,
         remove(p)
 
     for p in paths:
-        add(p)
+        add(p, mask_of(p))
     # whether a path may be deleted depends on the path alone: after this
     # pass, in sorted order, only a freshly merged path can be
     for p in [p for p in paths if ends[p].deletable]:
@@ -317,17 +329,21 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget,
         if found is None:
             break
         pi, pj, x, y, interior = found
-        kept_i, trim_i = _split_at(pi, x)
-        kept_j, trim_j = _split_at(pj, y)
+        kept_i, cut_i = _split_at(pi, x)
+        kept_j, cut_j = _split_at(pj, y)
+        cut = cut_i + cut_j
         merged = _canonical(kept_i + tuple(interior) + kept_j[::-1])
         budget.mu += 1
-        budget.lost += len(trim_i) + len(trim_j)
+        budget.lost += len(cut)
         budget.gained += len(interior) + 1
         budget.check()
+        # both parents' vertices but the cut ones, and the interior
+        merged_mask = ((ends[pi].path_mask | ends[pj].path_mask) & ~mask_of(cut)
+                       | mask_of(interior))
         remove(pi)
         remove(pj)
         insort(paths, merged)
-        add(merged)
+        add(merged, merged_mask)
         if ends[merged].deletable:
             delete(merged)
     return PathFamily(paths=paths, origin_edges=family.origin_edges)

@@ -2,7 +2,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamcover import families
@@ -12,13 +12,15 @@ from hamcover.families import (
     FamilyError,
     PathFamily,
     _canonical,
-    _split_at,
+    _end_candidates,
+    _Ends,
     k_end,
     merge_into_single_path,
     reduce_family,
 )
 from hamcover.gnp import RngSeed, sample_gnp
 from hamcover.graph import (
+    Edge,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -212,7 +214,24 @@ def test_budget_error_raises_on_cooked_books():
 # The eager move search as it was before paths cached their end candidates
 # and the family mask was carried across moves: every move recomputes all
 # end candidates, end masks and the family mask, and splits each candidate
-# end it tries. The incremental search must make exactly its moves.
+# end it tries. The incremental search must make exactly its moves. The
+# reference keeps its own copy of the old _split_at, so a change to the
+# code under test cannot move both sides.
+
+def _split_at(path: tuple[int, ...], x: int) -> tuple[tuple[int, ...], frozenset[Edge]]:
+    """Keep the longer piece of ``path`` around ``x`` (oriented to end at x);
+    return it with the trimmed piece's edges."""
+    idx = path.index(x)
+    head_edges = idx
+    tail_edges = len(path) - 1 - idx
+    if head_edges >= tail_edges:
+        kept = path[: idx + 1]
+        trimmed = path_edges(path[idx:])
+    else:
+        kept = path[idx:][::-1]
+        trimmed = path_edges(path[: idx + 1])
+    return kept, trimmed
+
 
 def _ref_end_candidates(path, k):
     L = len(path) - 1
@@ -367,3 +386,105 @@ def test_merge_matches_eager_reference(monkeypatch):
             assert got_fam.paths == want_fam.paths
             assert budgets[0] == budgets[1]
     assert merges >= 100
+
+
+@given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=24, unique=True),
+       st.integers(min_value=1, max_value=14))
+@example([4, 2], 1)
+@example([5, 3, 9, 1, 7], 1)
+@example([5, 3, 9, 1, 7], 2)
+@example([8, 1, 6, 0, 3, 2], 3)
+@example([8, 1, 6, 0, 3, 2, 7], 2)
+@settings(max_examples=300, deadline=None)
+def test_end_candidates_match_keyed_sort(path, k):
+    path = tuple(path)
+    n = len(path)
+    positions = range(n) if n <= 2 * k else [*range(k), *range(n - k, n)]
+    want = sorted(positions, key=lambda i: (min(i, n - 1 - i), path[i]))
+    assert _end_candidates(path, k) == want
+
+
+def _ends_state(e):
+    return e.xs, e.mask, e.reach, e.path_mask, e.deletable
+
+
+def _walk_paths(G, rnd, max_edges):
+    """Vertex-disjoint paths of G from random self-avoiding walks of up to
+    ``max_edges`` edges, over a random subset of the vertices."""
+    used = 0
+    paths = []
+    starts = list(range(G.n))
+    rnd.shuffle(starts)
+    for v in starts[: G.n * 2 // 3]:
+        if used >> v & 1:
+            continue
+        walk = [v]
+        used |= 1 << v
+        while len(walk) <= max_edges:
+            free = [w for w in G.neighbors(walk[-1]) if not (used >> w & 1)]
+            if not free:
+                break
+            walk.append(rnd.choice(free))
+            used |= 1 << walk[-1]
+        if len(walk) >= 2:
+            paths.append(walk)
+    return PathFamily.from_paths(paths)
+
+
+def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
+    # every move search sees the family mask and per-path end state that a
+    # from-scratch computation over the current paths would give
+    real_reduce, real_find = families.reduce_family, families._find_merge
+    ctx = {}
+    seen = {"families": 0, "moves": 0, "connectors": 0, "cuts": 0, "k": set()}
+
+    def reduce_spy(G, family, budget, protect=frozenset(), spare_protected=True):
+        ctx.update(k=budget.k, protect=protect, spare=spare_protected)
+        seen["families"] += 1
+        seen["k"].add(budget.k)
+        return real_reduce(G, family, budget, protect, spare_protected)
+
+    def find_spy(G, paths, ends, ends_mask, family_mask, d):
+        want_family = want_ends = 0
+        for p in paths:
+            want_family |= mask_of(p)
+            fresh = _Ends(G, p, ctx["k"], ctx["protect"], ctx["spare"], mask_of(p))
+            assert _ends_state(ends[p]) == _ends_state(fresh), p
+            want_ends |= fresh.mask
+        assert set(ends) == set(paths)
+        assert family_mask == want_family
+        assert ends_mask == want_ends
+        found = real_find(G, paths, ends, ends_mask, family_mask, d)
+        if found is not None:
+            pi, pj, x, y, interior = found
+            seen["moves"] += 1
+            seen["connectors"] += bool(interior)
+            seen["cuts"] += x not in (pi[0], pi[-1]) or y not in (pj[0], pj[-1])
+        return found
+
+    monkeypatch.setattr(families, "reduce_family", reduce_spy)
+    monkeypatch.setattr(families, "_find_merge", find_spy)
+    rnd = random.Random(5005)
+    for trial in range(60):
+        n = rnd.randint(8, 64)
+        G = sample_gnp(n, rnd.choice([0.1, 0.25, 0.5]), RngSeed(5005, trial))
+        M = greedy_maximal_matching(G)
+        if not M:
+            continue
+        merge_into_single_path(G, M, rnd.choice([0.2, 0.4, 0.8]))
+        # single lossy rounds at k = 2..4 on longer paths, so splices trim;
+        # and rounds with connectors of up to d outside edges from part of
+        # the matching, which leaves vertices outside the family
+        k = 2 + trial % 3
+        walks = _walk_paths(G, rnd, 4 * k)
+        part = frozenset(sorted(M)[: max(1, len(M) // 3)])
+        for fam, d, k, protect, spare in (
+                (walks, 0, k, walks.origin_edges, False),
+                (walks, 1 + trial % 3, k, frozenset(), False),
+                (PathFamily.from_matching(part), 1 + trial % 3, 1, M, True),
+                (PathFamily.from_matching(part), 2, 2, M, False)):
+            families.reduce_family(G, fam, ExtensionBudget(d=d, k=k), protect=protect,
+                                   spare_protected=spare)
+    assert seen["families"] >= 100
+    assert {2, 3, 4} <= seen["k"]
+    assert seen["moves"] >= 1000 and seen["connectors"] >= 50 and seen["cuts"] >= 100, seen
