@@ -48,7 +48,6 @@ from .families import (
     ExtensionBudget,
     MergeOutcome,
     PathFamily,
-    k_end,
     merge_into_single_path,
     reduce_family,
 )

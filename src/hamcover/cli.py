@@ -98,7 +98,7 @@ def cmd_hamilton(args) -> int:
         F = _load_graph(args.forbid)
         if F.n != G.n:
             return _usage_error(f"forbid file is on {F.n} vertices, graph on {G.n}")
-        constraints = RotationConstraints(locked=F.edge_set(), soft=F.edge_set())
+        constraints = RotationConstraints(locked=F.edge_set())
     res = find_hamilton_cycle(G, constraints)
     if res.ok:
         _emit(" ".join(map(str, res.cycle)) + "\n", args.out)

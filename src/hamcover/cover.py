@@ -131,12 +131,13 @@ class OnceOutcome:
     cycle dropped (both 0 for a retry that starts from a greedy path and
     merges nothing), and ``soft_breaks`` the soft-edge rotations and absorptions
     the search generated, exploration included; it counts moves, not edges
-    lost, and bounds ``soft_lost``.
+    lost, and bounds ``soft_lost``. ``covered`` holds the cycle's edges.
     """
 
     cycle: tuple[int, ...] | None
     uncovered: frozenset[Edge]
     failure: str | None = None
+    covered: frozenset[Edge] = frozenset()
     merge_lost: int = 0
     soft_breaks: int = 0
     soft_lost: int = 0
@@ -162,7 +163,7 @@ def cover_matching_once(G: Graph, matching, alpha: float,
     if not M:
         res = find_hamilton_cycle(G, start_hint=attempt)
         if res.ok:
-            return OnceOutcome(res.cycle, frozenset())
+            return OnceOutcome(res.cycle, frozenset(), covered=cycle_edges(res.cycle))
         return OnceOutcome(None, frozenset(), failure=res.failure)
 
     if attempt >= 2:
@@ -171,7 +172,8 @@ def cover_matching_once(G: Graph, matching, alpha: float,
         res = find_hamilton_cycle(G, RotationConstraints(soft=M), start_hint=attempt)
         if not res.ok:
             return OnceOutcome(None, M, failure=res.failure)
-        return OnceOutcome(res.cycle, M - cycle_edges(res.cycle),
+        covered = cycle_edges(res.cycle)
+        return OnceOutcome(res.cycle, M - covered, covered=covered,
                            soft_breaks=res.soft_breaks)
 
     merged = merge_into_single_path(G, M, alpha)
@@ -183,7 +185,7 @@ def cover_matching_once(G: Graph, matching, alpha: float,
         return OnceOutcome(None, M, failure=res.failure,
                            merge_lost=len(merged.lost_matching))
     covered = cycle_edges(res.cycle)
-    return OnceOutcome(res.cycle, M - covered,
+    return OnceOutcome(res.cycle, M - covered, covered=covered,
                        merge_lost=len(merged.lost_matching),
                        soft_breaks=res.soft_breaks,
                        soft_lost=len(on_seed - covered))
@@ -191,11 +193,12 @@ def cover_matching_once(G: Graph, matching, alpha: float,
 
 @dataclass
 class MatchingCover:
-    """Cycles covering a matching; the loss counters sum those of every
-    search made, as in ``OnceOutcome``."""
+    """Cycles covering a matching and the union of their edges; the loss
+    counters sum those of every search made, as in ``OnceOutcome``."""
 
     ok: bool
     cycles: list[tuple[int, ...]]
+    covered: set[Edge] = field(default_factory=set)
     uncovered: frozenset[Edge] = frozenset()
     failure: str | None = None
     soft_breaks: int = 0
@@ -209,8 +212,9 @@ def cover_matching(G: Graph, matching, alpha: float) -> MatchingCover:
     Iterates cover_matching_once on whatever part of the matching remains
     uncovered. Stalls out after three iterations without progress.
     """
-    residual = frozenset(sorted(edge_key(*e) for e in matching))
+    residual = frozenset(edge_key(*e) for e in matching)
     cycles: list[tuple[int, ...]] = []
+    covered: set[Edge] = set()
     soft_breaks = 0
     merge_lost = 0
     soft_lost = 0
@@ -224,15 +228,16 @@ def cover_matching(G: Graph, matching, alpha: float) -> MatchingCover:
             attempt += 1
             if attempt >= STALL_LIMIT:
                 detail = once.failure or "no progress on uncovered matching edges"
-                return MatchingCover(False, cycles, uncovered=residual,
+                return MatchingCover(False, cycles, covered, uncovered=residual,
                                      failure=detail, soft_breaks=soft_breaks,
                                      merge_lost=merge_lost, soft_lost=soft_lost)
             continue
         cycles.append(once.cycle)
+        covered |= once.covered
         residual = once.uncovered
         attempt = 0
-    return MatchingCover(True, cycles, soft_breaks=soft_breaks, merge_lost=merge_lost,
-                         soft_lost=soft_lost)
+    return MatchingCover(True, cycles, covered, soft_breaks=soft_breaks,
+                         merge_lost=merge_lost, soft_lost=soft_lost)
 
 
 @dataclass
@@ -314,8 +319,7 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
         merge_lost += mc.merge_lost
         soft_lost += mc.soft_lost
         cycles.extend(mc.cycles)
-        for c in mc.cycles:
-            covered |= cycle_edges(c)
+        covered |= mc.covered
         if not mc.ok:
             timings["covering"] = (time.perf_counter() - t0) * 1000.0
             return CoverOutcome(None, "covering", mc.failure,

@@ -1,5 +1,9 @@
 """Merging families of vertex-disjoint paths with exact edge accounting.
 
+PathFamily.from_edges is the one code that turns an edge set into paths:
+it walks the components of a linear forest, so a matching comes out as its
+one-edge paths, and it rejects a vertex on three or more edges or a cycle.
+
 A reduction step either deletes a path shorter than 2k-1 edges or splices
 two paths together through a short connector, trimming at most k-1 edges
 off each spliced end. Writing mu for the drop in the number of paths, the
@@ -34,7 +38,8 @@ driver merge_into_single_path feeds a matching through rounds of
 reductions with a growing end-depth schedule, protecting matching edges
 from trims for as long as any protecting move exists. find_hamilton_cycle
 joins the paths of its locked edges into one seed with a single round at
-k = 1, where a splice uses path ends only and so trims nothing.
+k = 1, where a splice uses path ends only and so trims nothing. Both build
+their starting family with PathFamily.from_edges.
 """
 
 from __future__ import annotations
@@ -51,7 +56,9 @@ log = logging.getLogger(__name__)
 
 
 class FamilyError(ValueError):
-    """Malformed path family (shared vertices, trivial paths)."""
+    """Malformed path family (shared vertices, trivial paths), or an edge
+    set that is not a linear forest (a vertex on three or more edges, a
+    cycle)."""
 
 
 class BudgetError(AssertionError):
@@ -89,10 +96,9 @@ def _canonical(path) -> tuple[int, ...]:
 
 @dataclass
 class PathFamily:
-    """Vertex-disjoint non-trivial paths plus the edge set they started from."""
+    """Vertex-disjoint non-trivial paths."""
 
     paths: list[tuple[int, ...]]
-    origin_edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
         self.paths = sorted(_canonical(p) for p in self.paths)
@@ -108,38 +114,37 @@ class PathFamily:
             seen |= vs
 
     @classmethod
-    def from_matching(cls, matching) -> "PathFamily":
-        edges = frozenset(edge_key(*e) for e in matching)
-        return cls(paths=[e for e in sorted(edges)], origin_edges=edges)
+    def from_edges(cls, edges) -> "PathFamily":
+        """The paths of a linear forest, one per component; a matching gives
+        its one-edge paths. Edges are canonicalised and deduplicated.
 
-    @classmethod
-    def from_paths(cls, paths) -> "PathFamily":
-        fam = cls(paths=list(paths), origin_edges=frozenset())
-        fam.origin_edges = fam.edges()
-        return fam
-
-    def edges(self) -> frozenset[Edge]:
-        out: set[Edge] = set()
-        for p in self.paths:
-            out |= path_edges(p)
-        return frozenset(out)
-
-    def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for p in self.paths:
-            out.update(p)
-        return out
-
-    def size(self) -> int:
-        return len(self.paths)
-
-
-def k_end(path, k: int) -> set[int]:
-    """The at most 2k vertices within path-distance k-1 of either endpoint."""
-    if k < 1:
-        raise ValueError(f"end depth must be >= 1, got {k}")
-    p = tuple(path)
-    return set(p[:k]) | set(p[-k:])
+        Raises FamilyError on a vertex with three or more edges, or on a
+        cycle.
+        """
+        keys = {edge_key(*e) for e in edges}
+        adj: dict[int, list[int]] = {}
+        for u, v in keys:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        paths = []
+        done: set[int] = set()  # far ends of the paths walked so far
+        for v, nb in adj.items():
+            if len(nb) > 2:
+                raise FamilyError(f"vertex {v} is on {len(nb)} edges")
+            if len(nb) == 2 or v in done:
+                continue
+            prev, cur = v, nb[0]
+            path = [v, cur]
+            while len(adj[cur]) == 2:
+                a, b = adj[cur]
+                prev, cur = cur, b if a == prev else a
+                path.append(cur)
+            done.add(cur)
+            paths.append(path)
+        # a cycle has no end to walk from, so its vertices go unreached
+        if sum(map(len, paths)) != len(adj):
+            raise FamilyError("the edges close a cycle")
+        return cls(paths)
 
 
 def _split_at(path: tuple[int, ...], x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -346,7 +351,7 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget,
         add(merged, merged_mask)
         if ends[merged].deletable:
             delete(merged)
-    return PathFamily(paths=paths, origin_edges=family.origin_edges)
+    return PathFamily(paths)
 
 
 @dataclass
@@ -386,7 +391,9 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     M = frozenset(edge_key(*e) for e in matching)
     if not M:
         raise ValueError("matching must be non-empty")
-    family = PathFamily.from_matching(M)
+    family = PathFamily.from_edges(M)
+    if len(family.paths) != len(M):
+        raise FamilyError("edges sharing a vertex are not a matching")
     d = max(1, math.ceil(6.0 / alpha))
     out = MergeOutcome(path=(), lost_matching=frozenset())
 
@@ -404,7 +411,7 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     # schedule honest for unprotected members too)
     i = 1
     max_rounds = G.n + len(family.paths) + 8
-    while family.size() > 1 and out.rounds < max_rounds:
+    while len(family.paths) > 1 and out.rounds < max_rounds:
         k_target = 1 if i == 1 else math.ceil(G.n ** ((i - 1) * alpha / 2.0))
         shortest = min(len(p) - 1 for p in family.paths)
         k_cap = max(1, (shortest + 1) // 2)
@@ -422,10 +429,10 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     def deep_end() -> int:
         return max(1, (max(len(p) - 1 for p in family.paths) + 1) // 2)
 
-    while family.size() > 1 and out.rounds < max_rounds:
+    while len(family.paths) > 1 and out.rounds < max_rounds:
         if not round_with(deep_end(), spare=True):
             break
-    while family.size() > 1 and out.rounds < max_rounds:
+    while len(family.paths) > 1 and out.rounds < max_rounds:
         if not round_with(deep_end(), spare=False):
             break
 

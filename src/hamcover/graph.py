@@ -78,9 +78,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._bits[u] >> v & 1)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 

@@ -20,7 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .families import ExtensionBudget, PathFamily, reduce_family
+from .families import ExtensionBudget, FamilyError, PathFamily, reduce_family
 from .graph import (
     Edge,
     Graph,
@@ -437,40 +437,6 @@ def _greedy_seed(G: Graph, start_hint: int = 0) -> list[int]:
     return path
 
 
-def _required_segments(required: frozenset[Edge]) -> list[list[int]] | None:
-    """Arrange required edges into vertex-disjoint path segments.
-
-    Returns None when impossible (a vertex on 3+ required edges, or a cycle
-    among them): no Hamilton cycle through all of them could exist then
-    either, except as the full required cycle itself.
-    """
-    adj: dict[int, list[int]] = {}
-    for u, v in required:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(nb) > 2 for nb in adj.values()):
-        return None
-    segments = []
-    visited: set[int] = set()
-    for v in sorted(adj):
-        if v in visited or len(adj[v]) == 2:
-            continue
-        seg = [v]
-        visited.add(v)
-        cur, prev = v, None
-        while True:
-            nxts = [w for w in adj[cur] if w != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            seg.append(cur)
-            visited.add(cur)
-        segments.append(seg)
-    if len(visited) != len(adj):
-        return None  # leftover degree-2 vertices form a required cycle
-    return segments
-
-
 def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None,
                         seed_path: list[int] | tuple[int, ...] | None = None,
                         start_hint: int = 0) -> HamiltonResult:
@@ -505,14 +471,16 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
         absent = [e for e in sorted(constraints.locked) if not G.has_edge(*e)]
         if absent:
             return HamiltonResult(None, failure=f"locked edges not in the graph: {absent}")
-        segments = _required_segments(constraints.locked)
-        if segments is None:
+        # a vertex on 3+ locked edges, or a locked cycle, rules out every
+        # Hamilton cycle through them, bar the locked cycle itself
+        try:
+            family = PathFamily.from_edges(constraints.locked)
+        except FamilyError:
             return HamiltonResult(None, failure="locked edges admit no spanning path through them")
         # at k = 1 a splice joins path ends only; budget.check() asserts that
         # it trims no locked edge
-        family = reduce_family(G, PathFamily(segments, constraints.locked),
-                               ExtensionBudget(d=n, k=1))
-        if family.size() != 1:
+        family = reduce_family(G, family, ExtensionBudget(d=n, k=1))
+        if len(family.paths) != 1:
             return HamiltonResult(None, failure="could not chain locked edges into one path")
         path = list(family.paths[0])
     else:

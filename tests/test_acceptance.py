@@ -122,7 +122,7 @@ def test_criterion_3_extension_accounting():
                 assert b.lost <= 2 * (b.k - 1) * b.mu
                 assert b.gained <= (b.d + 2) * b.mu
         else:
-            fam = PathFamily.from_matching(M)
+            fam = PathFamily(list(M))
             budget = ExtensionBudget(d=rnd.randint(0, 5), k=rnd.randint(1, 4))
             # reduce_family asserts both inequalities after every single move
             fam2 = reduce_family(G, fam, budget)

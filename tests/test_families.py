@@ -14,7 +14,6 @@ from hamcover.families import (
     _canonical,
     _end_candidates,
     _Ends,
-    k_end,
     merge_into_single_path,
     reduce_family,
 )
@@ -25,6 +24,7 @@ from hamcover.graph import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edge_key,
     mask_of,
     path_edges,
 )
@@ -33,22 +33,51 @@ from hamcover.cover import greedy_maximal_matching
 
 
 def test_k_end_examples():
-    assert k_end((0, 1, 2, 3, 4, 5), 1) == {0, 5}
-    assert k_end((0, 1, 2, 3, 4, 5), 2) == {0, 1, 4, 5}
-    assert k_end((0, 1), 3) == {0, 1}
-    with pytest.raises(ValueError):
-        k_end((0, 1), 0)
+    # _end_candidates gives positions, by trim cost and then by vertex
+    assert _end_candidates((0, 1, 2, 3, 4, 5), 1) == [0, 5]
+    assert _end_candidates((0, 1, 2, 3, 4, 5), 2) == [0, 5, 1, 4]
+    assert _end_candidates((0, 1), 3) == [0, 1]
+    assert _end_candidates((0, 1), 0) == []
 
 
 def test_family_rejects_overlap_and_trivial():
     with pytest.raises(FamilyError):
-        PathFamily(paths=[(0, 1, 2), (2, 3)], origin_edges=frozenset())
+        PathFamily([(0, 1, 2), (2, 3)])
     with pytest.raises(FamilyError):
-        PathFamily(paths=[(0,)], origin_edges=frozenset())
+        PathFamily([(0,)])
+
+
+def test_from_edges_matching_gives_its_edges():
+    M = {(3, 2), (0, 5), (1, 4), (7, 9)}
+    assert PathFamily.from_edges(M).paths == sorted(edge_key(*e) for e in M)
+
+
+def test_from_edges_multi_edge_paths():
+    fam = PathFamily.from_edges({(4, 2), (2, 7), (7, 0), (5, 6), (9, 1), (1, 3)})
+    assert fam.paths == [(0, 7, 2, 4), (3, 1, 9), (5, 6)]
+
+
+def test_from_edges_canonicalises_reversed_and_duplicated_edges():
+    fam = PathFamily.from_edges([(1, 0), (0, 1), (1, 2), (2, 1), (5, 4)])
+    assert fam.paths == [(0, 1, 2), (4, 5)]
+
+
+def test_from_edges_empty():
+    assert PathFamily.from_edges([]).paths == []
+
+
+def test_from_edges_rejects_claw_and_triangle():
+    with pytest.raises(FamilyError):
+        PathFamily.from_edges({(0, 1), (0, 2), (0, 3)})
+    with pytest.raises(FamilyError):
+        PathFamily.from_edges({(0, 1), (1, 2), (0, 2)})
+    # a cycle next to a path is rejected too
+    with pytest.raises(FamilyError):
+        PathFamily.from_edges({(0, 1), (1, 2), (0, 2), (5, 6)})
 
 
 def test_rule_one_deletes_short_path():
-    fam = PathFamily.from_matching({(0, 1)})
+    fam = PathFamily([(0, 1)])
     budget = ExtensionBudget(d=1, k=2)
     out = reduce_family(build_graph(2, [(0, 1)]), fam, budget)
     assert out.paths == []
@@ -57,7 +86,7 @@ def test_rule_one_deletes_short_path():
 
 
 def test_direct_edge_merge_in_k6():
-    fam = PathFamily.from_matching({(0, 1), (2, 3)})
+    fam = PathFamily([(0, 1), (2, 3)])
     budget = ExtensionBudget(d=1, k=1)
     out = reduce_family(complete_graph(6), fam, budget)
     assert len(out.paths) == 1
@@ -70,7 +99,7 @@ def test_direct_edge_merge_in_k6():
 def test_merge_through_outside_connector():
     # two edges whose ends only connect through vertex 4
     G = build_graph(5, [(0, 1), (2, 3), (1, 4), (4, 2)])
-    fam = PathFamily.from_matching({(0, 1), (2, 3)})
+    fam = PathFamily([(0, 1), (2, 3)])
     budget = ExtensionBudget(d=2, k=1)
     out = reduce_family(G, fam, budget)
     assert len(out.paths) == 1
@@ -82,7 +111,7 @@ def test_no_connector_means_fixpoint():
     # spanning family leaves no outside vertices; connector merges impossible,
     # but a direct end-to-end edge still merges (cheapest valid move)
     C10 = cycle_graph(10)
-    fam = PathFamily.from_paths([(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)])
+    fam = PathFamily([(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)])
     budget = ExtensionBudget(d=2, k=1)
     out = reduce_family(C10, fam, budget)
     assert len(out.paths) == 1
@@ -90,7 +119,7 @@ def test_no_connector_means_fixpoint():
 
     # with the joining edges removed the family really is stuck
     G = C10.remove_edges([(4, 5), (0, 9)])
-    fam = PathFamily.from_paths([(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)])
+    fam = PathFamily([(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)])
     budget = ExtensionBudget(d=2, k=1)
     out = reduce_family(G, fam, budget)
     assert sorted(out.paths) == [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
@@ -133,6 +162,8 @@ def test_merge_survives_even_length_survivor_with_straggler():
 def test_merge_rejects_non_matching():
     with pytest.raises(FamilyError):
         merge_into_single_path(complete_graph(4), {(0, 1), (1, 2)}, alpha=0.5)
+    with pytest.raises(FamilyError):  # a claw
+        merge_into_single_path(complete_graph(4), {(0, 1), (0, 2), (0, 3)}, alpha=0.5)
 
 
 def test_merge_preserves_matching_exactly():
@@ -170,7 +201,7 @@ def test_budget_invariants_after_every_step(inst):
     M = greedy_maximal_matching(G)
     if not M:
         return
-    fam = PathFamily.from_matching(M)
+    fam = PathFamily(list(M))
     budget = ExtensionBudget(d=d, k=k)
     # reduce_family asserts the two inequalities after every move; a
     # BudgetError here is an implementation bug
@@ -190,16 +221,16 @@ def test_family_size_never_increases_and_composition_bounds():
         M = greedy_maximal_matching(G)
         if len(M) < 2:
             continue
-        fam = PathFamily.from_matching(M)
+        fam = PathFamily(list(M))
         total_mu = total_lost = total_gained = 0
-        sizes = [fam.size()]
+        sizes = [len(fam.paths)]
         for step in range(3):
             budget = ExtensionBudget(d=3, k=2)
             fam = reduce_family(G, fam, budget)
             total_mu += budget.mu
             total_lost += budget.lost
             total_gained += budget.gained
-            sizes.append(fam.size())
+            sizes.append(len(fam.paths))
         assert sizes == sorted(sizes, reverse=True)
         assert total_lost <= 2 * (2 - 1) * total_mu
         assert total_gained <= (3 + 2) * total_mu
@@ -347,7 +378,7 @@ def _ref_reduce_family(G, family, budget, protect=frozenset(), spare_protected=T
         budget.gained += gained
         budget.check()
         paths = sorted([p for idx, p in enumerate(paths) if idx not in (i, j)] + [merged])
-    return PathFamily(paths=paths, origin_edges=family.origin_edges)
+    return PathFamily(paths)
 
 
 def _merge_summary(out):
@@ -378,7 +409,7 @@ def test_merge_matches_eager_reference(monkeypatch):
         # single lossy rounds at a fixed (d, k), from the matching and from
         # the paths the merge left behind
         d, k = rnd.randint(0, 4), rnd.randint(1, 4)
-        for fam in (PathFamily.from_matching(M), PathFamily.from_paths([got.path])):
+        for fam in (PathFamily(list(M)), PathFamily([got.path])):
             budgets = ExtensionBudget(d=d, k=k), ExtensionBudget(d=d, k=k)
             got_fam = reduce_family(G, fam, budgets[0], protect=M, spare_protected=False)
             want_fam = _ref_reduce_family(G, fam, budgets[1], protect=M,
@@ -428,7 +459,7 @@ def _walk_paths(G, rnd, max_edges):
             used |= 1 << walk[-1]
         if len(walk) >= 2:
             paths.append(walk)
-    return PathFamily.from_paths(paths)
+    return PathFamily(paths)
 
 
 def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
@@ -477,12 +508,13 @@ def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
         # the matching, which leaves vertices outside the family
         k = 2 + trial % 3
         walks = _walk_paths(G, rnd, 4 * k)
+        walk_edges = frozenset().union(*map(path_edges, walks.paths))
         part = frozenset(sorted(M)[: max(1, len(M) // 3)])
         for fam, d, k, protect, spare in (
-                (walks, 0, k, walks.origin_edges, False),
+                (walks, 0, k, walk_edges, False),
                 (walks, 1 + trial % 3, k, frozenset(), False),
-                (PathFamily.from_matching(part), 1 + trial % 3, 1, M, True),
-                (PathFamily.from_matching(part), 2, 2, M, False)):
+                (PathFamily(list(part)), 1 + trial % 3, 1, M, True),
+                (PathFamily(list(part)), 2, 2, M, False)):
             families.reduce_family(G, fam, ExtensionBudget(d=d, k=k), protect=protect,
                                    spare_protected=spare)
     assert seen["families"] >= 100

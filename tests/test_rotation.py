@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from hamcover.families import FamilyError, PathFamily
 from hamcover.gnp import RngSeed, sample_gnp
 from hamcover.graph import (
     build_graph,
@@ -407,6 +408,64 @@ def _linear_forest(G, rnd, size):
             deg[v] += 1
             forest.add(edge_key(u, v))
     return frozenset(forest)
+
+
+# The segment builder find_hamilton_cycle used before PathFamily.from_edges,
+# verbatim, as the reference from_edges must agree with.
+
+def _required_segments(required):
+    """Arrange required edges into vertex-disjoint path segments.
+
+    Returns None when impossible (a vertex on 3+ required edges, or a cycle
+    among them): no Hamilton cycle through all of them could exist then
+    either, except as the full required cycle itself.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in required:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(nb) > 2 for nb in adj.values()):
+        return None
+    segments = []
+    visited: set[int] = set()
+    for v in sorted(adj):
+        if v in visited or len(adj[v]) == 2:
+            continue
+        seg = [v]
+        visited.add(v)
+        cur, prev = v, None
+        while True:
+            nxts = [w for w in adj[cur] if w != prev]
+            if not nxts:
+                break
+            prev, cur = cur, nxts[0]
+            seg.append(cur)
+            visited.add(cur)
+        segments.append(seg)
+    if len(visited) != len(adj):
+        return None  # leftover degree-2 vertices form a required cycle
+    return segments
+
+
+def test_from_edges_matches_the_segment_builder():
+    rnd = random.Random(406)
+    forests = raised = 0
+    for trial in range(300):
+        G = sample_gnp(rnd.randint(4, 24), rnd.choice([0.2, 0.4, 0.7]), RngSeed(73, trial))
+        if not G.m:
+            continue
+        # linear forests, and edge sets that may hold a claw or a cycle
+        for edges in (_linear_forest(G, rnd, rnd.randint(1, G.n)),
+                      frozenset(rnd.sample(sorted(G.edges()), rnd.randint(1, min(G.m, 8))))):
+            want = _required_segments(edges)
+            if want is None:
+                with pytest.raises(FamilyError):
+                    PathFamily.from_edges(edges)
+                raised += 1
+            else:
+                assert PathFamily.from_edges(edges) == PathFamily(want), edges
+                forests += 1
+    assert forests >= 300 and raised >= 50, (forests, raised)
 
 
 def test_locked_edges_never_break_fuzz():
