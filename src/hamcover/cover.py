@@ -109,8 +109,9 @@ def extract_packing(G: Graph, target: int) -> PackingResult:
             break
         res = find_hamilton_cycle(residual, start_hint=attempt)
         if res.ok:
-            cycles.append(res.cycle)
-            residual = residual.remove_edges(cycle_edges(res.cycle))
+            c = res.cycle
+            cycles.append(c)
+            residual = residual.remove_edges(zip(c, c[1:] + c[:1]))
             attempt = 0
         else:
             failures += 1

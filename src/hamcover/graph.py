@@ -247,10 +247,9 @@ def canonical_cycle(seq: Iterable[int]) -> tuple[int, ...]:
     """Rotate/reflect a cyclic sequence so it starts at its smallest vertex
     and continues toward the smaller of the two neighbors."""
     vs = list(seq)
-    q = len(vs)
     i = vs.index(min(vs))
-    fwd = [vs[(i + j) % q] for j in range(q)]
-    bwd = [vs[(i - j) % q] for j in range(q)]
+    fwd = vs[i:] + vs[:i]
+    bwd = vs[i::-1] + vs[:i:-1]
     return tuple(fwd) if fwd[1:] <= bwd[1:] else tuple(bwd)
 
 

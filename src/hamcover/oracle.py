@@ -6,6 +6,11 @@ exhaustive expansion checks for tiny graphs, a queue-based BFS kept separate
 from the bitset BFS in graph.py, and validators for covers, path families
 and matchings. These are the ground truth the test suite measures the rest
 of the package against.
+
+``validate_cover`` checks and counts all cycles at once with numpy on a
+dense adjacency matrix. It reads only the graph's bitmask rows and uses no
+code of the search (rotation, families, cover), so it stays an independent
+check of every certificate.
 """
 
 from __future__ import annotations
@@ -15,10 +20,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .graph import (
     Edge,
     Graph,
-    edge_key,
     iter_bits,
     mask_of,
     neighborhood_bits,
@@ -209,29 +215,51 @@ class CoverValidation:
 
 
 def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
-    """Check every cycle is a Hamilton cycle of G and every edge is covered."""
-    coverage: dict[Edge, int] = {e: 0 for e in G.edges()}
+    """Check every cycle is a Hamilton cycle of G and every edge is covered.
+
+    ``bad_cycle`` is the index of the first invalid cycle; ``coverage``
+    counts only the cycles before it, keyed in ``G.edges()`` order. All
+    cycles up to the first one of the wrong length or with a vertex that is
+    not one of 0..n-1 are checked and counted at once on a dense adjacency
+    matrix.
+    """
+    n = G.n
+    adj = _adjacency_matrix(G)
+    vertices = set(range(n))
     bad = None
+    rows = []
     for idx, cyc in enumerate(cycles):
-        vs = list(cyc)
-        if len(vs) != G.n or set(vs) != set(range(G.n)) or G.n < 3:
+        cyc = tuple(cyc)
+        # only vertices 0..n-1 reach numpy: no int64 overflow, no truncated float
+        if n < 3 or len(cyc) != n or not vertices.issuperset(cyc):
             bad = idx
             break
-        valid = True
-        for i in range(len(vs)):
-            u, v = vs[i], vs[(i + 1) % len(vs)]
-            if not G.has_edge(u, v):
-                valid = False
-                break
-        if not valid:
-            bad = idx
-            break
-        for i in range(len(vs)):
-            coverage[edge_key(vs[i], vs[(i + 1) % len(vs)])] += 1
-    uncovered = [e for e, c in sorted(coverage.items()) if c == 0]
+        rows.append(cyc)
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    B = np.roll(A, -1, axis=1)
+    # a row is a permutation iff it sorts to 0..n-1
+    good = (np.sort(A, axis=1) == np.arange(n)).all(axis=1) & adj[A, B].all(axis=1)
+    if not good.all():
+        bad = int(np.argmin(good))
+        A, B = A[:bad], B[:bad]
+    us, ws = np.nonzero(np.triu(adj, 1))  # row-major, so in G.edges() order
+    keys = np.minimum(A, B) * n + np.maximum(A, B)
+    counts = np.bincount(keys.ravel(), minlength=n * n)[us * n + ws]
+    edges = list(zip(us.tolist(), ws.tolist()))
+    coverage: dict[Edge, int] = dict(zip(edges, counts.tolist()))
+    uncovered = [edges[i] for i in np.flatnonzero(counts == 0).tolist()]
     ok = bad is None and not uncovered
     return CoverValidation(ok=ok, n_cycles=len(cycles), bad_cycle=bad,
                            coverage=coverage, uncovered=uncovered)
+
+
+def _adjacency_matrix(G: Graph) -> np.ndarray:
+    """Dense boolean n x n adjacency matrix unpacked from the bitmask rows."""
+    n = G.n
+    width = (n + 7) // 8
+    packed = b"".join(G.adjacency_bits(v).to_bytes(width, "little") for v in range(n))
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(bool)
 
 
 @dataclass(frozen=True)

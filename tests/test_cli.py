@@ -6,6 +6,7 @@ from pathlib import Path
 from hamcover.cli import build_parser, main
 from hamcover.graph import (
     complete_graph,
+    cycle_graph,
     is_hamilton_cycle,
     parse_edge_list,
     petersen_graph,
@@ -65,6 +66,18 @@ def test_verify_walecki(tmp_path, capsys):
                   "--json")
     out = capsys.readouterr()
     assert code == 1
+
+
+def test_verify_json_reports_vertex_beyond_int64(tmp_path, capsys):
+    gpath = tmp_path / "c40.txt"
+    write_edge_list(cycle_graph(40), str(gpath))
+    cpath = tmp_path / "bad.txt"
+    cpath.write_text(" ".join(map(str, range(39))) + " 99999999999999999999999\n")
+    code, out = run(capsys, "verify", "--graph", str(gpath), "--cover", str(cpath), "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["valid"] is False
+    assert report["bad_cycle"] == 0
 
 
 def test_cover_petersen_fails_with_json(tmp_path, capsys):

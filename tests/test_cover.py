@@ -104,6 +104,11 @@ def test_packing_cycles_edge_disjoint_fuzz():
             assert not (seen & es)
             assert is_hamilton_cycle(G, c)
             seen |= es
+        # the packing removes each cycle by its vertex order; the residual
+        # must be the one its edge set gives, edge count included
+        residual = G.remove_edges(seen)
+        assert packing.residual == residual
+        assert packing.residual.m == residual.m == G.m - len(seen)
 
 
 def test_cover_matching_once_k6():

@@ -216,6 +216,23 @@ def test_canonical_cycle_invariant_under_rotation_and_reflection(seq, shift, fli
     assert canonical_cycle(rotated) == canonical_cycle(seq)
 
 
+def _canonical_cycle_modulo(seq):
+    # canonical_cycle as it was written with modulo indexing, kept as the reference
+    vs = list(seq)
+    q = len(vs)
+    i = vs.index(min(vs))
+    fwd = [vs[(i + j) % q] for j in range(q)]
+    bwd = [vs[(i - j) % q] for j in range(q)]
+    return tuple(fwd) if fwd[1:] <= bwd[1:] else tuple(bwd)
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=6), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_canonical_cycle_slicing_matches_modulo_reference(seq):
+    # repeated vertices included: the output must not change on invalid cycles either
+    assert canonical_cycle(seq) == _canonical_cycle_modulo(seq)
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=12))

@@ -1,18 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamcover.gnp import RngSeed, sample_gnp
+from hamcover.cover import cover_graph
+from hamcover.gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from hamcover.graph import (
+    Edge,
+    Graph,
     build_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edge_key,
     is_hamilton_cycle,
     path_graph,
     petersen_graph,
 )
 from hamcover.oracle import (
+    CoverValidation,
     backtracking_hamiltonian,
     exhaustive_expansion_check,
     held_karp_hamiltonian,
@@ -112,6 +119,133 @@ def test_validate_cover_rejects_bad_cycles():
     assert not r.ok and r.bad_cycle == 0
     r = validate_cover(cycle_graph(5), [(0, 1, 3, 2, 4)])
     assert not r.ok and r.bad_cycle == 0
+
+
+def _reference_validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
+    # validate_cover as it was written before the numpy rewrite, one cycle at a
+    # time in pure Python; kept verbatim as the reference the rewrite must match
+    """Check every cycle is a Hamilton cycle of G and every edge is covered."""
+    coverage: dict[Edge, int] = {e: 0 for e in G.edges()}
+    bad = None
+    for idx, cyc in enumerate(cycles):
+        vs = list(cyc)
+        if len(vs) != G.n or set(vs) != set(range(G.n)) or G.n < 3:
+            bad = idx
+            break
+        valid = True
+        for i in range(len(vs)):
+            u, v = vs[i], vs[(i + 1) % len(vs)]
+            if not G.has_edge(u, v):
+                valid = False
+                break
+        if not valid:
+            bad = idx
+            break
+        for i in range(len(vs)):
+            coverage[edge_key(vs[i], vs[(i + 1) % len(vs)])] += 1
+    uncovered = [e for e, c in sorted(coverage.items()) if c == 0]
+    ok = bad is None and not uncovered
+    return CoverValidation(ok=ok, n_cycles=len(cycles), bad_cycle=bad,
+                           coverage=coverage, uncovered=uncovered)
+
+
+def _assert_matches_reference(G, cycles):
+    got = validate_cover(G, cycles)
+    want = _reference_validate_cover(G, cycles)
+    assert (got.ok, got.n_cycles, got.bad_cycle) == (want.ok, want.n_cycles, want.bad_cycle)
+    assert got.uncovered == want.uncovered
+    # the order of the items counts too: certificates serialise coverage as it is
+    assert list(got.coverage.items()) == list(want.coverage.items())
+    assert all(type(u) is int and type(v) is int and type(c) is int
+               for (u, v), c in got.coverage.items())
+    assert all(type(u) is int and type(v) is int for u, v in got.uncovered)
+    return got
+
+
+def _pipeline_covers():
+    covers = []
+    for n, p, stream in [(12, 0.6, 0), (16, 0.5, 1), (24, 0.4, 2), (32, 0.3, 3)]:
+        G = sample_gnp(n, p, RngSeed(4100, stream))
+        out = cover_graph(G, alpha=expander_params_for_gnp(n, p).alpha)
+        if out.ok:
+            covers.append((G, list(out.certificate.cycles)))
+    assert len(covers) >= 3
+    return covers
+
+
+def test_validate_cover_matches_reference_on_pipeline_covers():
+    for G, cycles in _pipeline_covers():
+        n = G.n
+        assert _assert_matches_reference(G, cycles).ok
+        # a dropped cycle leaves edges uncovered
+        _assert_matches_reference(G, cycles[1:])
+        _assert_matches_reference(G, cycles[:-1])
+        # a bad cycle after good ones: coverage counts only the cycles before it
+        first = list(cycles[0])
+        for bad in (
+            tuple(first[:-1]),                          # wrong length
+            tuple(first + [0]),                         # wrong length
+            tuple(first[:-1] + [first[0]]),             # repeated vertex
+            tuple(first[:-1] + [-1]),                   # below range
+            tuple(first[:-1] + [n]),                    # above range
+            tuple(first[:-1] + [2 ** 70]),              # beyond int64
+            tuple(first[1:2] + first[0:1] + first[2:]),  # swapped pair, likely a non-edge
+        ):
+            for at in (0, 1, len(cycles)):
+                r = _assert_matches_reference(G, cycles[:at] + [bad] + cycles[at:])
+                assert r.bad_cycle == (None if is_hamilton_cycle(G, bad) else at)
+        r = _assert_matches_reference(G, [cycles[0], cycles[0], cycles[1]])
+        assert r.coverage[edge_key(first[0], first[1])] >= 2
+
+
+def test_validate_cover_matches_reference_on_edge_cases():
+    K5 = complete_graph(5)
+    C5 = cycle_graph(5)
+    cases = [
+        (K5, []),
+        (K5, [(0, 1, 2, 3, 4), (0, 2, 4, 1, 3)]),
+        (K5, [(0, 1, 2, 3, 4)]),
+        (K5, [(0, 1, 2, 3, 3)]),
+        (K5, [(0, 1, 2, 3, -1)]),
+        (K5, [(0, 1, 2, 3, 5)]),
+        (K5, [(0, 1, 2, 3, 2 ** 70)]),
+        (K5, [(0, 1, 2, 3, 4), (0, 2, 4, 1, 2 ** 70)]),
+        (K5, [(0, 1, 2, 3.5, 4)]),                   # a float that int64 would truncate to 3
+        (C5, [(0, 1, 2, 3, 4), (0, 1, 3, 2, 4)]),    # non-edge pair (1, 3) after a good cycle
+        (build_graph(2, [(0, 1)]), [(0, 1)]),        # K2: too small for a Hamilton cycle
+        (build_graph(2, [(0, 1)]), []),
+        (build_graph(4, []), []),                    # no edges
+        (build_graph(4, []), [(0, 1, 2, 3)]),
+        (build_graph(0, []), []),
+    ]
+    for G, cycles in cases:
+        _assert_matches_reference(G, cycles)
+    assert validate_cover(K5, [(0, 1, 2, 3, 2 ** 70)]).bad_cycle == 0
+    assert validate_cover(K5, [(0, 1, 2, 3.5, 4)]).bad_cycle == 0
+    assert validate_cover(build_graph(2, [(0, 1)]), [(0, 1)]).bad_cycle == 0
+    assert validate_cover(build_graph(4, []), []).ok
+
+
+@st.composite
+def graphs_and_cycle_lists(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    vertex = st.one_of(st.integers(min_value=-1, max_value=n),
+                       st.just(2 ** 70), st.just(-(2 ** 70)))
+    cycle = st.one_of(
+        st.permutations(list(range(n))),
+        st.lists(vertex, min_size=max(n - 1, 1), max_size=n + 1),
+    )
+    cycles = draw(st.lists(cycle.map(tuple), max_size=5))
+    return build_graph(n, edges), cycles
+
+
+@given(graphs_and_cycle_lists())
+@settings(max_examples=300, deadline=None)
+def test_validate_cover_matches_reference_on_random_lists(case):
+    G, cycles = case
+    _assert_matches_reference(G, cycles)
 
 
 def test_validate_family():
