@@ -96,22 +96,23 @@ def _canonical(path) -> tuple[int, ...]:
 
 @dataclass
 class PathFamily:
-    """Vertex-disjoint non-trivial paths."""
+    """Vertex-disjoint non-trivial paths of graph vertices (ints >= 0),
+    checked on vertex bitmasks."""
 
     paths: list[tuple[int, ...]]
 
     def __post_init__(self) -> None:
         self.paths = sorted(_canonical(p) for p in self.paths)
-        seen: set[int] = set()
+        seen = 0
         for p in self.paths:
             if len(p) < 2:
                 raise FamilyError(f"trivial path {p}")
-            vs = set(p)
-            if len(vs) != len(p):
+            mask = mask_of(p)
+            if mask.bit_count() != len(p):
                 raise FamilyError(f"repeated vertex in {p}")
-            if vs & seen:
+            if mask & seen:
                 raise FamilyError(f"path {p} shares vertices with the family")
-            seen |= vs
+            seen |= mask
 
     @classmethod
     def from_edges(cls, edges) -> "PathFamily":

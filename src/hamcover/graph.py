@@ -67,13 +67,13 @@ class Graph:
         return self._bits[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [b.bit_count() for b in self._bits]
+        return list(map(int.bit_count, self._bits))
 
     def max_degree(self) -> int:
-        return max((b.bit_count() for b in self._bits), default=0)
+        return max(map(int.bit_count, self._bits), default=0)
 
     def min_degree(self) -> int:
-        return min((b.bit_count() for b in self._bits), default=0)
+        return min(map(int.bit_count, self._bits), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._bits[u] >> v & 1)
@@ -230,7 +230,8 @@ def is_hamilton_cycle(G: Graph, seq: Iterable[int]) -> bool:
     vs = list(seq)
     if len(vs) != G.n or G.n < 3 or set(vs) != set(range(G.n)):
         return False
-    return all(G.has_edge(vs[i], vs[(i + 1) % G.n]) for i in range(G.n))
+    bits = G._bits
+    return all(bits[u] >> v & 1 for u, v in zip(vs, vs[1:] + vs[:1]))
 
 
 def cycle_edges(seq: Iterable[int]) -> frozenset[Edge]:

@@ -52,9 +52,11 @@ class RotationConstraints:
     explores may never reach its result. ``rotations`` and ``absorptions``
     count every edge-breaking move made, exploration included, so
     soft_breaks <= rotations + absorptions always holds. The rotation BFS
-    makes each rotation only when its consumer asks for the next path, so
+    makes each rotation only when its consumer asks for the next one, so
     a search counts the rotations it generated, not every child of every
-    path it expanded.
+    path it expanded. A rotation is counted when it is generated, whether
+    or not its path is ever built as a list: the BFS builds one only to
+    expand it or when a consumer reads it.
     """
 
     locked: frozenset[Edge] = frozenset()
@@ -115,20 +117,22 @@ def rotate(G: Graph, state: RotationState, pivot: int,
     if not G.has_edge(path[-1], pivot):
         raise RotationError(f"pivot {pivot} not adjacent to endpoint {path[-1]}")
     broken = edge_key(pivot, path[i + 1])
+    constraints.record(broken)
     return RotationState(
-        path=_rotated(path, i, broken, constraints),
+        path=_rotated(path, i),
         fixed_endpoint=state.fixed_endpoint,
         rotation_count=state.rotation_count + 1,
         history=state.history + [(pivot, broken)],
     )
 
 
-def _rotated(path: list[int], i: int, broken: Edge,
-             constraints: RotationConstraints) -> list[int]:
-    """The rotation of ``path`` around the pivot at position i: records the
-    broken edge (path[i], path[i+1]) and reverses the suffix past i."""
-    constraints.record(broken)
-    return path[: i + 1] + path[i + 1 :][::-1]
+def _rotated(parent: list[int], i: int | None) -> list[int]:
+    """The path a rotation BFS entry stands for: ``parent`` itself when i is
+    None (the seed), else ``parent`` rotated around the pivot at position i,
+    its suffix past i reversed. Rotated paths are fresh lists."""
+    if i is None:
+        return parent
+    return parent[: i + 1] + parent[:i:-1]
 
 
 def _rotation_moves(G, path: list[int], seen: set[int],
@@ -173,29 +177,40 @@ def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
                   max_depth: float = math.inf):
     """Breadth-first walk of the rotation tree with fixed endpoint path0[0].
 
-    Yields (path, pivots) once per distinct non-fixed endpoint, the seed
-    path included, never breaking a locked edge. Within one expansion,
-    rotations that keep soft edges intact come first. Explores to depth
-    ``max_depth``; callers stop consuming when they have enough endpoints.
-    Each rotated path is built, counted in ``constraints`` and yielded only
-    when the consumer asks for it, so rotations past the point where the
-    consumer stops are never made.
+    Yields (parent, i, end, pivots) once per distinct non-fixed endpoint,
+    the seed path included, never breaking a locked edge. The entry stands
+    for the path ``_rotated(parent, i)``: ``parent`` is a built list, i is
+    None for the seed path itself (then parent is path0), else the position
+    of the pivot in parent, and ``end`` is the entry's endpoint
+    parent[i + 1]. Within one expansion, rotations that keep soft edges
+    intact come first. Explores to depth ``max_depth``; callers stop
+    consuming when they have enough endpoints.
+
+    Each rotation is made, counted in ``constraints`` and yielded only when
+    the consumer asks for it, so rotations past the point where the
+    consumer stops are never made. A rotated path is built as a list only
+    when the walk pops it to expand it, or when a consumer calls
+    _rotated() on an entry it reads; most rotations are leaves that the
+    consumer passes over, and they never copy their n vertices.
     """
     q = len(path0)
-    yield path0, ()
+    yield path0, None, path0[-1], ()
     if q < 3 or max_depth <= 0:
         return
     seen = {path0[-1]}
-    queue = deque([(path0, (), 0)])
+    queue = deque([(path0, None, (), 0)])
     while queue:
-        path, pivots, depth = queue.popleft()
+        parent, at, pivots, depth = queue.popleft()
         if depth >= max_depth:
             continue
+        path = _rotated(parent, at)
         for i, w, broken in _rotation_moves(G, path, seen, constraints):
-            seen.add(path[i + 1])
-            child = (_rotated(path, i, broken, constraints), pivots + (w,))
-            yield child
-            queue.append((*child, depth + 1))
+            end = path[i + 1]
+            seen.add(end)
+            constraints.record(broken)
+            child_pivots = pivots + (w,)
+            yield path, i, end, child_pivots
+            queue.append((path, i, child_pivots, depth + 1))
 
 
 @dataclass
@@ -238,11 +253,10 @@ def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
     cap = endpoint_cap if endpoint_cap is not None else max(1, math.ceil(G.n / 3))
     outside = G.full_mask() & ~mask_of(p)
     out = EndpointSet(fixed=fixed, endpoints=set(), pivots={}, paths={})
-    for walked, pivots in _rotation_bfs(G, p, constraints, max_depth):
-        e = walked[-1]
+    for parent, i, e, pivots in _rotation_bfs(G, p, constraints, max_depth):
         out.endpoints.add(e)
         out.pivots[e] = pivots
-        out.paths[e] = tuple(walked)
+        out.paths[e] = tuple(_rotated(parent, i))
         out.depth = max(out.depth, len(pivots))
         if G.adjacency_bits(e) & outside:
             out.external = e
@@ -284,22 +298,24 @@ def _external_neighbor(G: Graph, v: int, outside: int) -> int | None:
 
 
 def _two_level_walk(G: Graph, p0: list[int], constraints: RotationConstraints):
-    """Yield (level, path) for every path of the two-level rotation search.
+    """Yield (level, fixed, parent, i, end) for every path of the two-level
+    rotation search: the path ``_rotated(parent, i)`` runs from ``fixed``,
+    the end its walk keeps fixed, to ``end``.
 
     Level one is the rotation BFS of ``p0`` with p0[0] fixed. Once it is
-    exhausted, level two reverses each level-one path, fixing its new
-    endpoint, and walks the rotations of the old fixed end; each unrotated
-    path was already yielded at level one and is skipped. Every yielded
-    path starts at the end its walk keeps fixed.
+    exhausted, level two builds and reverses each level-one path, fixing
+    its endpoint, and walks the rotations of the old fixed end; each
+    unrotated path was already yielded at level one and is skipped. Level
+    one keeps its entries as (parent, i, end), not as built paths.
     """
     level_one = []
-    for walked, _ in _rotation_bfs(G, p0, constraints):
-        level_one.append(walked)
-        yield 1, walked
-    for first in level_one:
-        for walked, pivots in _rotation_bfs(G, first[::-1], constraints):
-            if pivots:
-                yield 2, walked
+    for parent, i, end, _ in _rotation_bfs(G, p0, constraints):
+        level_one.append((parent, i, end))
+        yield 1, p0[0], parent, i, end
+    for first, at, fixed in level_one:
+        for parent, i, end, _ in _rotation_bfs(G, _rotated(first, at)[::-1], constraints):
+            if i is not None:
+                yield 2, fixed, parent, i, end
 
 
 def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
@@ -338,15 +354,14 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
 
     explored = 0
     sizes = {1: 0, 2: 0}  # paths walked per level
-    for level, walked in _two_level_walk(G, p0, constraints):
+    for level, fixed, parent, i, e in _two_level_walk(G, p0, constraints):
         explored += 1
         sizes[level] += 1
-        e = walked[-1]
         ext = _external_neighbor(G, e, outside)
         if ext is not None:
-            return ExtendAt(path=tuple(walked), endpoint=e, external=ext)
-        if chord is None and G.has_edge(walked[0], e):
-            chord = Chord(path=tuple(walked), ends=(walked[0], e))
+            return ExtendAt(path=tuple(_rotated(parent, i)), endpoint=e, external=ext)
+        if chord is None and G.has_edge(fixed, e):
+            chord = Chord(path=tuple(_rotated(parent, i)), ends=(fixed, e))
             if not outside:
                 return chord
         if explored >= SEARCH_NODE_CAP:

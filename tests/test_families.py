@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,62 @@ def test_family_rejects_overlap_and_trivial():
         PathFamily([(0, 1, 2), (2, 3)])
     with pytest.raises(FamilyError):
         PathFamily([(0,)])
+
+
+@dataclass
+class _SetCheckedFamily:
+    """PathFamily as it was when it checked paths on vertex sets; the
+    __post_init__ body is verbatim."""
+
+    paths: list[tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        self.paths = sorted(_canonical(p) for p in self.paths)
+        seen: set[int] = set()
+        for p in self.paths:
+            if len(p) < 2:
+                raise FamilyError(f"trivial path {p}")
+            vs = set(p)
+            if len(vs) != len(p):
+                raise FamilyError(f"repeated vertex in {p}")
+            if vs & seen:
+                raise FamilyError(f"path {p} shares vertices with the family")
+            seen |= vs
+
+
+def _family_or_error(cls, paths):
+    try:
+        return cls([tuple(p) for p in paths]).paths
+    except Exception as exc:  # the type and message must agree too
+        return type(exc), str(exc)
+
+
+def test_mask_checked_family_matches_set_checked_reference():
+    rnd = random.Random(6161)
+    # accepted, and FamilyError by the first word of its message
+    outcomes = {"ok": 0, "trivial": 0, "repeated": 0, "path": 0}
+    for trial in range(3000):
+        top = rnd.choice((4, 12, 40, 130))
+        paths = []
+        for _ in range(rnd.randint(0, 6)):
+            length = rnd.choice((0, 1, 2, 2, 3, 5, 9))
+            if length and rnd.random() < 0.3:
+                # a repeated vertex
+                path = [rnd.randrange(top) for _ in range(length)]
+            else:
+                path = rnd.sample(range(top), min(length, top))
+            paths.append(path)
+        if trial % 2:
+            # disjoint by construction, so most of these are accepted
+            pool = rnd.sample(range(top), top)
+            paths = [pool[i:i + 2 + i % 4] for i in range(0, rnd.randint(0, top), 5)]
+        got = _family_or_error(PathFamily, paths)
+        assert got == _family_or_error(_SetCheckedFamily, paths), paths
+        if isinstance(got, list):
+            outcomes["ok"] += 1
+        elif got[0] is FamilyError:
+            outcomes[got[1].split()[0]] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_from_edges_matching_gives_its_edges():

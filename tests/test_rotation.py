@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 
@@ -6,6 +7,7 @@ import pytest
 from hamcover.families import FamilyError, PathFamily
 from hamcover.gnp import RngSeed, sample_gnp
 from hamcover.graph import (
+    Graph,
     build_graph,
     complete_graph,
     cycle_edges,
@@ -13,19 +15,24 @@ from hamcover.graph import (
     disjoint_union,
     edge_key,
     is_hamilton_cycle,
+    mask_of,
     path_edges,
     path_graph,
     petersen_graph,
 )
 from hamcover.oracle import held_karp_hamiltonian
 from hamcover.rotation import (
+    SEARCH_NODE_CAP,
     Chord,
     ExtendAt,
     RotationConstraints,
     RotationError,
     RotationState,
     Stuck,
+    _external_neighbor,
+    _rotated,
     _rotation_bfs,
+    _rotation_moves,
     absorb_external_vertex,
     endpoint_set,
     find_hamilton_cycle,
@@ -228,13 +235,211 @@ def test_rotation_bfs_matches_eager_reference():
         depth = rnd.choice((1, 2, n))
         lazy_cons = RotationConstraints(locked=locked, soft=soft)
         eager_cons = RotationConstraints(locked=locked, soft=soft)
-        lazy = [(tuple(p), piv) for p, piv in _rotation_bfs(G, list(path), lazy_cons, depth)]
+        lazy = []
+        for parent, i, end, piv in _rotation_bfs(G, list(path), lazy_cons, depth):
+            # the entry stands for parent rotated around position i, or for
+            # the seed path itself
+            if i is None:
+                assert parent == path and not piv
+                walked = tuple(parent)
+            else:
+                walked = tuple(parent[: i + 1]) + tuple(parent[i + 1:][::-1])
+            assert tuple(_rotated(parent, i)) == walked
+            assert end == walked[-1]
+            lazy.append((walked, piv))
         assert lazy == _eager_rotation_bfs(G, path, eager_cons, depth)
         # fully consumed, the lazy walk makes every rotation the eager one does
         assert lazy_cons.rotations == eager_cons.rotations
         assert lazy_cons.soft_breaks == eager_cons.soft_breaks
         soft_breaks += lazy_cons.soft_breaks
     assert soft_breaks > 0  # soft rotations, queued after clean ones, were made
+
+
+# The two-level search as it was when every rotation built its path
+# eagerly, verbatim apart from the _ref suffix on the names it defines.
+
+def _rotated_ref(path: list[int], i: int, broken,
+                 constraints: RotationConstraints) -> list[int]:
+    """The rotation of ``path`` around the pivot at position i: records the
+    broken edge (path[i], path[i+1]) and reverses the suffix past i."""
+    constraints.record(broken)
+    return path[: i + 1] + path[i + 1 :][::-1]
+
+
+def _rotation_bfs_ref(G, path0: list[int], constraints: RotationConstraints,
+                      max_depth: float = math.inf):
+    """Breadth-first walk of the rotation tree with fixed endpoint path0[0].
+
+    Yields (path, pivots) once per distinct non-fixed endpoint, the seed
+    path included, never breaking a locked edge. Within one expansion,
+    rotations that keep soft edges intact come first. Explores to depth
+    ``max_depth``; callers stop consuming when they have enough endpoints.
+    Each rotated path is built, counted in ``constraints`` and yielded only
+    when the consumer asks for it, so rotations past the point where the
+    consumer stops are never made.
+    """
+    q = len(path0)
+    yield path0, ()
+    if q < 3 or max_depth <= 0:
+        return
+    seen = {path0[-1]}
+    queue = deque([(path0, (), 0)])
+    while queue:
+        path, pivots, depth = queue.popleft()
+        if depth >= max_depth:
+            continue
+        for i, w, broken in _rotation_moves(G, path, seen, constraints):
+            seen.add(path[i + 1])
+            child = (_rotated_ref(path, i, broken, constraints), pivots + (w,))
+            yield child
+            queue.append((*child, depth + 1))
+
+
+def _two_level_walk_ref(G: Graph, p0: list[int], constraints: RotationConstraints):
+    """Yield (level, path) for every path of the two-level rotation search.
+
+    Level one is the rotation BFS of ``p0`` with p0[0] fixed. Once it is
+    exhausted, level two reverses each level-one path, fixing its new
+    endpoint, and walks the rotations of the old fixed end; each unrotated
+    path was already yielded at level one and is skipped. Every yielded
+    path starts at the end its walk keeps fixed.
+    """
+    level_one = []
+    for walked, _ in _rotation_bfs_ref(G, p0, constraints):
+        level_one.append(walked)
+        yield 1, walked
+    for first in level_one:
+        for walked, pivots in _rotation_bfs_ref(G, first[::-1], constraints):
+            if pivots:
+                yield 2, walked
+
+
+def rotate_until_extendable_ref(G: Graph, path: list[int] | tuple[int, ...],
+                                constraints: RotationConstraints | None = None,
+                                path_mask: int | None = None):
+    """Two-level rotation search respecting locked edges.
+
+    Rotates the seed path from one endpoint and then, for each resulting
+    path, from the other. Returns ExtendAt for the first path found whose
+    endpoint has a neighbor outside the (invariant) vertex set, else a
+    Chord whose endpoints are adjacent, else Stuck. Locked edges of the
+    seed survive into whichever path is returned. ``path_mask`` is the
+    bitmask of the path's vertices, for callers that already keep it.
+    """
+    if constraints is None:
+        constraints = RotationConstraints()
+    p0 = list(path)
+    if len(p0) < 2:
+        raise RotationError("path must be non-trivial (at least 2 vertices)")
+    if path_mask is None:
+        path_mask = mask_of(p0)
+    outside = G.full_mask() & ~path_mask
+
+    ext = _external_neighbor(G, p0[-1], outside)
+    if ext is not None:
+        return ExtendAt(path=tuple(p0), endpoint=p0[-1], external=ext)
+    ext = _external_neighbor(G, p0[0], outside)
+    if ext is not None:
+        return ExtendAt(path=tuple(p0[::-1]), endpoint=p0[0], external=ext)
+
+    chord: Chord | None = None
+    if G.has_edge(p0[0], p0[-1]):
+        chord = Chord(path=tuple(p0), ends=(p0[0], p0[-1]))
+        if not outside:
+            return chord
+
+    explored = 0
+    sizes = {1: 0, 2: 0}  # paths walked per level
+    for level, walked in _two_level_walk_ref(G, p0, constraints):
+        explored += 1
+        sizes[level] += 1
+        e = walked[-1]
+        ext = _external_neighbor(G, e, outside)
+        if ext is not None:
+            return ExtendAt(path=tuple(walked), endpoint=e, external=ext)
+        if chord is None and G.has_edge(walked[0], e):
+            chord = Chord(path=tuple(walked), ends=(walked[0], e))
+            if not outside:
+                return chord
+        if explored >= SEARCH_NODE_CAP:
+            return chord or Stuck(sizes[1], sizes[2], explored, "node budget exhausted")
+    return chord or Stuck(sizes[1], sizes[2], explored, "no extension, no chord")
+
+
+def _random_walk_path(G, rnd):
+    """A self-avoiding walk from a random vertex, stepping to a random
+    unvisited neighbour until there is none."""
+    path = [rnd.randrange(G.n)]
+    used = 1 << path[0]
+    while True:
+        free = [w for w in G.neighbors(path[-1]) if not used >> w & 1]
+        if not free:
+            return path
+        path.append(rnd.choice(free))
+        used |= 1 << path[-1]
+
+
+def _bipartite_stuck_instance(rnd, a, b, p):
+    """A random bipartite graph on A = 0..a-1 and B = a..a+b-1, b > a, with
+    the path B A B ... A B through all of A: every endpoint lies in B, so
+    the search never extends, and a chord closes only if the path's B
+    ends are adjacent, which they never are."""
+    B = list(range(a, a + b))
+    rnd.shuffle(B)
+    path = [B[0]]
+    for u in range(a):
+        path += [u, B[u + 1]]
+    edges = path_edges(path) | {(u, v) for u in range(a) for v in range(a, a + b)
+                                if rnd.random() < p}
+    return build_graph(a + b, edges), path
+
+
+def test_rotate_until_extendable_matches_eager_reference():
+    rnd = random.Random(7171)
+    kinds = {ExtendAt: 0, Chord: 0, Stuck: 0}
+    cap_hits = soft_breaks = 0
+    cases = []
+    for trial in range(240):
+        n = rnd.randint(6, 40)
+        G = sample_gnp(n, rnd.choice((0.1, 0.2, 0.35, 0.6)), RngSeed(7171, trial))
+        cases.append((G, _random_walk_path(G, rnd)))
+    # spanning paths: no outside vertex, so only chords and Stuck
+    for trial in range(40):
+        G = sample_gnp(rnd.randint(8, 30), 0.5, RngSeed(7172, trial))
+        res = find_hamilton_cycle(G)
+        if res.ok:
+            cases.append((G, list(res.cycle)[rnd.randrange(2):]))
+    # bipartite instances that exhaust both levels, and ones whose search
+    # walks up to the node cap
+    for trial in range(20):
+        a = rnd.randint(2, 20)
+        cases.append(_bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 4),
+                                               rnd.choice((0.2, 0.5, 1.0))))
+    for trial in range(6):
+        a = rnd.randint(84, 90)
+        cases.append(_bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 6),
+                                               rnd.choice((0.2, 0.4))))
+    for G, path in cases:
+        if len(path) < 2:
+            continue
+        edges = sorted(path_edges(path))
+        soft = frozenset(rnd.sample(edges, rnd.randint(0, len(edges))))
+        locked = frozenset(rnd.sample(sorted(soft), rnd.randint(0, len(soft) // 2)))
+        got_cons = RotationConstraints(locked=locked, soft=soft)
+        want_cons = RotationConstraints(locked=locked, soft=soft)
+        mask = mask_of(path) if rnd.random() < 0.5 else None
+        got = rotate_until_extendable(G, list(path), got_cons, path_mask=mask)
+        want = rotate_until_extendable_ref(G, list(path), want_cons, path_mask=mask)
+        # dataclass equality compares the type and every field
+        assert got == want, (G, path, locked, soft)
+        assert (got_cons.rotations, got_cons.soft_breaks, got_cons.absorptions) == \
+            (want_cons.rotations, want_cons.soft_breaks, want_cons.absorptions)
+        kinds[type(got)] += 1
+        cap_hits += isinstance(got, Stuck) and got.explored == SEARCH_NODE_CAP
+        soft_breaks += got_cons.soft_breaks
+    assert sum(kinds.values()) >= 200
+    assert min(kinds.values()) >= 20 and cap_hits >= 4 and soft_breaks > 0, \
+        (kinds, cap_hits, soft_breaks)
 
 
 def test_rotate_until_extendable_chord():
