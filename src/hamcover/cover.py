@@ -103,8 +103,10 @@ def extract_packing(G: Graph, target: int) -> PackingResult:
     failures = 0
     attempt = 0
     stopped = "target reached"
+    # a Hamilton cycle takes exactly two edges off every vertex
+    delta = G.min_degree()
     while len(cycles) < target:
-        if residual.min_degree() < 2:
+        if delta < 2:
             stopped = "residual minimum degree below 2"
             break
         res = find_hamilton_cycle(residual, start_hint=attempt)
@@ -112,6 +114,7 @@ def extract_packing(G: Graph, target: int) -> PackingResult:
             c = res.cycle
             cycles.append(c)
             residual = residual.remove_edges(zip(c, c[1:] + c[:1]))
+            delta -= 2
             attempt = 0
         else:
             failures += 1

@@ -136,10 +136,17 @@ def _rotated(parent: list[int], i: int | None) -> list[int]:
 
 
 def _rotation_moves(G, path: list[int], seen: set[int],
-                    constraints: RotationConstraints):
+                    constraints: RotationConstraints,
+                    positions: list[int] | None = None, path_mask: int = -1):
     """(position, pivot, broken edge) of each rotation of ``path`` that breaks
     no locked edge and whose new endpoint is not in ``seen``: clean ones in
     ascending pivot order, then soft ones in ascending pivot order.
+
+    Pivots are the endpoint's neighbours in ``path_mask`` (by default all
+    of them). Each is looked up in ``positions`` (vertex -> position in
+    ``path``) when it is given, and else by a scan of ``path``. A caller
+    that passes ``positions`` passes the path's vertex mask too, so an
+    entry for an off-path vertex is never read.
 
     Soft moves are held back while the clean ones are yielded. Distinct
     pivots give distinct new endpoints, so the endpoints a consumer adds
@@ -147,15 +154,16 @@ def _rotation_moves(G, path: list[int], seen: set[int],
     """
     q = len(path)
     deferred = []
-    nb = G.adjacency_bits(path[-1])
+    # consumers usually stop within a few pivots, so without a position map
+    # one scan of the path per pivot is cheaper than building one
+    index = path.index if positions is None else positions.__getitem__
+    nb = G.adjacency_bits(path[-1]) & path_mask
     while nb:
         low = nb & -nb
         nb ^= low
         w = low.bit_length() - 1
-        # consumers usually stop within a few pivots, so one scan of the path
-        # per pivot is cheaper than mapping every position up front
         try:
-            i = path.index(w)
+            i = index(w)
         except ValueError:
             continue
         if i > q - 3:
@@ -174,7 +182,8 @@ def _rotation_moves(G, path: list[int], seen: set[int],
 
 
 def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
-                  max_depth: float = math.inf):
+                  max_depth: float = math.inf,
+                  positions: list[int] | None = None, path_mask: int = -1):
     """Breadth-first walk of the rotation tree with fixed endpoint path0[0].
 
     Yields (parent, i, end, pivots) once per distinct non-fixed endpoint,
@@ -192,6 +201,11 @@ def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
     when the walk pops it to expand it, or when a consumer calls
     _rotated() on an entry it reads; most rotations are leaves that the
     consumer passes over, and they never copy their n vertices.
+
+    ``positions`` maps each vertex of path0 to its position there, and
+    ``path_mask`` is path0's vertex mask, which every rotated path shares.
+    With them the expansion of path0 looks its pivots up in O(1); deeper
+    expansions scan their built paths.
     """
     q = len(path0)
     yield path0, None, path0[-1], ()
@@ -204,7 +218,9 @@ def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
         if depth >= max_depth:
             continue
         path = _rotated(parent, at)
-        for i, w, broken in _rotation_moves(G, path, seen, constraints):
+        moves = _rotation_moves(G, path, seen, constraints,
+                                positions if depth == 0 else None, path_mask)
+        for i, w, broken in moves:
             end = path[i + 1]
             seen.add(end)
             constraints.record(broken)
@@ -268,10 +284,18 @@ def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
 
 @dataclass(frozen=True)
 class ExtendAt:
-    """A same-vertex-set path whose endpoint can step off the path."""
+    """A same-vertex-set path whose endpoint can step off the path.
+
+    ``at`` is set when ``path`` is the searched path itself rotated once
+    around the pivot at position ``at`` (its suffix past ``at`` reversed),
+    so a caller that keeps that path can rotate it in place instead of
+    copying ``path``; it is None for every other path. It takes no part in
+    equality.
+    """
     path: tuple[int, ...]
     endpoint: int
     external: int
+    at: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -297,76 +321,88 @@ def _external_neighbor(G: Graph, v: int, outside: int) -> int | None:
     return None
 
 
-def _two_level_walk(G: Graph, p0: list[int], constraints: RotationConstraints):
-    """Yield (level, fixed, parent, i, end) for every path of the two-level
-    rotation search: the path ``_rotated(parent, i)`` runs from ``fixed``,
-    the end its walk keeps fixed, to ``end``.
-
-    Level one is the rotation BFS of ``p0`` with p0[0] fixed. Once it is
-    exhausted, level two builds and reverses each level-one path, fixing
-    its endpoint, and walks the rotations of the old fixed end; each
-    unrotated path was already yielded at level one and is skipped. Level
-    one keeps its entries as (parent, i, end), not as built paths.
-    """
-    level_one = []
-    for parent, i, end, _ in _rotation_bfs(G, p0, constraints):
-        level_one.append((parent, i, end))
-        yield 1, p0[0], parent, i, end
-    for first, at, fixed in level_one:
-        for parent, i, end, _ in _rotation_bfs(G, _rotated(first, at)[::-1], constraints):
-            if i is not None:
-                yield 2, fixed, parent, i, end
-
-
 def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                             constraints: RotationConstraints | None = None,
-                            path_mask: int | None = None):
+                            path_mask: int | None = None,
+                            positions: list[int] | None = None):
     """Two-level rotation search respecting locked edges.
 
     Rotates the seed path from one endpoint and then, for each resulting
     path, from the other. Returns ExtendAt for the first path found whose
     endpoint has a neighbor outside the (invariant) vertex set, else a
     Chord whose endpoints are adjacent, else Stuck. Locked edges of the
-    seed survive into whichever path is returned. ``path_mask`` is the
-    bitmask of the path's vertices, for callers that already keep it.
+    seed survive into whichever path is returned. The seed is never
+    mutated, and a list seed is not copied.
+
+    Level one is the rotation BFS of the seed with its first vertex fixed.
+    Once it is exhausted, level two reverses each level-one path, fixing
+    its endpoint, and walks the rotations of the old fixed end, skipping
+    the unrotated path that level one already checked. Level one keeps its
+    paths as (parent, i, end) entries, and a path is built only to be
+    reversed or returned.
+
+    ``path_mask`` is the bitmask of the path's vertices and ``positions``
+    maps each of its vertices to its position, for callers that already
+    keep them; with ``positions`` the seed's own rotations look their
+    pivots up in O(1). An ExtendAt whose path is the seed rotated once
+    carries the pivot position in ``at``.
     """
     if constraints is None:
         constraints = RotationConstraints()
-    p0 = list(path)
+    p0 = path if isinstance(path, list) else list(path)
     if len(p0) < 2:
         raise RotationError("path must be non-trivial (at least 2 vertices)")
     if path_mask is None:
         path_mask = mask_of(p0)
+    bits = G.adjacency_bits
     outside = G.full_mask() & ~path_mask
+    head, tail = p0[0], p0[-1]
 
-    ext = _external_neighbor(G, p0[-1], outside)
+    ext = _external_neighbor(G, tail, outside)
     if ext is not None:
-        return ExtendAt(path=tuple(p0), endpoint=p0[-1], external=ext)
-    ext = _external_neighbor(G, p0[0], outside)
+        return ExtendAt(path=tuple(p0), endpoint=tail, external=ext)
+    ext = _external_neighbor(G, head, outside)
     if ext is not None:
-        return ExtendAt(path=tuple(p0[::-1]), endpoint=p0[0], external=ext)
+        return ExtendAt(path=tuple(p0[::-1]), endpoint=head, external=ext)
 
     chord: Chord | None = None
-    if G.has_edge(p0[0], p0[-1]):
-        chord = Chord(path=tuple(p0), ends=(p0[0], p0[-1]))
+    if bits(head) >> tail & 1:
+        chord = Chord(path=tuple(p0), ends=(head, tail))
         if not outside:
             return chord
 
-    explored = 0
-    sizes = {1: 0, 2: 0}  # paths walked per level
-    for level, fixed, parent, i, e in _two_level_walk(G, p0, constraints):
-        explored += 1
-        sizes[level] += 1
-        ext = _external_neighbor(G, e, outside)
-        if ext is not None:
-            return ExtendAt(path=tuple(_rotated(parent, i)), endpoint=e, external=ext)
-        if chord is None and G.has_edge(fixed, e):
-            chord = Chord(path=tuple(_rotated(parent, i)), ends=(fixed, e))
-            if not outside:
-                return chord
-        if explored >= SEARCH_NODE_CAP:
-            return chord or Stuck(sizes[1], sizes[2], explored, "node budget exhausted")
-    return chord or Stuck(sizes[1], sizes[2], explored, "no extension, no chord")
+    level_one = [(p0, None, tail)]  # (parent, i, end) per level-one path
+    explored = 1                    # the seed, checked above
+
+    def walks():
+        """(fixed end, rotation BFS) of level one, then of each level-two walk."""
+        yield head, _rotation_bfs(G, p0, constraints, positions=positions,
+                                  path_mask=path_mask)
+        for first, at, end in level_one:
+            yield end, _rotation_bfs(G, _rotated(first, at)[::-1], constraints)
+
+    for fixed, walk in walks():
+        first_level = fixed == head
+        for parent, i, e, _ in walk:
+            if i is None:
+                continue  # the walk's unrotated root: the seed, or a level-one path
+            if first_level:
+                level_one.append((parent, i, e))
+            explored += 1
+            hit = bits(e) & outside
+            if hit:
+                return ExtendAt(path=tuple(_rotated(parent, i)), endpoint=e,
+                                external=(hit & -hit).bit_length() - 1,
+                                at=i if parent is p0 else None)
+            if chord is None and bits(fixed) >> e & 1:
+                chord = Chord(path=tuple(_rotated(parent, i)), ends=(fixed, e))
+                if not outside:
+                    return chord
+            if explored >= SEARCH_NODE_CAP:
+                return chord or Stuck(len(level_one), explored - len(level_one), explored,
+                                      "node budget exhausted")
+    return chord or Stuck(len(level_one), explored - len(level_one), explored,
+                          "no extension, no chord")
 
 
 def absorb_external_vertex(G: Graph, cycle: list[int] | tuple[int, ...], w: int, a: int,
@@ -381,11 +417,16 @@ def absorb_external_vertex(G: Graph, cycle: list[int] | tuple[int, ...], w: int,
         constraints = RotationConstraints()
     cyc = list(cycle)
     q = len(cyc)
+    if not 0 <= a < G.n:
+        raise RotationError(f"vertex {a} is not a vertex of the graph")
     if a in cyc:
         raise RotationError(f"vertex {a} is on the cycle")
+    try:
+        i = cyc.index(w)
+    except ValueError:
+        raise RotationError(f"vertex {w} is not on the cycle") from None
     if not G.has_edge(a, w):
         raise RotationError(f"({a}, {w}) is not an edge")
-    i = cyc.index(w)
     prev_e = edge_key(cyc[i - 1], w)
     next_e = edge_key(w, cyc[(i + 1) % q])
     options = [e for e in (prev_e, next_e) if e not in constraints.locked]
@@ -418,10 +459,16 @@ class HamiltonResult:
         return self.cycle is not None
 
 
-def _greedy_extend(G: Graph, path: list[int], used: int) -> int:
+def _place(path: list[int], positions: list[int], start: int = 0) -> None:
+    """Write the position of each vertex of ``path[start:]`` into ``positions``."""
+    for i in range(start, len(path)):
+        positions[path[i]] = i
+
+
+def _greedy_extend(G: Graph, path: list[int], used: int, positions: list[int]) -> int:
     """Extend a path in place at both ends, always stepping to the lowest
     new vertex. ``used`` is the mask of the path's vertices; returns the
-    mask of the extended path.
+    mask of the extended path. ``positions`` is kept up to date.
 
     The tail is extended first until it is stuck, then the head: a stuck
     tail stays stuck, because the path only gains vertices.
@@ -430,6 +477,7 @@ def _greedy_extend(G: Graph, path: list[int], used: int) -> int:
     free = bits(path[-1]) & ~used
     while free:
         v = (free & -free).bit_length() - 1
+        positions[v] = len(path)
         path.append(v)
         used |= 1 << v
         free = bits(v) & ~used
@@ -440,16 +488,20 @@ def _greedy_extend(G: Graph, path: list[int], used: int) -> int:
         head.append(v)
         used |= 1 << v
         free = bits(v) & ~used
-    path[:0] = head[::-1]
+    if head:
+        path[:0] = head[::-1]
+        _place(path, positions)
     return used
 
 
-def _greedy_seed(G: Graph, start_hint: int = 0) -> list[int]:
-    # descending degree, ties in ascending vertex order (the sort is stable)
-    order = sorted(range(G.n), key=G.degrees().__getitem__, reverse=True)
-    path = [order[start_hint % G.n]]
-    _greedy_extend(G, path, 1 << path[0])
-    return path
+def _start_vertex(degs: list[int], start_hint: int) -> int:
+    """The vertex at position start_hint % n of the vertices in descending
+    degree order, ties in ascending vertex order."""
+    k = start_hint % len(degs)
+    if k == 0:
+        return degs.index(max(degs))  # the order's first vertex, unsorted
+    # the sort is stable, so tied vertices keep their ascending order
+    return sorted(range(len(degs)), key=degs.__getitem__, reverse=True)[k]
 
 
 def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None,
@@ -466,13 +518,18 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
     the search makes at most n passes. Any returned cycle contains every
     locked edge of the seed and validates against the graph; getting stuck
     returns a failure report, never an exception.
+
+    The search keeps one path list with its vertex mask and a vertex ->
+    position list. An extension found by one rotation of that path rotates
+    it in place and rewrites the positions of the reversed suffix only.
     """
     if constraints is None:
         constraints = RotationConstraints()
     n = G.n
     if n < 3:
         return HamiltonResult(None, failure=f"no Hamilton cycle on {n} < 3 vertices")
-    if G.min_degree() < 2:
+    degs = G.degrees()
+    if min(degs) < 2:
         return HamiltonResult(None, failure="a vertex of degree < 2 rules out any Hamilton cycle")
 
     if seed_path is not None:
@@ -499,7 +556,8 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             return HamiltonResult(None, failure="could not chain locked edges into one path")
         path = list(family.paths[0])
     else:
-        path = _greedy_seed(G, start_hint)
+        # the first pass's greedy extension grows the start vertex into a path
+        path = [_start_vertex(degs, start_hint)]
 
     def failed(reason: str, path_len: int) -> HamiltonResult:
         return HamiltonResult(None, failure=reason, iterations=iterations,
@@ -508,11 +566,23 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
 
     # the path's vertex set changes only on extension and absorption
     used = mask_of(path)
+    pos = [0] * n  # pos[v] is v's position on the path; stale for off-path v
+    _place(path, pos)
     for iterations in range(1, n + 1):
-        used = _greedy_extend(G, path, used)
-        outcome = rotate_until_extendable(G, path, constraints, path_mask=used)
+        used = _greedy_extend(G, path, used, pos)
+        # looked up by module name on every pass, so a wrapper set on the
+        # module sees every call
+        outcome = rotate_until_extendable(G, path, constraints, path_mask=used, positions=pos)
         if isinstance(outcome, ExtendAt):
-            path = list(outcome.path) + [outcome.external]
+            at = outcome.at
+            if at is None:
+                path = list(outcome.path)
+                _place(path, pos)
+            else:
+                path[at + 1:] = path[:at:-1]
+                _place(path, pos, at + 1)
+            pos[outcome.external] = len(path)
+            path.append(outcome.external)
             used |= 1 << outcome.external
             continue
         if isinstance(outcome, Chord):
@@ -537,6 +607,7 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
                 path = absorb_external_vertex(G, cyc, hook[0], hook[1], constraints)
             except RotationError as exc:
                 return failed(f"absorption blocked: {exc}", len(cyc))
+            _place(path, pos)
             used |= 1 << hook[1]
             continue
         return failed(f"stuck: {outcome.message} "

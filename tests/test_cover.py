@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 
 from hamcover.cover import (
+    STALL_LIMIT,
+    PackingResult,
     cover_graph,
     cover_matching,
     cover_matching_once,
@@ -16,6 +19,7 @@ from hamcover.cover import (
 from hamcover.families import merge_into_single_path
 from hamcover.gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from hamcover.graph import (
+    Graph,
     build_graph,
     canonical_cycle,
     complete_graph,
@@ -26,6 +30,7 @@ from hamcover.graph import (
     petersen_graph,
 )
 from hamcover.oracle import held_karp_hamiltonian, validate_cover
+from hamcover.rotation import find_hamilton_cycle
 
 
 def test_coloring_triangle():
@@ -92,6 +97,63 @@ def test_extract_packing_zero_target():
     packing = extract_packing(G, target=0)
     assert packing.achieved == 0
     assert packing.residual == G
+
+
+# The packing loop as it was when it rescanned the residual's minimum degree
+# before every search, verbatim apart from the _ref suffix on its name.
+
+def extract_packing_ref(G: Graph, target: int) -> PackingResult:
+    """Greedily extract up to ``target`` edge-disjoint Hamilton cycles.
+
+    Each found cycle is removed before the next search. Stops at the
+    target, when the residual minimum degree drops below 2, or after
+    three consecutive search failures (retried from different greedy
+    starts). Shortfall is reported, not raised.
+    """
+    residual = G
+    cycles: list[tuple[int, ...]] = []
+    failures = 0
+    attempt = 0
+    stopped = "target reached"
+    while len(cycles) < target:
+        if residual.min_degree() < 2:
+            stopped = "residual minimum degree below 2"
+            break
+        res = find_hamilton_cycle(residual, start_hint=attempt)
+        if res.ok:
+            c = res.cycle
+            cycles.append(c)
+            residual = residual.remove_edges(zip(c, c[1:] + c[:1]))
+            attempt = 0
+        else:
+            failures += 1
+            attempt += 1
+            if attempt >= STALL_LIMIT:
+                stopped = f"search stalled: {res.failure}"
+                break
+    return PackingResult(cycles=cycles, residual=residual, target=target,
+                         stopped=stopped, failures=failures)
+
+
+def test_extract_packing_matches_rescanning_reference():
+    rnd = random.Random(960)
+    graphs = [(petersen_graph(), 1), (cycle_graph(5), 2), (complete_graph(7), 4),
+              (complete_graph(5), 0)]
+    # unbalanced complete bipartite graphs have no Hamilton cycle at all
+    for a, b in ((2, 3), (3, 5), (4, 6)):
+        graphs.append((build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)]), 1))
+    for trial in range(60):
+        G = sample_gnp(rnd.randint(6, 40), rnd.choice((0.2, 0.4, 0.7, 0.9)), RngSeed(960, trial))
+        # at, or past, the degree bound; past it, the residual runs out of degree
+        graphs.append((G, G.min_degree() // 2 + rnd.choice((0, 0, 1, 3))))
+    reasons = Counter()
+    for G, target in graphs:
+        got = extract_packing(G, target)
+        # dataclass equality compares cycles, residual, target, stopped and failures
+        assert got == extract_packing_ref(G, target), (G, target)
+        reasons[got.stopped.split(":")[0]] += 1
+    assert reasons["target reached"] >= 10 and reasons["search stalled"] >= 3 and \
+        reasons["residual minimum degree below 2"] >= 10, reasons
 
 
 def test_packing_cycles_edge_disjoint_fuzz():

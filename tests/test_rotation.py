@@ -1,10 +1,12 @@
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamcover.families import FamilyError, PathFamily
+from hamcover.families import ExtensionBudget, FamilyError, PathFamily, reduce_family
 from hamcover.gnp import RngSeed, sample_gnp
 from hamcover.graph import (
     Graph,
@@ -15,6 +17,7 @@ from hamcover.graph import (
     disjoint_union,
     edge_key,
     is_hamilton_cycle,
+    is_path,
     mask_of,
     path_edges,
     path_graph,
@@ -25,6 +28,7 @@ from hamcover.rotation import (
     SEARCH_NODE_CAP,
     Chord,
     ExtendAt,
+    HamiltonResult,
     RotationConstraints,
     RotationError,
     RotationState,
@@ -33,6 +37,7 @@ from hamcover.rotation import (
     _rotated,
     _rotation_bfs,
     _rotation_moves,
+    _start_vertex,
     absorb_external_vertex,
     endpoint_set,
     find_hamilton_cycle,
@@ -442,6 +447,75 @@ def test_rotate_until_extendable_matches_eager_reference():
         (kinds, cap_hits, soft_breaks)
 
 
+def _search_cases(rnd, count):
+    """(G, path) pairs in random G(n, p): self-avoiding walks continued at
+    both ends until stuck, as find_hamilton_cycle hands its path over, so
+    the search must rotate to extend or close it."""
+    cases = []
+    for trial in range(count):
+        n = rnd.randint(6, 40)
+        G = sample_gnp(n, rnd.choice((0.1, 0.2, 0.35, 0.6)), RngSeed(7181, trial))
+        path = _random_walk_path(G, rnd)[::-1]
+        used = mask_of(path)
+        while free := [w for w in G.neighbors(path[-1]) if not used >> w & 1]:
+            path.append(rnd.choice(free))
+            used |= 1 << path[-1]
+        if len(path) >= 2:
+            cases.append((G, path))
+    return cases
+
+
+def test_extend_at_names_the_seed_rotated_once():
+    rnd = random.Random(7181)
+    placed = unplaced = 0
+    for G, path in _search_cases(rnd, 300):
+        cons = RotationConstraints(soft=rnd.sample(sorted(path_edges(path)), len(path) // 3))
+        out = rotate_until_extendable(G, path, cons)
+        if not isinstance(out, ExtendAt):
+            continue
+        if out.at is None:
+            # found at level two or at depth 2 or more: never the seed rotated once
+            unplaced += 1
+            assert all(list(out.path) != _rotated(path, i) for i in range(len(path) - 2))
+        else:
+            placed += 1
+            assert _rotated(list(path), out.at) == list(out.path)
+            assert out.endpoint == path[out.at + 1]
+    assert placed >= 50 and unplaced >= 10, (placed, unplaced)
+
+
+def test_positions_do_not_change_the_search():
+    # stale entries for off-path vertices must never be read: fill them with
+    # positions that exist on the path, or that do not
+    rnd = random.Random(7182)
+    kinds = Counter()
+    for G, path in _search_cases(rnd, 200):
+        edges = sorted(path_edges(path))
+        soft = frozenset(rnd.sample(edges, rnd.randint(0, len(edges))))
+        locked = frozenset(rnd.sample(sorted(soft), rnd.randint(0, len(soft) // 2)))
+        pos = [rnd.choice((0, len(path) - 1, len(path) + 5)) for _ in range(G.n)]
+        for i, v in enumerate(path):
+            pos[v] = i
+        mask = mask_of(path) if rnd.random() < 0.5 else None
+        got_cons = RotationConstraints(locked=locked, soft=soft)
+        want_cons = RotationConstraints(locked=locked, soft=soft)
+        got = rotate_until_extendable(G, path, got_cons, path_mask=mask, positions=pos)
+        want = rotate_until_extendable(G, path, want_cons, path_mask=mask)
+        assert got == want
+        assert getattr(got, "at", None) == getattr(want, "at", None)
+        assert (got_cons.rotations, got_cons.soft_breaks, got_cons.absorptions) == \
+            (want_cons.rotations, want_cons.soft_breaks, want_cons.absorptions)
+        kinds[type(got).__name__] += 1
+    assert min(kinds[k] for k in ("ExtendAt", "Chord", "Stuck")) >= 5, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.integers(0, 200))
+def test_start_vertex_is_the_descending_degree_order_pick(degs, hint):
+    order = sorted(range(len(degs)), key=lambda v: (-degs[v], v))
+    assert _start_vertex(degs, hint) == order[hint % len(degs)]
+
+
 def test_rotate_until_extendable_chord():
     out = rotate_until_extendable(cycle_graph(5), [0, 1, 2, 3, 4])
     assert isinstance(out, Chord)
@@ -521,6 +595,15 @@ def test_absorb_errors():
     cons = RotationConstraints(locked={(0, 1), (0, 2)})
     with pytest.raises(RotationError, match="locked"):
         absorb_external_vertex(K4, [0, 1, 2], w=0, a=3, constraints=cons)
+
+
+def test_absorb_rejects_vertices_off_the_cycle_or_the_graph():
+    K5 = complete_graph(5)
+    with pytest.raises(RotationError, match="vertex 4 is not on the cycle"):
+        absorb_external_vertex(K5, [0, 1, 2], w=4, a=3)
+    for a in (-1, 5):
+        with pytest.raises(RotationError, match=f"vertex {a} is not a vertex of the graph"):
+            absorb_external_vertex(K5, [0, 1, 2], w=0, a=a)
 
 
 def test_find_hamilton_complete_graph():
@@ -805,3 +888,266 @@ def test_succeeds_on_dirac_dense_graphs():
         res = find_hamilton_cycle(G)
         assert res.ok, f"engine failed a Dirac instance n={n}"
         assert res.iterations <= n
+
+
+# The Hamilton search as it was when every pass copied its path and looked
+# pivots up by scanning it, verbatim apart from the _ref suffix on the names
+# it defines, its call of rotate_until_extendable_ref, and the lines marked
+# "counted", which tally the branches it takes in _FIND_REF_HITS.
+
+_FIND_REF_HITS: Counter = Counter()
+
+
+def _one_rotation_of(path, new) -> bool:
+    """Whether ``new`` is ``path`` rotated once around a pivot, path[0] fixed."""
+    return any(list(new) == _rotated(list(path), i) for i in range(len(path) - 2))
+
+
+def _greedy_extend_ref(G: Graph, path: list[int], used: int) -> int:
+    """Extend a path in place at both ends, always stepping to the lowest
+    new vertex. ``used`` is the mask of the path's vertices; returns the
+    mask of the extended path.
+
+    The tail is extended first until it is stuck, then the head: a stuck
+    tail stays stuck, because the path only gains vertices.
+    """
+    bits = G.adjacency_bits
+    free = bits(path[-1]) & ~used
+    while free:
+        v = (free & -free).bit_length() - 1
+        path.append(v)
+        used |= 1 << v
+        free = bits(v) & ~used
+    head = []
+    free = bits(path[0]) & ~used
+    while free:
+        v = (free & -free).bit_length() - 1
+        head.append(v)
+        used |= 1 << v
+        free = bits(v) & ~used
+    path[:0] = head[::-1]
+    return used
+
+
+def _greedy_seed_ref(G: Graph, start_hint: int = 0) -> list[int]:
+    # descending degree, ties in ascending vertex order (the sort is stable)
+    order = sorted(range(G.n), key=G.degrees().__getitem__, reverse=True)
+    path = [order[start_hint % G.n]]
+    _greedy_extend_ref(G, path, 1 << path[0])
+    return path
+
+
+def find_hamilton_cycle_ref(G: Graph, constraints: RotationConstraints | None = None,
+                            seed_path: list[int] | tuple[int, ...] | None = None,
+                            start_hint: int = 0) -> HamiltonResult:
+    """Heuristic Hamilton cycle search by rotation and extension.
+
+    Starts from ``seed_path``; without one, from the locked edges' paths
+    joined end to end by one ``reduce_family`` round at k = 1, which trims
+    no edge; with no locked edges either, from a greedy longest path. Then
+    it alternates: extend greedily, rotate until extendable, extend; when a
+    chord closes a non-spanning cycle, absorb an outside vertex and
+    continue. Every pass that does not return adds a vertex to the path, so
+    the search makes at most n passes. Any returned cycle contains every
+    locked edge of the seed and validates against the graph; getting stuck
+    returns a failure report, never an exception.
+    """
+    if constraints is None:
+        constraints = RotationConstraints()
+    n = G.n
+    if n < 3:
+        return HamiltonResult(None, failure=f"no Hamilton cycle on {n} < 3 vertices")
+    if G.min_degree() < 2:
+        return HamiltonResult(None, failure="a vertex of degree < 2 rules out any Hamilton cycle")
+
+    if seed_path is not None:
+        _FIND_REF_HITS["seed path"] += 1  # counted
+        path = list(seed_path)
+        if len(path) < 2 or not is_path(G, path):
+            return HamiltonResult(None, failure="seed is not a path of this graph")
+        missing = sorted(constraints.locked - path_edges(path))
+        if missing:
+            return HamiltonResult(None, failure=f"seed path misses locked edges {missing}")
+    elif constraints.locked:
+        _FIND_REF_HITS["locked seed"] += 1  # counted
+        absent = [e for e in sorted(constraints.locked) if not G.has_edge(*e)]
+        if absent:
+            return HamiltonResult(None, failure=f"locked edges not in the graph: {absent}")
+        # a vertex on 3+ locked edges, or a locked cycle, rules out every
+        # Hamilton cycle through them, bar the locked cycle itself
+        try:
+            family = PathFamily.from_edges(constraints.locked)
+        except FamilyError:
+            return HamiltonResult(None, failure="locked edges admit no spanning path through them")
+        # at k = 1 a splice joins path ends only; budget.check() asserts that
+        # it trims no locked edge
+        family = reduce_family(G, family, ExtensionBudget(d=n, k=1))
+        if len(family.paths) != 1:
+            return HamiltonResult(None, failure="could not chain locked edges into one path")
+        path = list(family.paths[0])
+    else:
+        _FIND_REF_HITS["start hint >= 1"] += start_hint % n != 0  # counted
+        path = _greedy_seed_ref(G, start_hint)
+
+    def failed(reason: str, path_len: int) -> HamiltonResult:
+        return HamiltonResult(None, failure=reason, iterations=iterations,
+                              rotations=constraints.rotations,
+                              soft_breaks=constraints.soft_breaks, path_len=path_len)
+
+    # the path's vertex set changes only on extension and absorption
+    used = mask_of(path)
+    for iterations in range(1, n + 1):
+        first = path[0]  # counted
+        used = _greedy_extend_ref(G, path, used)
+        # the head is stuck after every pass but an absorption  # counted
+        _FIND_REF_HITS["head growth after absorption"] += iterations > 1 and path[0] != first
+        outcome = rotate_until_extendable_ref(G, path, constraints, path_mask=used)
+        if isinstance(outcome, ExtendAt):
+            _FIND_REF_HITS["rotated once" if _one_rotation_of(path, outcome.path)  # counted
+                           else "other extension"] += 1  # counted
+            path = list(outcome.path) + [outcome.external]
+            used |= 1 << outcome.external
+            continue
+        if isinstance(outcome, Chord):
+            cyc = list(outcome.path)
+            if len(cyc) == n:
+                if not is_hamilton_cycle(G, cyc):
+                    return failed("internal: closed sequence is not a Hamilton cycle", n)
+                return HamiltonResult(tuple(cyc), iterations=iterations,
+                                      rotations=constraints.rotations,
+                                      soft_breaks=constraints.soft_breaks,
+                                      path_len=n)
+            outside = G.full_mask() & ~used
+            hook = None
+            for w in sorted(cyc):
+                a = _external_neighbor(G, w, outside)
+                if a is not None:
+                    hook = (w, a)
+                    break
+            if hook is None:
+                return failed("cycle spans a whole component; graph disconnected", len(cyc))
+            try:
+                path = absorb_external_vertex(G, cyc, hook[0], hook[1], constraints)
+            except RotationError as exc:
+                return failed(f"absorption blocked: {exc}", len(cyc))
+            _FIND_REF_HITS["absorption"] += 1  # counted
+            used |= 1 << hook[1]
+            continue
+        _FIND_REF_HITS["stuck"] += 1  # counted
+        _FIND_REF_HITS["node cap"] += outcome.explored == SEARCH_NODE_CAP  # counted
+        return failed(f"stuck: {outcome.message} "
+                      f"(level sizes {outcome.level_one}/{outcome.level_two})", len(path))
+    return failed("internal: path stopped growing", len(path))
+
+
+def _absorbing_instance(rnd):
+    """A graph and seed path whose search must absorb, and then grow the
+    path at its head.
+
+    The seed runs once around a cycle C of m vertices, closed by the chord
+    between its ends. Rotations of that path only ever reach the vertices
+    at positions 0-2 and m-3 to m-1, so the search finds the chord and no
+    extension. Two outside paths of two vertices each hang off positions
+    h and h - 1 and return to two other inner positions. The vertex at
+    position h has the lowest label of those with outside neighbours, so
+    the cycle opens there, and the opened path starts at position h - 1,
+    whose own outside path the tail's greedy growth cannot reach.
+    """
+    m = rnd.randint(9, 16)
+    h = rnd.randint(4, m - 5)
+    r1, r2 = rnd.sample([i for i in range(3, m - 2) if i not in (h, h - 1)], 2)
+    labels = list(range(m))
+    rnd.shuffle(labels)
+    low = min((h, h - 1, r1, r2), key=labels.__getitem__)
+    labels[h], labels[low] = labels[low], labels[h]
+    edges = set(cycle_edges(tuple(labels)))
+    for port, back, t in ((h, r1, m), (h - 1, r2, m + 2)):
+        edges |= {(labels[port], t), (t, t + 1), (labels[back], t + 1)}
+    return build_graph(m + 4, edges), labels
+
+
+def test_find_hamilton_cycle_matches_copying_reference():
+    rnd = random.Random(8181)
+    cases = []  # (G, locked, soft, seed_path, start_hint)
+    # unconstrained searches from greedy starts, sparse ones absorbing,
+    # getting stuck or finding the graph disconnected
+    for trial in range(180):
+        G = sample_gnp(rnd.randint(5, 45), rnd.choice((0.1, 0.15, 0.25, 0.4, 0.7)),
+                       RngSeed(8181, trial))
+        cases.append((G, (), (), None, rnd.choice((0, 0, 1, 2, 7))))
+    # seed paths with soft and locked edges on them
+    for trial in range(90):
+        G = sample_gnp(rnd.randint(6, 40), rnd.choice((0.15, 0.3, 0.5)), RngSeed(8182, trial))
+        path = _random_walk_path(G, rnd)
+        edges = sorted(path_edges(path))
+        soft = rnd.sample(edges, rnd.randint(0, len(edges)))
+        locked = rnd.sample(soft, rnd.randint(0, len(soft) // 3))
+        cases.append((G, locked, soft, path, 0))
+    # locked linear forests joined into the seed
+    for trial in range(50):
+        G = sample_gnp(rnd.randint(8, 30), rnd.choice((0.3, 0.5)), RngSeed(8183, trial))
+        locked = _linear_forest(G, rnd, rnd.randint(1, 6))
+        cases.append((G, locked, locked, None, 0))
+    # bipartite graphs with one side larger, which the search cannot close:
+    # small ones exhaust both levels, large ones walk up to the node cap
+    for trial in range(10):
+        a = rnd.randint(3, 20)
+        G, _ = _bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 3), rnd.choice((0.3, 0.6)))
+        cases.append((G, (), (), None, rnd.randrange(3)))
+    for trial in range(3):
+        a = rnd.randint(84, 90)
+        G, path = _bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 4), 0.3)
+        cases.append((G, (), (), path, 0))
+    for trial in range(12):
+        G, path = _absorbing_instance(rnd)
+        cases.append((G, (), (), path, 0))
+    _FIND_REF_HITS.clear()
+    outcomes = Counter()
+    for G, locked, soft, seed, hint in cases:
+        got_cons = RotationConstraints(locked=locked, soft=soft)
+        want_cons = RotationConstraints(locked=locked, soft=soft)
+        got = find_hamilton_cycle(G, got_cons, seed_path=seed, start_hint=hint)
+        want = find_hamilton_cycle_ref(G, want_cons, seed_path=seed, start_hint=hint)
+        # dataclass equality compares every HamiltonResult field
+        assert got == want, (G, locked, soft, seed, hint)
+        assert (got_cons.rotations, got_cons.soft_breaks, got_cons.absorptions) == \
+            (want_cons.rotations, want_cons.soft_breaks, want_cons.absorptions)
+        outcomes[got.ok] += 1
+    assert len(cases) >= 300 and min(outcomes[True], outcomes[False]) >= 30, outcomes
+    minimum = {"rotated once": 100, "other extension": 30, "absorption": 10,
+               "head growth after absorption": 10, "stuck": 20, "node cap": 2,
+               "seed path": 50, "locked seed": 30, "start hint >= 1": 50}
+    assert all(_FIND_REF_HITS[k] >= v for k, v in minimum.items()), sorted(_FIND_REF_HITS.items())
+
+
+def test_search_hands_its_own_path_positions_and_mask_over(monkeypatch):
+    # find_hamilton_cycle looks rotate_until_extendable up on the module on
+    # every pass, so a wrapper set there sees every call and can check that
+    # the kept path, vertex mask and positions agree each time
+    import hamcover.rotation as rotation
+
+    inner = rotation.rotate_until_extendable
+    calls = Counter()
+
+    def checked(G, path, constraints, path_mask, positions):
+        assert path_mask == mask_of(path)
+        assert all(positions[v] == i for i, v in enumerate(path))
+        out = inner(G, path, constraints, path_mask=path_mask, positions=positions)
+        calls[type(out).__name__, getattr(out, "at", None) is None] += 1
+        return out
+
+    monkeypatch.setattr(rotation, "rotate_until_extendable", checked)
+    rnd = random.Random(9191)
+    for trial in range(40):
+        G = sample_gnp(rnd.randint(40, 120), rnd.choice((0.15, 0.3, 0.6)), RngSeed(9191, trial))
+        find_hamilton_cycle(G, start_hint=trial % 3)
+    for trial in range(40):
+        G = sample_gnp(rnd.randint(10, 40), 0.3, RngSeed(9192, trial))
+        locked = _linear_forest(G, rnd, G.n // 3)
+        find_hamilton_cycle(G, RotationConstraints(locked=locked, soft=locked))
+    for trial in range(10):
+        G, path = _absorbing_instance(rnd)
+        find_hamilton_cycle(G, seed_path=path)
+    # ExtendAt with at set, and with at None; Chords, spanning or absorbed
+    assert calls["ExtendAt", False] >= 50 and calls["ExtendAt", True] >= 10, calls
+    assert calls["Chord", True] >= 10, calls
