@@ -17,7 +17,7 @@ print(f"G(96, 0.25): m={G.m}, greedy maximal matching of {len(M)} edges")
 
 out = merge_into_single_path(G, M, alpha=0.35)
 print(f"\nmerged into one path of {len(out.path)} vertices "
-      f"in {out.rounds} rounds (end-depth schedule {out.k_schedule})")
+      f"in {out.rounds} rounds (end depths {out.k_schedule})")
 print(f"moves mu={out.mu}, edges lost={out.lost}, gained={out.gained}")
 for i, b in enumerate(out.budgets, start=1):
     if b.mu:

@@ -137,6 +137,7 @@ def cmd_cover(args) -> int:
             "valid": False,
             "failure_phase": outcome.failure_phase,
             "failure_detail": outcome.failure_detail,
+            "packing_stopped": outcome.packing_stopped,
             "losses": outcome.losses,
             "phase_timings_ms": outcome.timings_ms,
         }, args.out)
@@ -151,6 +152,7 @@ def cmd_cover(args) -> int:
         "cover_size": cert.cover_size,
         "ratio": cert.cover_size / (G.max_degree() / 2.0),
         "ratio_lower_bound": cert.cover_size / math.ceil(G.max_degree() / 2),
+        "packing_stopped": outcome.packing_stopped,
         "losses": outcome.losses,
         "phase_timings_ms": outcome.timings_ms,
         "valid": True,

@@ -81,7 +81,6 @@ def greedy_edge_coloring(H: Graph) -> list[frozenset[Edge]]:
 class PackingResult:
     cycles: list[tuple[int, ...]]
     residual: Graph
-    target: int
     stopped: str = ""          # why extraction ended
     failures: int = 0
 
@@ -122,8 +121,8 @@ def extract_packing(G: Graph, target: int) -> PackingResult:
             if attempt >= STALL_LIMIT:
                 stopped = f"search stalled: {res.failure}"
                 break
-    return PackingResult(cycles=cycles, residual=residual, target=target,
-                         stopped=stopped, failures=failures)
+    return PackingResult(cycles=cycles, residual=residual, stopped=stopped,
+                         failures=failures)
 
 
 @dataclass
@@ -346,7 +345,8 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     if cert.cover_size < lower:
         return CoverOutcome(None, "validation",
                             f"cover size {cert.cover_size} beats the degree bound {lower}: "
-                            "certificate must be wrong", timings_ms=timings)
+                            "certificate must be wrong",
+                            packing_stopped=packing.stopped, timings_ms=timings)
     return CoverOutcome(cert, packing_stopped=packing.stopped,
                         losses={"merge_lost": merge_lost, "soft_breaks": soft_breaks,
                                 "soft_lost": soft_lost},

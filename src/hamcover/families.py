@@ -34,25 +34,22 @@ sees another path's. The candidate order is unchanged, so the moves are
 exactly those of recomputing everything after every move.
 
 reduce_family is the one code that joins paths, and it has two users. The
-driver merge_into_single_path feeds a matching through rounds of
-reductions with a growing end-depth schedule, protecting matching edges
-from trims for as long as any protecting move exists. find_hamilton_cycle
-joins the paths of its locked edges into one seed with a single round at
-k = 1, where a splice uses path ends only and so trims nothing. Both build
-their starting family with PathFamily.from_edges.
+driver merge_into_single_path feeds a matching through one round at k = 1,
+where a splice uses path ends only and so trims nothing, then through
+lossy rounds with ends as deep as the longest path allows until a round
+makes no move. find_hamilton_cycle joins the paths of its locked edges
+into one seed with a single round at k = 1. Both build their starting
+family with PathFamily.from_edges.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, edge_key, iter_bits, mask_of, path_edges
-
-log = logging.getLogger(__name__)
 
 
 class FamilyError(ValueError):
@@ -184,32 +181,15 @@ class _Ends:
 
     __slots__ = ("xs", "mask", "reach", "path_mask", "deletable")
 
-    def __init__(self, G: Graph, path: tuple[int, ...], k: int,
-                 protect: frozenset[Edge], spare_protected: bool, path_mask: int) -> None:
-        n = len(path)
-        idx = _end_candidates(path, k)
-        # at k = 1 every candidate is an endpoint, so a splice trims nothing
-        if spare_protected and protect and k > 1:
-            # head[c] / tail[c]: a protected edge among the first / last c
-            # edges, which is what trimming at cost c from that side discards
-            def hits(seq):
-                out = [False]
-                for c in range(min(k, n) - 1):
-                    out.append(out[-1] or edge_key(seq[c], seq[c + 1]) in protect)
-                return out
-            head, tail = hits(path[:k]), hits(path[-k:][::-1])
-            # _split_at trims the tail when the head piece is at least as long
-            idx = [i for i in idx
-                   if not (tail[n - 1 - i] if 2 * i >= n - 1 else head[i])]
+    def __init__(self, G: Graph, path: tuple[int, ...], k: int, path_mask: int) -> None:
         bits = G.adjacency_bits
-        self.xs = xs = [path[i] for i in idx]
+        self.xs = xs = [path[i] for i in _end_candidates(path, k)]
         mask = reach = 0
         for x in xs:
             mask |= 1 << x
             reach |= bits(x)
         self.mask, self.reach, self.path_mask = mask, reach, path_mask
-        self.deletable = n - 1 < 2 * k - 1 and not (
-            spare_protected and path_edges(path) & protect)
+        self.deletable = len(path) - 1 < 2 * k - 1
 
 
 def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[int] | None:
@@ -290,15 +270,12 @@ def _find_merge(G: Graph, paths: list[tuple[int, ...]], ends: dict[tuple[int, ..
     return None
 
 
-def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget,
-                  protect: frozenset[Edge] = frozenset(),
-                  spare_protected: bool = True) -> PathFamily:
+def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
     """Apply deletion and merge moves to a fixpoint, mutating ``budget``.
 
     Deletion drops any path of fewer than 2k-1 edges; merging splices two
     paths whose k-ends connect directly or through at most d outside edges.
-    When ``spare_protected``, moves that would discard a protected edge are
-    skipped. Budget invariants are asserted after every move.
+    Budget invariants are asserted after every move.
     """
     k, d = budget.k, budget.d
     paths = list(family.paths)
@@ -307,7 +284,7 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget,
 
     def add(p: tuple[int, ...], path_mask: int) -> None:
         nonlocal ends_mask, family_mask
-        e = ends[p] = _Ends(G, p, k, protect, spare_protected, path_mask)
+        e = ends[p] = _Ends(G, p, k, path_mask)
         ends_mask |= e.mask
         family_mask |= path_mask
 
@@ -382,12 +359,14 @@ class MergeOutcome:
 def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     """Merge a matching (as length-1 paths) into a single path.
 
-    Runs reduction rounds with connector cap d = ceil(6/alpha) and an
-    end-depth schedule k = 1, then ceil(n^((i-1)*alpha/2)), with k always
-    capped so that deletions can never claim a shortest path. Matching
-    edges are protected from trims while any protecting move exists; only
-    then are lossy moves allowed. If several paths survive, all but the
-    largest are dissolved and their matching edges reported as lost.
+    Runs reduction rounds with connector cap d = ceil(6/alpha): one round at
+    k = 1, which splices path ends only and so keeps every matching edge,
+    then lossy rounds with ends as deep as the longest path allows, until
+    one path is left or a round makes no move. Every path end is a matching
+    edge until a lossy round trims it, so a round at a deeper k that spared
+    matching edges could only repeat the k = 1 round. If several paths
+    survive, all but the largest are dissolved and their matching edges
+    reported as lost.
     """
     M = frozenset(edge_key(*e) for e in matching)
     if not M:
@@ -398,43 +377,23 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     d = max(1, math.ceil(6.0 / alpha))
     out = MergeOutcome(path=(), lost_matching=frozenset())
 
-    def round_with(k: int, spare: bool) -> bool:
+    def round_with(k: int) -> bool:
         nonlocal family
         out.rounds += 1
         budget = ExtensionBudget(d=d, k=k)
-        family = reduce_family(G, family, budget, protect=M, spare_protected=spare)
+        family = reduce_family(G, family, budget)
         out.budgets.append(budget)
         out.k_schedule.append(k)
         return budget.mu > 0
 
-    # the growing schedule, with k capped so deletions can never claim a
-    # shortest path (protected paths are skipped anyway; the cap keeps the
-    # schedule honest for unprotected members too)
-    i = 1
-    max_rounds = G.n + len(family.paths) + 8
-    while len(family.paths) > 1 and out.rounds < max_rounds:
-        k_target = 1 if i == 1 else math.ceil(G.n ** ((i - 1) * alpha / 2.0))
-        shortest = min(len(p) - 1 for p in family.paths)
-        k_cap = max(1, (shortest + 1) // 2)
-        k = min(k_target, k_cap)
-        if k < k_target:
-            log.debug("end depth capped at %d (schedule wanted %d)", k, k_target)
-        progress = round_with(k, spare=True)
-        if not progress and k >= k_cap:
-            break
-        i += 1
-    # loss avoidance: before accepting any loss, retry with ends as deep as
-    # the longest path allows (splice targets anywhere; 2k-1 stays at most
-    # the longest edge length, so rule 1 can never empty the family), then
-    # as a last resort allow lossy trims
-    def deep_end() -> int:
-        return max(1, (max(len(p) - 1 for p in family.paths) + 1) // 2)
-
-    while len(family.paths) > 1 and out.rounds < max_rounds:
-        if not round_with(deep_end(), spare=True):
-            break
-    while len(family.paths) > 1 and out.rounds < max_rounds:
-        if not round_with(deep_end(), spare=False):
+    if len(family.paths) > 1:
+        round_with(1)
+    # lossy rounds: 2k-1 stays at most the longest path's edge count, so
+    # deletions can never empty the family; a round that moves lowers the
+    # path count
+    while len(family.paths) > 1:
+        longest = max(len(p) - 1 for p in family.paths)
+        if not round_with((longest + 1) // 2):
             break
 
     paths = family.paths

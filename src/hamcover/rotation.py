@@ -242,7 +242,6 @@ class EndpointSet:
     pivots: dict[int, tuple[int, ...]]
     paths: dict[int, tuple[int, ...]]
     external: int | None = None    # endpoint with a neighbor off the path, if found
-    depth: int = 0
 
 
 def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
@@ -273,7 +272,6 @@ def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
         out.endpoints.add(e)
         out.pivots[e] = pivots
         out.paths[e] = tuple(_rotated(parent, i))
-        out.depth = max(out.depth, len(pivots))
         if G.adjacency_bits(e) & outside:
             out.external = e
             break
@@ -536,9 +534,10 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
         path = list(seed_path)
         if len(path) < 2 or not is_path(G, path):
             return HamiltonResult(None, failure="seed is not a path of this graph")
-        missing = sorted(constraints.locked - path_edges(path))
-        if missing:
-            return HamiltonResult(None, failure=f"seed path misses locked edges {missing}")
+        if constraints.locked:
+            missing = sorted(constraints.locked - path_edges(path))
+            if missing:
+                return HamiltonResult(None, failure=f"seed path misses locked edges {missing}")
     elif constraints.locked:
         absent = [e for e in sorted(constraints.locked) if not G.has_edge(*e)]
         if absent:

@@ -116,7 +116,7 @@ def test_criterion_3_extension_accounting():
         if not M:
             continue
         if trial % 3 == 0 and len(M) >= 1:
-            # full merge driver (its own k schedule, protected moves)
+            # full merge driver (a k = 1 round, then lossy rounds at deep ends)
             out = merge_into_single_path(G, M, alpha=rnd.choice([0.2, 0.4, 0.8]))
             for b in out.budgets:
                 assert b.lost <= 2 * (b.k - 1) * b.mu

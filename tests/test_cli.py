@@ -88,6 +88,8 @@ def test_cover_petersen_fails_with_json(tmp_path, capsys):
     report = json.loads(out)
     assert report["valid"] is False
     assert report["failure_phase"]
+    # the Petersen graph has no Hamilton cycle, so the packing stalls first
+    assert report["packing_stopped"].startswith("search stalled: ")
     assert report["config"]["alpha"] == 0.3
 
 
@@ -102,6 +104,7 @@ def test_cover_reports_and_verifies(tmp_path, capsys):
     assert report["valid"] and report["n"] == 9 and report["delta_max"] == 8
     assert report["cover_size"] >= 4
     assert report["ratio_lower_bound"] == report["cover_size"] / 4
+    assert report["packing_stopped"] == "target reached"
     code, _ = run(capsys, "verify", "--graph", str(gpath), "--cover", str(cycles))
     assert code == 0
 

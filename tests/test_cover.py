@@ -100,7 +100,8 @@ def test_extract_packing_zero_target():
 
 
 # The packing loop as it was when it rescanned the residual's minimum degree
-# before every search, verbatim apart from the _ref suffix on its name.
+# before every search, verbatim apart from the _ref suffix on its name and
+# the unread target field that PackingResult no longer has.
 
 def extract_packing_ref(G: Graph, target: int) -> PackingResult:
     """Greedily extract up to ``target`` edge-disjoint Hamilton cycles.
@@ -131,8 +132,8 @@ def extract_packing_ref(G: Graph, target: int) -> PackingResult:
             if attempt >= STALL_LIMIT:
                 stopped = f"search stalled: {res.failure}"
                 break
-    return PackingResult(cycles=cycles, residual=residual, target=target,
-                         stopped=stopped, failures=failures)
+    return PackingResult(cycles=cycles, residual=residual, stopped=stopped,
+                         failures=failures)
 
 
 def test_extract_packing_matches_rescanning_reference():
@@ -149,7 +150,7 @@ def test_extract_packing_matches_rescanning_reference():
     reasons = Counter()
     for G, target in graphs:
         got = extract_packing(G, target)
-        # dataclass equality compares cycles, residual, target, stopped and failures
+        # dataclass equality compares cycles, residual, stopped and failures
         assert got == extract_packing_ref(G, target), (G, target)
         reasons[got.stopped.split(":")[0]] += 1
     assert reasons["target reached"] >= 10 and reasons["search stalled"] >= 3 and \

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from hamcover.families import (
     merge_into_single_path,
     reduce_family,
 )
-from hamcover.gnp import RngSeed, sample_gnp
+from hamcover.gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from hamcover.graph import (
     Edge,
     build_graph,
@@ -30,7 +31,7 @@ from hamcover.graph import (
     path_edges,
 )
 from hamcover.oracle import validate_family
-from hamcover.cover import greedy_maximal_matching
+from hamcover.cover import extract_packing, greedy_edge_coloring, greedy_maximal_matching
 
 
 def test_k_end_examples():
@@ -468,12 +469,117 @@ def test_merge_matches_eager_reference(monkeypatch):
         d, k = rnd.randint(0, 4), rnd.randint(1, 4)
         for fam in (PathFamily(list(M)), PathFamily([got.path])):
             budgets = ExtensionBudget(d=d, k=k), ExtensionBudget(d=d, k=k)
-            got_fam = reduce_family(G, fam, budgets[0], protect=M, spare_protected=False)
-            want_fam = _ref_reduce_family(G, fam, budgets[1], protect=M,
-                                          spare_protected=False)
+            got_fam = reduce_family(G, fam, budgets[0])
+            want_fam = _ref_reduce_family(G, fam, budgets[1])
             assert got_fam.paths == want_fam.paths
             assert budgets[0] == budgets[1]
     assert merges >= 100
+
+
+# The driver as it was when it ran a growing end-depth schedule of rounds
+# that spared matching edges, then deep spare rounds, then lossy rounds,
+# under a round cap; verbatim apart from the _ref suffix on its name, its
+# docstring, its debug log line, and the eager reference reduction it calls.
+
+def merge_into_single_path_ref(G, matching, alpha):
+    M = frozenset(edge_key(*e) for e in matching)
+    if not M:
+        raise ValueError("matching must be non-empty")
+    family = PathFamily.from_edges(M)
+    if len(family.paths) != len(M):
+        raise FamilyError("edges sharing a vertex are not a matching")
+    d = max(1, math.ceil(6.0 / alpha))
+    out = families.MergeOutcome(path=(), lost_matching=frozenset())
+
+    def round_with(k: int, spare: bool) -> bool:
+        nonlocal family
+        out.rounds += 1
+        budget = ExtensionBudget(d=d, k=k)
+        family = _ref_reduce_family(G, family, budget, protect=M, spare_protected=spare)
+        out.budgets.append(budget)
+        out.k_schedule.append(k)
+        return budget.mu > 0
+
+    # the growing schedule, with k capped so deletions can never claim a
+    # shortest path (protected paths are skipped anyway; the cap keeps the
+    # schedule honest for unprotected members too)
+    i = 1
+    max_rounds = G.n + len(family.paths) + 8
+    while len(family.paths) > 1 and out.rounds < max_rounds:
+        k_target = 1 if i == 1 else math.ceil(G.n ** ((i - 1) * alpha / 2.0))
+        shortest = min(len(p) - 1 for p in family.paths)
+        k_cap = max(1, (shortest + 1) // 2)
+        k = min(k_target, k_cap)
+        progress = round_with(k, spare=True)
+        if not progress and k >= k_cap:
+            break
+        i += 1
+    # loss avoidance: before accepting any loss, retry with ends as deep as
+    # the longest path allows (splice targets anywhere; 2k-1 stays at most
+    # the longest edge length, so rule 1 can never empty the family), then
+    # as a last resort allow lossy trims
+    def deep_end() -> int:
+        return max(1, (max(len(p) - 1 for p in family.paths) + 1) // 2)
+
+    while len(family.paths) > 1 and out.rounds < max_rounds:
+        if not round_with(deep_end(), spare=True):
+            break
+    while len(family.paths) > 1 and out.rounds < max_rounds:
+        if not round_with(deep_end(), spare=False):
+            break
+
+    paths = family.paths
+    keep = max(paths, key=lambda p: (len(p), tuple(-v for v in p)))
+    out.dissolved = len(paths) - 1
+    out.path = keep
+    out.lost_matching = M - path_edges(keep)
+    return out
+
+
+def _moving_rounds(out):
+    return [(b.k, b.mu, b.lost, b.gained) for b in out.budgets if b.mu]
+
+
+def _scheduled_inputs():
+    """(G, matching, alpha) triples: residual colour classes of sparse
+    samples, which strand paths after the k = 1 round; then maximal
+    matchings of disjoint unions, where a lossy merge lengthens the longest
+    path and so deepens the next round's ends."""
+    for n, p, base in ((64, 0.15, 5), (96, 0.1, 12)):
+        for s in range(30):
+            G = sample_gnp(n, p, RngSeed(base, s))
+            if G.min_degree() < 2:
+                continue
+            packing = extract_packing(G, G.min_degree() // 2)
+            for cls in greedy_edge_coloring(packing.residual):
+                for alpha in (expander_params_for_gnp(n, p).alpha, 0.3):
+                    yield G, cls, alpha
+    rnd = random.Random(77)
+    for trial in range(200):
+        G = disjoint_union(*(sample_gnp(rnd.randint(6, 20), rnd.choice([0.1, 0.15, 0.2]),
+                                        RngSeed(77, 2 * trial + j)) for j in range(2)))
+        yield G, greedy_maximal_matching(G), rnd.choice([0.3, 0.6, 1.0])
+
+
+def test_merge_matches_scheduled_driver_with_protected_rounds():
+    # every path end is a matching edge until a lossy round trims it, so the
+    # protected rounds at k > 1 never moved: one k = 1 round and then lossy
+    # rounds at ends as deep as the longest path allows make the same path,
+    # losses and moves
+    multi = deep = 0
+    for G, M, alpha in _scheduled_inputs():
+        if not M:
+            continue
+        got = merge_into_single_path(G, M, alpha)
+        if got.rounds <= 1:
+            continue  # both drivers start with the same k = 1 round
+        multi += 1
+        want = merge_into_single_path_ref(G, M, alpha)
+        assert (got.path, got.lost_matching, got.dissolved) == \
+            (want.path, want.lost_matching, want.dissolved), (G.n, sorted(M), alpha)
+        assert _moving_rounds(got) == _moving_rounds(want), (G.n, sorted(M), alpha)
+        deep += len(_moving_rounds(got)) >= 3
+    assert multi >= 400 and deep >= 5, (multi, deep)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=24, unique=True),
@@ -526,17 +632,17 @@ def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
     ctx = {}
     seen = {"families": 0, "moves": 0, "connectors": 0, "cuts": 0, "k": set()}
 
-    def reduce_spy(G, family, budget, protect=frozenset(), spare_protected=True):
-        ctx.update(k=budget.k, protect=protect, spare=spare_protected)
+    def reduce_spy(G, family, budget):
+        ctx.update(k=budget.k)
         seen["families"] += 1
         seen["k"].add(budget.k)
-        return real_reduce(G, family, budget, protect, spare_protected)
+        return real_reduce(G, family, budget)
 
     def find_spy(G, paths, ends, ends_mask, family_mask, d):
         want_family = want_ends = 0
         for p in paths:
             want_family |= mask_of(p)
-            fresh = _Ends(G, p, ctx["k"], ctx["protect"], ctx["spare"], mask_of(p))
+            fresh = _Ends(G, p, ctx["k"], mask_of(p))
             assert _ends_state(ends[p]) == _ends_state(fresh), p
             want_ends |= fresh.mask
         assert set(ends) == set(paths)
@@ -565,15 +671,13 @@ def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
         # the matching, which leaves vertices outside the family
         k = 2 + trial % 3
         walks = _walk_paths(G, rnd, 4 * k)
-        walk_edges = frozenset().union(*map(path_edges, walks.paths))
         part = frozenset(sorted(M)[: max(1, len(M) // 3)])
-        for fam, d, k, protect, spare in (
-                (walks, 0, k, walk_edges, False),
-                (walks, 1 + trial % 3, k, frozenset(), False),
-                (PathFamily(list(part)), 1 + trial % 3, 1, M, True),
-                (PathFamily(list(part)), 2, 2, M, False)):
-            families.reduce_family(G, fam, ExtensionBudget(d=d, k=k), protect=protect,
-                                   spare_protected=spare)
+        for fam, d, k in (
+                (walks, 0, k),
+                (walks, 1 + trial % 3, k),
+                (PathFamily(list(part)), 1 + trial % 3, 1),
+                (PathFamily(list(part)), 2, 2)):
+            families.reduce_family(G, fam, ExtensionBudget(d=d, k=k))
     assert seen["families"] >= 100
     assert {2, 3, 4} <= seen["k"]
     assert seen["moves"] >= 1000 and seen["connectors"] >= 50 and seen["cuts"] >= 100, seen
