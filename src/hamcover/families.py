@@ -364,9 +364,11 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     then lossy rounds with ends as deep as the longest path allows, until
     one path is left or a round makes no move. Every path end is a matching
     edge until a lossy round trims it, so a round at a deeper k that spared
-    matching edges could only repeat the k = 1 round. If several paths
-    survive, all but the largest are dissolved and their matching edges
-    reported as lost.
+    matching edges could only repeat the k = 1 round. If the k = 1 round
+    makes no move, every path is still one edge long, so the first lossy
+    round would be at k = 1 too and repeat it; it is skipped. If several
+    paths survive, all but the largest are dissolved and their matching
+    edges reported as lost.
     """
     M = frozenset(edge_key(*e) for e in matching)
     if not M:
@@ -386,15 +388,13 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
         out.k_schedule.append(k)
         return budget.mu > 0
 
-    if len(family.paths) > 1:
-        round_with(1)
-    # lossy rounds: 2k-1 stays at most the longest path's edge count, so
-    # deletions can never empty the family; a round that moves lowers the
-    # path count
-    while len(family.paths) > 1:
+    moved = len(family.paths) > 1 and round_with(1)
+    # lossy rounds, each after a round that moved: 2k-1 stays at most the
+    # longest path's edge count, so deletions can never empty the family;
+    # a round that moves lowers the path count
+    while moved and len(family.paths) > 1:
         longest = max(len(p) - 1 for p in family.paths)
-        if not round_with((longest + 1) // 2):
-            break
+        moved = round_with((longest + 1) // 2)
 
     paths = family.paths
     keep = max(paths, key=lambda p: (len(p), tuple(-v for v in p)))

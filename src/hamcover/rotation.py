@@ -8,9 +8,11 @@ vertex set and the number of edges never change.
 
 Constraints carry two edge sets: a locked set that no rotation or
 absorption may ever break, and a soft set that is broken only when no clean
-alternative exists, with every such break counted. Searches explore the
-rotation tree breadth-first with pivots in ascending vertex order, so every
-outcome is deterministic for a given graph and seed path.
+alternative exists, with every such break counted. One rotation walk,
+``_rotation_walk``, explores the rotation tree breadth-first with pivots in
+ascending vertex order and hands each rotation to a callback; the endpoint
+sets and the two-level extension search are built on it, so every outcome
+is deterministic for a given graph and seed path.
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ class RotationConstraints:
     absorptions generated, not soft edges lost, since a rotation the search
     explores may never reach its result. ``rotations`` and ``absorptions``
     count every edge-breaking move made, exploration included, so
-    soft_breaks <= rotations + absorptions always holds. The rotation BFS
-    makes each rotation only when its consumer asks for the next one, so
-    a search counts the rotations it generated, not every child of every
-    path it expanded. A rotation is counted when it is generated, whether
-    or not its path is ever built as a list: the BFS builds one only to
-    expand it or when a consumer reads it.
+    soft_breaks <= rotations + absorptions always holds. The rotation walk
+    counts each rotation as it makes it and stops at the first one its
+    callback accepts, so a search counts the rotations it visited, not
+    every child of every path it expanded. A rotation is counted whether
+    or not its path is ever built as a list: the walk builds one only to
+    expand it, and a callback only to return or record it.
     """
 
     locked: frozenset[Edge] = frozenset()
@@ -127,106 +129,89 @@ def rotate(G: Graph, state: RotationState, pivot: int,
 
 
 def _rotated(parent: list[int], i: int | None) -> list[int]:
-    """The path a rotation BFS entry stands for: ``parent`` itself when i is
-    None (the seed), else ``parent`` rotated around the pivot at position i,
+    """The path a rotation walk entry stands for: ``parent`` itself when i is
+    None (the root), else ``parent`` rotated around the pivot at position i,
     its suffix past i reversed. Rotated paths are fresh lists."""
     if i is None:
         return parent
     return parent[: i + 1] + parent[:i:-1]
 
 
-def _rotation_moves(G, path: list[int], seen: set[int],
-                    constraints: RotationConstraints,
-                    positions: list[int] | None = None, path_mask: int = -1):
-    """(position, pivot, broken edge) of each rotation of ``path`` that breaks
-    no locked edge and whose new endpoint is not in ``seen``: clean ones in
-    ascending pivot order, then soft ones in ascending pivot order.
+def _rotation_walk(G, root: list[int], constraints: RotationConstraints, visit,
+                   max_depth: float = math.inf, positions: list[int] | None = None,
+                   path_mask: int = -1):
+    """Breadth-first walk of the rotation tree with fixed endpoint root[0].
 
-    Pivots are the endpoint's neighbours in ``path_mask`` (by default all
-    of them). Each is looked up in ``positions`` (vertex -> position in
-    ``path``) when it is given, and else by a scan of ``path``. A caller
-    that passes ``positions`` passes the path's vertex mask too, so an
-    entry for an off-path vertex is never read.
+    Makes each rotation that breaks no locked edge and reaches an endpoint
+    not reached before, records it in ``constraints`` and calls
+    ``visit(parent, i, end)``: the rotated path is ``_rotated(parent, i)``,
+    ``parent`` rotated around the pivot at position i, whose endpoint is
+    ``end`` = parent[i + 1]. The root itself is not visited. Each
+    expansion scans its pivots in ascending vertex order and makes the
+    clean rotations as it finds them, then the ones that break a soft edge,
+    held back until then. Distinct pivots give distinct endpoints, so a
+    held-back rotation is never ruled out by the clean ones made after it.
 
-    Soft moves are held back while the clean ones are yielded. Distinct
-    pivots give distinct new endpoints, so the endpoints a consumer adds
-    to ``seen`` meanwhile never rule a held-back move out.
+    The walk goes to depth ``max_depth``. It stops at the first value other
+    than None that ``visit`` returns and returns it, so rotations past that
+    point are never made or counted; it returns None once the tree is
+    exhausted. A rotated path is built as a list only to be expanded.
+
+    Pivots are the endpoint's neighbours in ``path_mask``, the root's vertex
+    mask, which every rotated path shares (by default all of them). The
+    root's expansion looks each up in ``positions`` (vertex -> position in
+    root) when it is given; deeper expansions scan their path.
     """
-    q = len(path)
-    deferred = []
-    # consumers usually stop within a few pivots, so without a position map
-    # one scan of the path per pivot is cheaper than building one
-    index = path.index if positions is None else positions.__getitem__
-    nb = G.adjacency_bits(path[-1]) & path_mask
-    while nb:
-        low = nb & -nb
-        nb ^= low
-        w = low.bit_length() - 1
-        try:
-            i = index(w)
-        except ValueError:
-            continue
-        if i > q - 3:
-            continue
-        nxt = path[i + 1]
-        if nxt in seen:
-            continue
-        broken = edge_key(w, nxt)
-        if broken in constraints.locked:
-            continue
-        if broken in constraints.soft:
-            deferred.append((i, w, broken))
-        else:
-            yield i, w, broken
-    yield from deferred
-
-
-def _rotation_bfs(G, path0: list[int], constraints: RotationConstraints,
-                  max_depth: float = math.inf,
-                  positions: list[int] | None = None, path_mask: int = -1):
-    """Breadth-first walk of the rotation tree with fixed endpoint path0[0].
-
-    Yields (parent, i, end, pivots) once per distinct non-fixed endpoint,
-    the seed path included, never breaking a locked edge. The entry stands
-    for the path ``_rotated(parent, i)``: ``parent`` is a built list, i is
-    None for the seed path itself (then parent is path0), else the position
-    of the pivot in parent, and ``end`` is the entry's endpoint
-    parent[i + 1]. Within one expansion, rotations that keep soft edges
-    intact come first. Explores to depth ``max_depth``; callers stop
-    consuming when they have enough endpoints.
-
-    Each rotation is made, counted in ``constraints`` and yielded only when
-    the consumer asks for it, so rotations past the point where the
-    consumer stops are never made. A rotated path is built as a list only
-    when the walk pops it to expand it, or when a consumer calls
-    _rotated() on an entry it reads; most rotations are leaves that the
-    consumer passes over, and they never copy their n vertices.
-
-    ``positions`` maps each vertex of path0 to its position there, and
-    ``path_mask`` is path0's vertex mask, which every rotated path shares.
-    With them the expansion of path0 looks its pivots up in O(1); deeper
-    expansions scan their built paths.
-    """
-    q = len(path0)
-    yield path0, None, path0[-1], ()
+    q = len(root)
     if q < 3 or max_depth <= 0:
-        return
-    seen = {path0[-1]}
-    queue = deque([(path0, None, (), 0)])
+        return None
+    bits = G.adjacency_bits
+    locked, soft = constraints.locked, constraints.soft
+    seen = {root[-1]}
+    queue = deque([(root, None, 0)])
     while queue:
-        parent, at, pivots, depth = queue.popleft()
+        parent, at, depth = queue.popleft()
         if depth >= max_depth:
             continue
         path = _rotated(parent, at)
-        moves = _rotation_moves(G, path, seen, constraints,
-                                positions if depth == 0 else None, path_mask)
-        for i, w, broken in moves:
+        index = path.index if positions is None or depth else positions.__getitem__
+        held = []
+        nb = bits(path[-1]) & path_mask
+        while nb:
+            low = nb & -nb
+            nb ^= low
+            w = low.bit_length() - 1
+            try:
+                i = index(w)
+            except ValueError:
+                continue
+            if i > q - 3:
+                continue
+            end = path[i + 1]
+            if end in seen:
+                continue
+            if soft:  # a superset of locked
+                broken = (w, end) if w < end else (end, w)
+                if broken in locked:
+                    continue
+                if broken in soft:
+                    held.append(i)
+                    continue
+            seen.add(end)
+            constraints.rotations += 1  # a clean rotation, so not a soft break
+            found = visit(path, i, end)
+            if found is not None:
+                return found
+            queue.append((path, i, depth + 1))
+        for i in held:
             end = path[i + 1]
             seen.add(end)
-            constraints.record(broken)
-            child_pivots = pivots + (w,)
-            yield path, i, end, child_pivots
-            queue.append((path, i, child_pivots, depth + 1))
+            constraints.record(edge_key(path[i], end))
+            found = visit(path, i, end)
+            if found is not None:
+                return found
+            queue.append((path, i, depth + 1))
+    return None
 
 
 @dataclass
@@ -235,6 +220,8 @@ class EndpointSet:
 
     ``pivots`` maps each endpoint to the pivot sequence that reaches it;
     replaying those pivots through rotate() reproduces ``paths[endpoint]``.
+    Each endpoint is reached once, so its sequence is that of the path it
+    was rotated from, plus one pivot.
     """
 
     fixed: int
@@ -254,7 +241,8 @@ def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
     Stops early once an endpoint has a neighbor outside the path's vertex
     set (flagged in ``external``) or once ``endpoint_cap`` endpoints are
     known (default ceil(n/3), the scale the expansion guarantees; pass
-    G.n for exhaustive enumeration).
+    G.n for exhaustive enumeration). Only the rotations up to that point
+    are made and counted in ``constraints``.
     """
     if constraints is None:
         constraints = RotationConstraints()
@@ -268,15 +256,23 @@ def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
     cap = endpoint_cap if endpoint_cap is not None else max(1, math.ceil(G.n / 3))
     outside = G.full_mask() & ~mask_of(p)
     out = EndpointSet(fixed=fixed, endpoints=set(), pivots={}, paths={})
-    for parent, i, e, pivots in _rotation_bfs(G, p, constraints, max_depth):
+
+    def reach(e: int, pivots: tuple[int, ...], walked: list[int]) -> bool | None:
+        """Record endpoint e; True when the walk should stop there."""
         out.endpoints.add(e)
         out.pivots[e] = pivots
-        out.paths[e] = tuple(_rotated(parent, i))
+        out.paths[e] = tuple(walked)
         if G.adjacency_bits(e) & outside:
             out.external = e
-            break
-        if len(out.endpoints) >= cap:
-            break
+            return True
+        return True if len(out.endpoints) >= cap else None
+
+    def visit(parent: list[int], i: int, e: int) -> bool | None:
+        # parent's endpoint was reached once, with parent's own pivots
+        return reach(e, out.pivots[parent[-1]] + (parent[i],), _rotated(parent, i))
+
+    if reach(p[-1], (), p) is None:
+        _rotation_walk(G, p, constraints, visit, max_depth)
     return out
 
 
@@ -284,16 +280,16 @@ def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
 class ExtendAt:
     """A same-vertex-set path whose endpoint can step off the path.
 
-    ``at`` is set when ``path`` is the searched path itself rotated once
-    around the pivot at position ``at`` (its suffix past ``at`` reversed),
-    so a caller that keeps that path can rotate it in place instead of
-    copying ``path``; it is None for every other path. It takes no part in
-    equality.
+    ``at`` is set when the path is the searched path itself rotated once
+    around the pivot at position ``at`` (its suffix past ``at`` reversed).
+    Then ``path`` is None: the path is ``_rotated(seed, at)``, and the
+    caller, which holds the seed, can rotate it in place. For every other
+    path ``at`` is None and ``path`` holds it.
     """
-    path: tuple[int, ...]
+    path: tuple[int, ...] | None
     endpoint: int
     external: int
-    at: int | None = field(default=None, compare=False, repr=False)
+    at: int | None = None
 
 
 @dataclass(frozen=True)
@@ -332,18 +328,19 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     seed survive into whichever path is returned. The seed is never
     mutated, and a list seed is not copied.
 
-    Level one is the rotation BFS of the seed with its first vertex fixed.
+    Level one is the rotation walk of the seed with its first vertex fixed.
     Once it is exhausted, level two reverses each level-one path, fixing
-    its endpoint, and walks the rotations of the old fixed end, skipping
-    the unrotated path that level one already checked. Level one keeps its
-    paths as (parent, i, end) entries, and a path is built only to be
-    reversed or returned.
+    its endpoint, and walks the rotations of the old fixed end; the walk
+    never visits its root, the unrotated path that level one already
+    checked. One ``visit`` callback checks every path of both levels.
+    Level one keeps its paths as (parent, i, end) entries, and a path is
+    built only to be reversed or returned.
 
     ``path_mask`` is the bitmask of the path's vertices and ``positions``
     maps each of its vertices to its position, for callers that already
     keep them; with ``positions`` the seed's own rotations look their
     pivots up in O(1). An ExtendAt whose path is the seed rotated once
-    carries the pivot position in ``at``.
+    carries the pivot position in ``at`` and no path.
     """
     if constraints is None:
         constraints = RotationConstraints()
@@ -371,36 +368,37 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
 
     level_one = [(p0, None, tail)]  # (parent, i, end) per level-one path
     explored = 1                    # the seed, checked above
+    fixed = head                    # the fixed end of the current walk
 
-    def walks():
-        """(fixed end, rotation BFS) of level one, then of each level-two walk."""
-        yield head, _rotation_bfs(G, p0, constraints, positions=positions,
-                                  path_mask=path_mask)
-        for first, at, end in level_one:
-            yield end, _rotation_bfs(G, _rotated(first, at)[::-1], constraints)
+    def visit(parent, i, e):
+        nonlocal chord, explored
+        if fixed == head:
+            level_one.append((parent, i, e))
+        explored += 1
+        hit = bits(e) & outside
+        if hit:
+            ext = (hit & -hit).bit_length() - 1
+            if parent is p0:
+                return ExtendAt(path=None, endpoint=e, external=ext, at=i)
+            return ExtendAt(path=tuple(_rotated(parent, i)), endpoint=e, external=ext)
+        if chord is None and bits(fixed) >> e & 1:
+            chord = Chord(path=tuple(_rotated(parent, i)), ends=(fixed, e))
+            if not outside:
+                return chord
+        if explored >= SEARCH_NODE_CAP:
+            return chord or Stuck(len(level_one), explored - len(level_one), explored,
+                                  "node budget exhausted")
+        return None
 
-    for fixed, walk in walks():
-        first_level = fixed == head
-        for parent, i, e, _ in walk:
-            if i is None:
-                continue  # the walk's unrotated root: the seed, or a level-one path
-            if first_level:
-                level_one.append((parent, i, e))
-            explored += 1
-            hit = bits(e) & outside
-            if hit:
-                return ExtendAt(path=tuple(_rotated(parent, i)), endpoint=e,
-                                external=(hit & -hit).bit_length() - 1,
-                                at=i if parent is p0 else None)
-            if chord is None and bits(fixed) >> e & 1:
-                chord = Chord(path=tuple(_rotated(parent, i)), ends=(fixed, e))
-                if not outside:
-                    return chord
-            if explored >= SEARCH_NODE_CAP:
-                return chord or Stuck(len(level_one), explored - len(level_one), explored,
-                                      "node budget exhausted")
-    return chord or Stuck(len(level_one), explored - len(level_one), explored,
-                          "no extension, no chord")
+    found = _rotation_walk(G, p0, constraints, visit, positions=positions,
+                           path_mask=path_mask)
+    for first, at, fixed in level_one:
+        if found is not None:
+            break
+        found = _rotation_walk(G, _rotated(first, at)[::-1], constraints, visit,
+                               path_mask=path_mask)
+    return found or chord or Stuck(len(level_one), explored - len(level_one), explored,
+                                   "no extension, no chord")
 
 
 def absorb_external_vertex(G: Graph, cycle: list[int] | tuple[int, ...], w: int, a: int,

@@ -204,6 +204,8 @@ def test_merge_across_components_loses_one_edge():
     out = merge_into_single_path(G, {(0, 1), (4, 5)}, alpha=0.5)
     assert len(out.lost_matching) == 1
     assert out.dissolved == 1
+    # the k = 1 round makes no move, and no lossy round repeats it at k = 1
+    assert out.rounds == 1 and out.k_schedule == [1] and out.mu == 0
 
 
 def test_merge_survives_even_length_survivor_with_straggler():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter, deque
@@ -27,6 +28,7 @@ from hamcover.oracle import held_karp_hamiltonian
 from hamcover.rotation import (
     SEARCH_NODE_CAP,
     Chord,
+    EndpointSet,
     ExtendAt,
     HamiltonResult,
     RotationConstraints,
@@ -35,8 +37,7 @@ from hamcover.rotation import (
     Stuck,
     _external_neighbor,
     _rotated,
-    _rotation_bfs,
-    _rotation_moves,
+    _rotation_walk,
     _start_vertex,
     absorb_external_vertex,
     endpoint_set,
@@ -186,6 +187,66 @@ def test_endpoint_set_counts_only_the_rotations_it_made():
         assert cons.rotations == sum(1 for e in es.endpoints if es.pivots[e]) == cap - 1
 
 
+def _endpoint_set_ref(G, path, fixed, constraints, max_depth, endpoint_cap):
+    """endpoint_set on the reference walk, which carries each path's pivot
+    sequence and builds every rotated path."""
+    p = list(path)
+    if p[-1] == fixed:
+        p = p[::-1]
+    cap = endpoint_cap if endpoint_cap is not None else max(1, math.ceil(G.n / 3))
+    outside = G.full_mask() & ~mask_of(p)
+    out = EndpointSet(fixed=fixed, endpoints=set(), pivots={}, paths={})
+    for walked, pivots in _rotation_bfs_ref(G, p, constraints,
+                                            G.n if max_depth is None else max_depth):
+        e = walked[-1]
+        out.endpoints.add(e)
+        out.pivots[e] = pivots
+        out.paths[e] = tuple(walked)
+        if G.adjacency_bits(e) & outside:
+            out.external = e
+            break
+        if len(out.endpoints) >= cap:
+            break
+    return out
+
+
+def test_endpoint_set_matches_eager_reference():
+    rnd = random.Random(6262)
+    stops = Counter()
+    soft_breaks = deep = 0
+    for trial in range(240):
+        n = rnd.randint(6, 30)
+        G = sample_gnp(n, rnd.choice((0.15, 0.3, 0.5, 0.8)), RngSeed(6262, trial))
+        if trial % 2 == 0:
+            # a spanning path: nothing outside, so only the cap or depth stops it
+            res = find_hamilton_cycle(G)
+            path = list(res.cycle) if res.ok else _random_walk_path(G, rnd)
+        else:
+            path = _random_walk_path(G, rnd)
+        if len(path) < 2:
+            continue
+        edges = sorted(path_edges(path))
+        soft = frozenset(rnd.sample(edges, rnd.randint(0, len(edges))))
+        locked = frozenset(rnd.sample(sorted(soft), rnd.randint(0, len(soft) // 2)))
+        fixed = path[rnd.choice((0, -1))]
+        depth = rnd.choice((None, None, 0, 1, 2, 3))
+        cap = rnd.choice((None, 1, 2, 5, n, n))
+        got_cons = RotationConstraints(locked=locked, soft=soft)
+        want_cons = RotationConstraints(locked=locked, soft=soft)
+        got = endpoint_set(G, path, fixed, got_cons, max_depth=depth, endpoint_cap=cap)
+        want = _endpoint_set_ref(G, path, fixed, want_cons, depth, cap)
+        # dataclass equality compares endpoints, pivots, paths and external
+        assert got == want, (G, path, fixed, locked, soft, depth, cap)
+        assert (got_cons.rotations, got_cons.soft_breaks) == \
+            (want_cons.rotations, want_cons.soft_breaks)
+        full = len(got.endpoints) >= (cap or max(1, math.ceil(n / 3)))
+        stops["external" if got.external is not None else "cap" if full else "exhausted"] += 1
+        soft_breaks += got_cons.soft_breaks
+        deep += max(map(len, got.pivots.values())) >= 2
+    assert sum(stops.values()) >= 200 and min(stops.values()) >= 20, stops
+    assert soft_breaks > 0 and deep >= 20, (soft_breaks, deep)
+
+
 def _eager_rotation_bfs(G, path0, constraints, max_depth):
     """Reference walk: every child of an expanded path is made and counted
     before the first of them is yielded."""
@@ -223,7 +284,7 @@ def _eager_rotation_bfs(G, path0, constraints, max_depth):
 
 def test_rotation_bfs_matches_eager_reference():
     rnd = random.Random(5150)
-    soft_breaks = 0
+    soft_breaks = stops = 0
     for trial in range(80):
         n = rnd.randint(8, 18)
         G = sample_gnp(n, rnd.choice((0.3, 0.5, 0.7)), RngSeed(131, trial))
@@ -240,28 +301,99 @@ def test_rotation_bfs_matches_eager_reference():
         depth = rnd.choice((1, 2, n))
         lazy_cons = RotationConstraints(locked=locked, soft=soft)
         eager_cons = RotationConstraints(locked=locked, soft=soft)
-        lazy = []
-        for parent, i, end, piv in _rotation_bfs(G, list(path), lazy_cons, depth):
-            # the entry stands for parent rotated around position i, or for
-            # the seed path itself
-            if i is None:
-                assert parent == path and not piv
-                walked = tuple(parent)
-            else:
-                walked = tuple(parent[: i + 1]) + tuple(parent[i + 1:][::-1])
+        # the walk never visits its root, the seed path itself
+        lazy = [(tuple(path), ())]
+        pivots = {path[-1]: ()}
+
+        def visit(parent, i, end):
+            # the visit stands for parent rotated around position i
+            walked = tuple(parent[: i + 1]) + tuple(parent[i + 1:][::-1])
             assert tuple(_rotated(parent, i)) == walked
-            assert end == walked[-1]
-            lazy.append((walked, piv))
-        assert lazy == _eager_rotation_bfs(G, path, eager_cons, depth)
-        # fully consumed, the lazy walk makes every rotation the eager one does
+            assert end == walked[-1] and end not in pivots
+            pivots[end] = pivots[parent[-1]] + (parent[i],)
+            lazy.append((walked, pivots[end]))
+
+        # the seed's own expansion reads positions and skips off-mask pivots
+        pos = {v: i for i, v in enumerate(path)} if rnd.random() < 0.5 else None
+        mask = mask_of(path) if pos is not None or rnd.random() < 0.5 else -1
+        if pos is not None:
+            pos = [pos.get(v, 0) for v in range(n)]
+        assert _rotation_walk(G, list(path), lazy_cons, visit, depth, pos, mask) is None
+        eager = _eager_rotation_bfs(G, path, eager_cons, depth)
+        assert lazy == eager
+        # fully walked, the lazy walk makes every rotation the eager one does
         assert lazy_cons.rotations == eager_cons.rotations
         assert lazy_cons.soft_breaks == eager_cons.soft_breaks
         soft_breaks += lazy_cons.soft_breaks
+        # stopped at its k-th visit, the walk returns what visit returned and
+        # has made and counted k rotations, no more
+        if len(eager) > 1:
+            k = rnd.randint(1, len(eager) - 1)
+            stop_cons = RotationConstraints(locked=locked, soft=soft)
+            visited = []
+
+            def stop_at_k(parent, i, end):
+                visited.append(tuple(_rotated(parent, i)))
+                return len(visited) if len(visited) == k else None
+
+            assert _rotation_walk(G, list(path), stop_cons, stop_at_k, depth) == k
+            assert visited == [walked for walked, _ in eager[1:k + 1]]
+            assert stop_cons.rotations == k
+            stops += 1
     assert soft_breaks > 0  # soft rotations, queued after clean ones, were made
+    assert stops >= 40
 
 
 # The two-level search as it was when every rotation built its path
-# eagerly, verbatim apart from the _ref suffix on the names it defines.
+# eagerly, and the generator scan of one path's rotations that it ran on
+# (the library's _rotation_moves before the rotation walk replaced it),
+# verbatim apart from the _ref suffix on the names they define.
+
+def _rotation_moves_ref(G, path: list[int], seen: set[int],
+                        constraints: RotationConstraints,
+                        positions: list[int] | None = None, path_mask: int = -1):
+    """(position, pivot, broken edge) of each rotation of ``path`` that breaks
+    no locked edge and whose new endpoint is not in ``seen``: clean ones in
+    ascending pivot order, then soft ones in ascending pivot order.
+
+    Pivots are the endpoint's neighbours in ``path_mask`` (by default all
+    of them). Each is looked up in ``positions`` (vertex -> position in
+    ``path``) when it is given, and else by a scan of ``path``. A caller
+    that passes ``positions`` passes the path's vertex mask too, so an
+    entry for an off-path vertex is never read.
+
+    Soft moves are held back while the clean ones are yielded. Distinct
+    pivots give distinct new endpoints, so the endpoints a consumer adds
+    to ``seen`` meanwhile never rule a held-back move out.
+    """
+    q = len(path)
+    deferred = []
+    # consumers usually stop within a few pivots, so without a position map
+    # one scan of the path per pivot is cheaper than building one
+    index = path.index if positions is None else positions.__getitem__
+    nb = G.adjacency_bits(path[-1]) & path_mask
+    while nb:
+        low = nb & -nb
+        nb ^= low
+        w = low.bit_length() - 1
+        try:
+            i = index(w)
+        except ValueError:
+            continue
+        if i > q - 3:
+            continue
+        nxt = path[i + 1]
+        if nxt in seen:
+            continue
+        broken = edge_key(w, nxt)
+        if broken in constraints.locked:
+            continue
+        if broken in constraints.soft:
+            deferred.append((i, w, broken))
+        else:
+            yield i, w, broken
+    yield from deferred
+
 
 def _rotated_ref(path: list[int], i: int, broken,
                  constraints: RotationConstraints) -> list[int]:
@@ -293,7 +425,7 @@ def _rotation_bfs_ref(G, path0: list[int], constraints: RotationConstraints,
         path, pivots, depth = queue.popleft()
         if depth >= max_depth:
             continue
-        for i, w, broken in _rotation_moves(G, path, seen, constraints):
+        for i, w, broken in _rotation_moves_ref(G, path, seen, constraints):
             seen.add(path[i + 1])
             child = (_rotated_ref(path, i, broken, constraints), pivots + (w,))
             yield child
@@ -371,6 +503,15 @@ def rotate_until_extendable_ref(G: Graph, path: list[int] | tuple[int, ...],
     return chord or Stuck(sizes[1], sizes[2], explored, "no extension, no chord")
 
 
+def _with_path(out, seed):
+    """``out`` with the path it stands for: an ExtendAt with ``at`` set
+    carries no path, and stands for the seed rotated around position at."""
+    if isinstance(out, ExtendAt) and out.at is not None:
+        assert out.path is None
+        return dataclasses.replace(out, path=tuple(_rotated(list(seed), out.at)), at=None)
+    return out
+
+
 def _random_walk_path(G, rnd):
     """A self-avoiding walk from a random vertex, stepping to a random
     unvisited neighbour until there is none."""
@@ -435,8 +576,9 @@ def test_rotate_until_extendable_matches_eager_reference():
         mask = mask_of(path) if rnd.random() < 0.5 else None
         got = rotate_until_extendable(G, list(path), got_cons, path_mask=mask)
         want = rotate_until_extendable_ref(G, list(path), want_cons, path_mask=mask)
-        # dataclass equality compares the type and every field
-        assert got == want, (G, path, locked, soft)
+        # dataclass equality compares the type and every field; the reference
+        # builds every path, so compare _rotated(seed, at) where at is set
+        assert _with_path(got, path) == want, (G, path, locked, soft)
         assert (got_cons.rotations, got_cons.soft_breaks, got_cons.absorptions) == \
             (want_cons.rotations, want_cons.soft_breaks, want_cons.absorptions)
         kinds[type(got)] += 1
@@ -478,9 +620,13 @@ def test_extend_at_names_the_seed_rotated_once():
             unplaced += 1
             assert all(list(out.path) != _rotated(path, i) for i in range(len(path) - 2))
         else:
+            # no copy of the path: it is the seed rotated around position at
             placed += 1
-            assert _rotated(list(path), out.at) == list(out.path)
-            assert out.endpoint == path[out.at + 1]
+            assert out.path is None
+            walked = _rotated(list(path), out.at)
+            assert is_path(G, walked) and sorted(walked) == sorted(path)
+            assert out.endpoint == walked[-1] == path[out.at + 1]
+            assert G.has_edge(out.endpoint, out.external) and out.external not in path
     assert placed >= 50 and unplaced >= 10, (placed, unplaced)
 
 
@@ -565,7 +711,7 @@ def test_rotate_until_extendable_keeps_locked_edges():
         pytest.skip("sample not solvable")
     path = list(res.cycle)[:-1]
     locked = frozenset([edge_key(path[3], path[4])])
-    out = rotate_until_extendable(G, path, RotationConstraints(locked=locked))
+    out = _with_path(rotate_until_extendable(G, path, RotationConstraints(locked=locked)), path)
     if isinstance(out, (Chord, ExtendAt)):
         assert locked <= path_edges(out.path)
 
