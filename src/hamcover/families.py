@@ -18,20 +18,24 @@ another's, either as the direct edge (x, y) or as x-a-...-b-y where the
 interior lives entirely outside the family's vertex set and a-...-b has at
 most d edges.
 
-reduce_family works incrementally. What the move search needs of a path
-(its usable k-end vertices in candidate order, their mask, the union of
-their neighbourhoods, its vertex mask, and whether a deletion may claim
-it) is computed once per path and call, from the path's first and last k
-vertices only; only the starting paths have their vertex masks built from
-all their vertices. A merge computes it for the one path it makes, a
-deletion for none, and a merged path's vertex mask is its two parents'
-minus the at most k-1 cut vertices per side plus the connector interior.
-The family's vertex mask and the union of all usable ends are carried
-across moves and updated on each splice or deletion, so a move touches
-only the cut vertices, the connector and the two end sets, and the
+A round at k = 1 only splices path ends, so it runs on end pointers: a
+splice repoints the two new ends at each other and links the joined ends
+through the connector, and the paths are built from the links at the end.
+
+A lossy round (k >= 2) works incrementally. What the move search needs of
+a path (its usable k-end vertices in candidate order, their mask, the
+union of their neighbourhoods, its vertex mask, and whether a deletion may
+claim it) is computed once per path and call, from the path's first and
+last k vertices only; only the starting paths have their vertex masks
+built from all their vertices. A merge computes it for the one path it
+makes, a deletion for none, and a merged path's vertex mask is its two
+parents' minus the at most k-1 cut vertices per side plus the connector
+interior. The family's vertex mask and the union of all usable ends are
+carried across moves and updated on each splice or deletion, so a move
+touches only the cut vertices, the connector and the two end sets, and the
 direct-edge scan passes over a path with one AND when none of its ends
-sees another path's. The candidate order is unchanged, so the moves are
-exactly those of recomputing everything after every move.
+sees another path's. Both kinds of round make their moves in one candidate
+order, exactly those of recomputing everything after every move.
 
 reduce_family is the one code that joins paths, and it has two users. The
 driver merge_into_single_path feeds a matching through one round at k = 1,
@@ -256,18 +260,91 @@ def _find_merge(G: Graph, paths: list[tuple[int, ...]], ends: dict[tuple[int, ..
             ys = bits(x) & ej.mask
             if ys:
                 return pi, pj, x, (ys & -ys).bit_length() - 1, []
+    return _first_connector(G, paths, [ends[p].xs for p in paths], family_mask, d)
+
+
+def _first_connector(G: Graph, paths: list, xss: list, family_mask: int, d: int):
+    """First outside connector in (pi, x, pj, y) order, with ``xss[i]`` the
+    usable ends of ``paths[i]`` in candidate order: (pi, pj, x, y, interior)
+    or None."""
+    bits = G.adjacency_bits
     outside = G.full_mask() & ~family_mask
-    for pi in paths:
-        xs = [x for x in ends[pi].xs if bits(x) & outside]
-        for pj in paths:
-            if pj == pi:
+    for i, xs in enumerate(xss):
+        xs = [x for x in xs if bits(x) & outside]
+        if not xs:
+            continue
+        for j, ys in enumerate(xss):
+            if j == i:
                 continue
             for x in xs:
-                for y in ends[pj].xs:
+                for y in ys:
                     interior = _find_connector(G, x, y, family_mask, d)
                     if interior is not None:
-                        return pi, pj, x, y, interior
+                        return paths[i], paths[j], x, y, interior
     return None
+
+
+def _find_join(G: Graph, heads: list[int], other: dict[int, int], ends_mask: int,
+               family_mask: int, d: int):
+    """First k = 1 move in _find_merge's order, on end pointers: ``heads``
+    holds the paths' smaller ends in ascending order, the order of the
+    sorted paths, and ``other`` maps each end to its path's other end.
+    Returns (x, y, interior) or None."""
+    bits = G.adjacency_bits
+    for h in heads:
+        o = other[h]
+        bh = bits(h)
+        hit = (bh | bits(o)) & ends_mask & ~(1 << h | 1 << o)
+        if hit:
+            for j in heads:
+                ej = 1 << j | 1 << other[j]
+                if ej & hit:
+                    break
+            x = h if bh & ej else o
+            ys = bits(x) & ej
+            return x, (ys & -ys).bit_length() - 1, ()
+    found = _first_connector(G, heads, [(h, other[h]) for h in heads], family_mask, d)
+    return found and found[2:]
+
+
+def _join(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
+    """A k = 1 round of reduce_family: splice path ends to a fixpoint; each
+    path is built once, from the starting paths and the splices' links."""
+    other: dict[int, int] = {}
+    piece: dict[int, tuple[int, ...]] = {}  # each starting path, from each end
+    for p in family.paths:
+        a, b = p[0], p[-1]
+        other[a], other[b] = b, a
+        piece[a], piece[b] = p, p[::-1]
+    heads = [p[0] for p in family.paths]
+    ends_mask = mask_of(other)
+    family_mask = mask_of(v for p in family.paths for v in p)
+    link: dict[int, tuple] = {}
+    while len(heads) >= 2:
+        found = _find_join(G, heads, other, ends_mask, family_mask, budget.d)
+        if found is None:
+            break
+        x, y, interior = found
+        budget.mu += 1
+        budget.gained += len(interior) + 1
+        budget.check()
+        a, b = other.pop(x), other.pop(y)
+        other[a], other[b] = b, a
+        ends_mask ^= 1 << x | 1 << y
+        family_mask |= mask_of(interior)
+        link[x], link[y] = (interior, y), (interior[::-1], x)
+        heads.remove(a if a < x else x)
+        heads.remove(b if b < y else y)
+        insort(heads, a if a < b else b)
+    paths = []
+    for h in heads:
+        path = list(piece[h])
+        while path[-1] in link:
+            interior, y = link[path[-1]]
+            path += interior
+            path += piece[y]
+        paths.append(path)
+    return PathFamily(paths)
 
 
 def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
@@ -275,9 +352,13 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> Path
 
     Deletion drops any path of fewer than 2k-1 edges; merging splices two
     paths whose k-ends connect directly or through at most d outside edges.
-    Budget invariants are asserted after every move.
+    Budget invariants are asserted after every move. At k = 1 no path is
+    short enough to delete and a splice trims nothing, so the round joins
+    path ends on end pointers (_join); any linear forest may be its input.
     """
     k, d = budget.k, budget.d
+    if k == 1:
+        return _join(G, family, budget)
     paths = list(family.paths)
     ends: dict[tuple[int, ...], _Ends] = {}
     ends_mask = family_mask = 0

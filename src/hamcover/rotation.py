@@ -17,7 +17,6 @@ is deterministic for a given graph and seed path.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -32,8 +31,6 @@ from .graph import (
     mask_of,
     path_edges,
 )
-
-log = logging.getLogger(__name__)
 
 # hard ceiling on paths explored per rotate_until_extendable call
 SEARCH_NODE_CAP = 6000
@@ -546,8 +543,8 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             family = PathFamily.from_edges(constraints.locked)
         except FamilyError:
             return HamiltonResult(None, failure="locked edges admit no spanning path through them")
-        # at k = 1 a splice joins path ends only; budget.check() asserts that
-        # it trims no locked edge
+        # at k = 1 a splice joins path ends only, on end pointers, so it
+        # trims no locked edge; the join takes any linear forest
         family = reduce_family(G, family, ExtensionBudget(d=n, k=1))
         if len(family.paths) != 1:
             return HamiltonResult(None, failure="could not chain locked edges into one path")

@@ -448,7 +448,18 @@ def _merge_summary(out):
 
 def test_merge_matches_eager_reference(monkeypatch):
     rnd = random.Random(4004)
-    merges = 0
+    forest_rnd = random.Random(4005)
+    merges = connectors = 0
+    real_find_join = families._find_join
+    joins = []  # the moves of the current k = 1 round
+
+    def find_join_spy(*args):
+        found = real_find_join(*args)
+        if found is not None:
+            joins.append(found)
+        return found
+
+    monkeypatch.setattr(families, "_find_join", find_join_spy)
     for trial in range(120):
         n = rnd.randint(6, 96)
         p = rnd.choice([0.1, 0.25, 0.5, 0.8])
@@ -475,7 +486,20 @@ def test_merge_matches_eager_reference(monkeypatch):
             want_fam = _ref_reduce_family(G, fam, budgets[1])
             assert got_fam.paths == want_fam.paths
             assert budgets[0] == budgets[1]
+
+        # single k = 1 rounds from linear forests, as the locked-edge join of
+        # find_hamilton_cycle runs them, with connectors up to d = n
+        forest = _walk_paths(G, forest_rnd, forest_rnd.randint(1, 8))
+        for d in (0, 1, 2, n):
+            budgets = ExtensionBudget(d=d, k=1), ExtensionBudget(d=d, k=1)
+            joins.clear()
+            got_fam = reduce_family(G, forest, budgets[0])
+            connectors += sum(bool(interior) for _, _, interior in joins)
+            want_fam = _ref_reduce_family(G, forest, budgets[1])
+            assert got_fam.paths == want_fam.paths, (n, p, d, trial)
+            assert budgets[0] == budgets[1], (n, p, d, trial)
     assert merges >= 100
+    assert connectors >= 50, connectors
 
 
 # The driver as it was when it ran a growing end-depth schedule of rounds
@@ -627,18 +651,54 @@ def _walk_paths(G, rnd, max_edges):
     return PathFamily(paths)
 
 
+def _splice(paths, x, y, interior):
+    """``paths`` with the path ending at x joined through ``interior`` to the
+    path ending at y, as a k = 1 move does it."""
+    (pi,) = [p for p in paths if x in (p[0], p[-1])]
+    (pj,) = [p for p in paths if y in (p[0], p[-1])]
+    kept_i = pi if pi[-1] == x else pi[::-1]
+    kept_j = pj if pj[0] == y else pj[::-1]
+    rest = [p for p in paths if p not in (pi, pj)]
+    return sorted(rest + [_canonical(kept_i + tuple(interior) + kept_j)])
+
+
 def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
-    # every move search sees the family mask and per-path end state that a
-    # from-scratch computation over the current paths would give
+    # every move search sees the family mask and end state that a
+    # from-scratch computation over the current paths would give: per-path
+    # end state in a lossy round, the other-end map, the sorted smaller ends
+    # and the ends mask in a k = 1 join
     real_reduce, real_find = families.reduce_family, families._find_merge
+    real_join = families._find_join
     ctx = {}
     seen = {"families": 0, "moves": 0, "connectors": 0, "cuts": 0, "k": set()}
 
     def reduce_spy(G, family, budget):
-        ctx.update(k=budget.k)
+        ctx.update(k=budget.k, paths=list(family.paths))
         seen["families"] += 1
         seen["k"].add(budget.k)
-        return real_reduce(G, family, budget)
+        out = real_reduce(G, family, budget)
+        if budget.k == 1:
+            # the join builds its paths from its links; replayed splices
+            # must give the same paths
+            assert out.paths == ctx["paths"]
+        return out
+
+    def join_spy(G, heads, other, ends_mask, family_mask, d):
+        paths = ctx["paths"]
+        want_other = {}
+        for p in paths:
+            want_other[p[0]], want_other[p[-1]] = p[-1], p[0]
+        assert heads == [p[0] for p in paths]
+        assert other == want_other
+        assert ends_mask == mask_of(want_other)
+        assert family_mask == mask_of(v for p in paths for v in p)
+        found = real_join(G, heads, other, ends_mask, family_mask, d)
+        if found is not None:
+            x, y, interior = found
+            ctx["paths"] = _splice(paths, x, y, interior)
+            seen["moves"] += 1
+            seen["connectors"] += bool(interior)
+        return found
 
     def find_spy(G, paths, ends, ends_mask, family_mask, d):
         want_family = want_ends = 0
@@ -660,6 +720,7 @@ def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
 
     monkeypatch.setattr(families, "reduce_family", reduce_spy)
     monkeypatch.setattr(families, "_find_merge", find_spy)
+    monkeypatch.setattr(families, "_find_join", join_spy)
     rnd = random.Random(5005)
     for trial in range(60):
         n = rnd.randint(8, 64)
