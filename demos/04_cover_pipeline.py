@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""The full pipeline: pack edge-disjoint Hamilton cycles, color the rest,
-cover every leftover matching, and validate the certificate.
+"""The full pipeline: pack edge-disjoint Hamilton cycles, cover the rest
+one degree-first linear forest per cycle (with a matching fallback for
+edges the forests stall on), and validate the certificate.
 
 On odd complete graphs the packing alone decomposes the graph (K5 needs
 exactly ceil(Delta/2) = 2 cycles). On G(n,p) the certificate size lands
-within a small factor of the np/2 lower bound; the report carries the
-ratio, per-phase timings, and the loss ledger.
+at or near the ceil(Delta/2) lower bound; the report carries the ratio,
+per-phase timings, and the loss ledger.
 """
 
 import math

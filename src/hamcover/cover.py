@@ -1,14 +1,19 @@
-"""The packing-then-cover pipeline.
+"""The pack, forest-cover, fallback pipeline.
 
 To cover every edge of a graph by Hamilton cycles: greedily extract a
 packing of edge-disjoint Hamilton cycles (each one lowers every degree by
-exactly 2), color the leftover edges into matchings by first-fit, and cover
-each matching by Hamilton cycles of the original graph, seeding every
-search with the matching merged into a single path and protecting those
-edges during rotations. A certificate records the cycles and per-edge
-coverage counts; it is validated against the independent oracle before
-being returned. Search failures are values carrying the phase and the
-stuck instance, never exceptions.
+exactly 2), then cover the leftover edges by linear forests. Each round
+builds one forest over the still uncovered edges, highest residual degree
+first, merges it into a single seed path and searches for a Hamilton cycle
+of the original graph from that seed, protecting the forest edges on it
+during rotations; one cycle can carry a whole forest, so about half the
+residual's maximum degree in cycles covers it. If both searches of a round
+(from the seed and from its reverse) cover nothing new, the edges left go
+to the matching fallback: color the residual into matchings by first-fit
+and cover each matching the same way. A certificate records the cycles and
+per-edge coverage counts; it is validated against the independent oracle
+before being returned. Search failures are values carrying the phase and
+the stuck instance, never exceptions.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graph import (
     Edge,
@@ -263,9 +270,14 @@ class CoverCertificate:
 class CoverOutcome:
     """A certificate or the phase and cause of a failure.
 
-    ``losses`` sums the covering phase's counters (see ``OnceOutcome``):
-    ``merge_lost``, ``soft_breaks`` and ``soft_lost``, plus the matching
-    edges left ``uncovered`` on a covering failure.
+    ``losses`` sums the covering phase's counters over the forest searches
+    and the fallback's (see ``OnceOutcome``, with forest edges in place of
+    matching edges): ``merge_lost``, ``soft_breaks`` and ``soft_lost``;
+    ``fallback_edges`` counts the residual edges handed to the matching
+    fallback (0 when it does not run), and ``uncovered`` lists the
+    matching edges left uncovered on a covering failure.
+    ``timings_ms["coloring"]`` times the fallback's coloring, 0 when it
+    does not run; ``timings_ms["covering"]`` the rest of the covering phase.
     """
 
     certificate: CoverCertificate | None
@@ -280,14 +292,53 @@ class CoverOutcome:
         return self.certificate is not None
 
 
+def degree_first_forest(n: int, us: np.ndarray, vs: np.ndarray) -> list[Edge]:
+    """One linear forest, first-fit over the edges (us[i], vs[i]).
+
+    The edges must be canonical (u < v) and in lexicographic order. Each
+    vertex's degree is counted over these edges, and the edges are taken in
+    order of (-larger end degree, -smaller end degree, edge): a stable sort
+    on one integer key per edge keeps the edge order among ties. An edge
+    joins the forest when both its ends have forest degree below 2 and they
+    are not the two ends of one forest path, which each path end's pointer
+    to its other end tells in O(1).
+    """
+    deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+    du, dv = deg[us], deg[vs]
+    # degrees stay below n + 1, so (hi, lo) packs into one integer
+    key = np.maximum(du, dv) * (n + 1) + np.minimum(du, dv)
+    order = np.argsort(-key, kind="stable")
+    fdeg = [0] * n
+    other = list(range(n))  # a path end's other end; an isolated vertex's own
+    forest: list[Edge] = []
+    for u, v in zip(us[order].tolist(), vs[order].tolist()):
+        if fdeg[u] == 2 or fdeg[v] == 2 or other[u] == v:
+            continue
+        a, b = other[u], other[v]
+        other[a], other[b] = b, a
+        fdeg[u] += 1
+        fdeg[v] += 1
+        forest.append((u, v))
+        if len(forest) == n - 1:
+            break
+    return forest
+
+
 def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
-    """Cover all edges of G by Hamilton cycles: pack, color, cover.
+    """Cover all edges of G by Hamilton cycles: pack, forest cover, fallback.
 
     Phase 1 extracts edge-disjoint cycles, at most half the minimum degree.
-    Phase 2 colors the residual edges into matchings. Phase 3 covers each
-    matching - minus edges the certificate already covers - by
-    protected-cycle searches over the whole graph. The assembled
-    certificate is validated internally before being returned.
+    Phase 2 covers the residual edges by forests: while residual edges stay
+    uncovered, it builds one degree-first linear forest over them
+    (degree_first_forest), merges it into a seed path and searches for a
+    Hamilton cycle with the forest edges on the seed soft-protected; a
+    search that covers no new edge is retried once from the reversed seed
+    (the search is deterministic, so a third try would repeat the second).
+    Phase 3 runs only if both searches of a round cover nothing new: it
+    colors the whole residual into matchings and covers each matching -
+    minus the edges the certificate already covers - by protected-cycle
+    searches. The assembled certificate is validated internally before
+    being returned.
     """
     if G.n < 3 or G.m == 0:
         return CoverOutcome(None, "precheck", f"degenerate graph (n={G.n}, m={G.m})")
@@ -300,38 +351,75 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     t0 = time.perf_counter()
     packing = extract_packing(G, G.min_degree() // 2)
     timings["packing"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
-    classes = greedy_edge_coloring(packing.residual)
-    timings["coloring"] = (time.perf_counter() - t0) * 1000.0
+    timings["coloring"] = 0.0
 
     t0 = time.perf_counter()
     cycles = list(packing.cycles)
-    # the classes colour packing.residual, which holds no packing edge, so
-    # only the covering cycles can cover a class edge
-    covered: set[Edge] = set()
-    soft_breaks = 0
-    merge_lost = 0
-    soft_lost = 0
-    for cls in classes:
-        need = cls - covered
-        if not need:
-            continue
-        mc = cover_matching(G, need, alpha)
-        soft_breaks += mc.soft_breaks
-        merge_lost += mc.merge_lost
-        soft_lost += mc.soft_lost
-        cycles.extend(mc.cycles)
-        covered |= mc.covered
-        if not mc.ok:
-            timings["covering"] = (time.perf_counter() - t0) * 1000.0
-            return CoverOutcome(None, "covering", mc.failure,
-                                packing_stopped=packing.stopped,
-                                losses={"merge_lost": merge_lost, "soft_breaks": soft_breaks,
-                                        "soft_lost": soft_lost,
-                                        "uncovered": sorted(mc.uncovered)},
-                                timings_ms=timings)
-    timings["covering"] = (time.perf_counter() - t0) * 1000.0
+    losses = {"merge_lost": 0, "soft_breaks": 0, "soft_lost": 0, "fallback_edges": 0}
+    n = G.n
+    edges = np.array(list(packing.residual.edges()), dtype=np.int64).reshape(-1, 2)
+    us, vs = edges[:, 0], edges[:, 1]
+    codes = us * n + vs  # ascending, as the edges are in lexicographic order
+    alive = np.ones(len(codes), dtype=bool)  # residual edges still uncovered
+
+    def cover_new(cycle) -> bool:
+        """Mark the cycle's residual edges covered; whether any was not."""
+        c = np.array(cycle, dtype=np.int64)
+        d = np.roll(c, -1)
+        hit = np.minimum(c, d) * n + np.maximum(c, d)
+        pos = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
+        pos = pos[codes[pos] == hit]
+        new = bool(alive[pos].any())
+        alive[pos] = False
+        return new
+
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        forest = frozenset(degree_first_forest(n, us[idx], vs[idx]))
+        merged = merge_into_single_path(G, forest, alpha)
+        losses["merge_lost"] += len(merged.lost_matching)
+        on_seed = forest & path_edges(merged.path)
+        for seed in (merged.path, merged.path[::-1]):
+            res = find_hamilton_cycle(G, RotationConstraints(soft=on_seed), seed_path=seed)
+            if not res.ok:
+                continue
+            losses["soft_breaks"] += res.soft_breaks
+            losses["soft_lost"] += len(on_seed - cycle_edges(res.cycle))
+            if cover_new(res.cycle):
+                cycles.append(res.cycle)
+                break
+        else:
+            break
+
+    if alive.any():
+        # the forest searches stalled: cover what is left colour class by
+        # colour class. The classes colour the whole packing.residual, as
+        # the matching pipeline did; colouring only the leftover edges
+        # groups them into other matchings, which covered fewer graphs.
+        # The residual holds no packing edge, so only covering cycles can
+        # cover a class edge
+        left = set(map(tuple, edges[alive].tolist()))
+        losses["fallback_edges"] = len(left)
+        t1 = time.perf_counter()
+        classes = greedy_edge_coloring(packing.residual)
+        timings["coloring"] = (time.perf_counter() - t1) * 1000.0
+        for cls in classes:
+            need = cls & left
+            if not need:
+                continue
+            mc = cover_matching(G, need, alpha)
+            losses["soft_breaks"] += mc.soft_breaks
+            losses["merge_lost"] += mc.merge_lost
+            losses["soft_lost"] += mc.soft_lost
+            cycles.extend(mc.cycles)
+            left -= mc.covered
+            if not mc.ok:
+                timings["covering"] = (time.perf_counter() - t0) * 1000.0 - timings["coloring"]
+                losses["uncovered"] = sorted(mc.uncovered)
+                return CoverOutcome(None, "covering", mc.failure,
+                                    packing_stopped=packing.stopped,
+                                    losses=losses, timings_ms=timings)
+    timings["covering"] = (time.perf_counter() - t0) * 1000.0 - timings["coloring"]
 
     cycles = [canonical_cycle(c) for c in cycles]
     check = validate_cover(G, cycles)
@@ -347,9 +435,7 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
                             f"cover size {cert.cover_size} beats the degree bound {lower}: "
                             "certificate must be wrong",
                             packing_stopped=packing.stopped, timings_ms=timings)
-    return CoverOutcome(cert, packing_stopped=packing.stopped,
-                        losses={"merge_lost": merge_lost, "soft_breaks": soft_breaks,
-                                "soft_lost": soft_lost},
+    return CoverOutcome(cert, packing_stopped=packing.stopped, losses=losses,
                         timings_ms=timings)
 
 

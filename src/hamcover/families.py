@@ -38,7 +38,8 @@ sees another path's. Both kinds of round make their moves in one candidate
 order, exactly those of recomputing everything after every move.
 
 reduce_family is the one code that joins paths, and it has two users. The
-driver merge_into_single_path feeds a matching through one round at k = 1,
+driver merge_into_single_path feeds a linear forest (a matching, or the
+degree-first forests of the cover's residual) through one round at k = 1,
 where a splice uses path ends only and so trims nothing, then through
 lossy rounds with ends as deep as the longest path allows until a round
 makes no move. find_hamilton_cycle joins the paths of its locked edges
@@ -415,7 +416,8 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> Path
 
 @dataclass
 class MergeOutcome:
-    """Result of collapsing a matching into one path."""
+    """Result of collapsing a linear forest into one path;
+    ``lost_matching`` holds the forest edges the path leaves out."""
 
     path: tuple[int, ...]
     lost_matching: frozenset[Edge]
@@ -438,25 +440,27 @@ class MergeOutcome:
 
 
 def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
-    """Merge a matching (as length-1 paths) into a single path.
+    """Merge a linear forest (a matching, or any set of vertex-disjoint
+    paths given by their edges) into a single path.
 
     Runs reduction rounds with connector cap d = ceil(6/alpha): one round at
-    k = 1, which splices path ends only and so keeps every matching edge,
+    k = 1, which splices path ends only and so keeps every forest edge,
     then lossy rounds with ends as deep as the longest path allows, until
-    one path is left or a round makes no move. Every path end is a matching
-    edge until a lossy round trims it, so a round at a deeper k that spared
-    matching edges could only repeat the k = 1 round. If the k = 1 round
-    makes no move, every path is still one edge long, so the first lossy
-    round would be at k = 1 too and repeat it; it is skipped. If several
-    paths survive, all but the largest are dissolved and their matching
-    edges reported as lost.
+    one path is left or a round makes no move. If several paths survive,
+    all but the largest are dissolved and their forest edges reported as
+    lost. Raises FamilyError if the edges are not a linear forest.
+
+    No lossy round follows a k = 1 round that made no move. On a matching
+    every path is still one edge long, so that lossy round would be at
+    k = 1 too and repeat the round. On a forest with longer paths it could
+    trim and splice, but then no path end reaches another within d outside
+    edges, which the covering loop rarely meets, and the edges of the
+    dissolved paths stay uncovered for its next forest.
     """
     M = frozenset(edge_key(*e) for e in matching)
     if not M:
-        raise ValueError("matching must be non-empty")
+        raise ValueError("the forest must be non-empty")
     family = PathFamily.from_edges(M)
-    if len(family.paths) != len(M):
-        raise FamilyError("edges sharing a vertex are not a matching")
     d = max(1, math.ceil(6.0 / alpha))
     out = MergeOutcome(path=(), lost_matching=frozenset())
 

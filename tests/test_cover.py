@@ -4,19 +4,22 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
+
 from hamcover.cover import (
     STALL_LIMIT,
     PackingResult,
     cover_graph,
     cover_matching,
     cover_matching_once,
+    degree_first_forest,
     extract_packing,
     greedy_edge_coloring,
     greedy_maximal_matching,
     run_gnp_experiment,
     run_single_experiment,
 )
-from hamcover.families import merge_into_single_path
+from hamcover.families import PathFamily, merge_into_single_path
 from hamcover.gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from hamcover.graph import (
     Graph,
@@ -25,6 +28,7 @@ from hamcover.graph import (
     complete_graph,
     cycle_graph,
     cycle_edges,
+    is_connected,
     is_hamilton_cycle,
     path_edges,
     petersen_graph,
@@ -218,6 +222,94 @@ def test_cover_matching_on_sample_covers_every_edge():
     assert M <= covered
 
 
+def degree_first_forest_ref(edges) -> list:
+    """The forest builder spelled out: a keyed sort, then first-fit with a
+    union-find."""
+    deg = Counter(v for e in edges for v in e)
+    order = sorted(edges, key=lambda e: (-max(deg[e[0]], deg[e[1]]),
+                                         -min(deg[e[0]], deg[e[1]]), e))
+    parent: dict = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    fdeg: Counter = Counter()
+    out = []
+    for u, v in order:
+        if fdeg[u] == 2 or fdeg[v] == 2 or find(u) == find(v):
+            continue
+        parent[find(u)] = find(v)
+        fdeg[u] += 1
+        fdeg[v] += 1
+        out.append((u, v))
+    return out
+
+
+def test_degree_first_forest_matches_sorted_reference():
+    rnd = random.Random(2016)
+    spanning = 0
+    for trial in range(240):
+        n = rnd.randint(2, 256)
+        if trial % 8 == 0:
+            # dense enough that the forest may become a spanning path
+            n = rnd.randint(2, 24)
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.8}
+        else:
+            edges = set()
+            for _ in range(rnd.randint(0, 4 * n)):
+                u, v = rnd.sample(range(n), 2)
+                edges.add((min(u, v), max(u, v)))
+        edges = sorted(edges)
+        arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        got = degree_first_forest(n, arr[:, 0], arr[:, 1])
+        assert got == degree_first_forest_ref(edges)
+        assert set(got) <= set(edges)
+        if got:
+            PathFamily.from_edges(got)  # raises unless a linear forest
+            assert max(Counter(v for e in got for v in e).values()) <= 2
+        spanning += len(got) == n - 1
+    assert spanning >= 10
+
+
+# G(n, p) samples with base seed b, streams s < 40, kept when connected with
+# minimum degree >= 2: 113 graphs
+SPARSE_CORPUS = ((64, 0.15, 5), (48, 0.2, 11), (96, 0.1, 12))
+# the graphs the matching pipeline alone (colour the residual, cover each
+# class) failed to cover, as (n, s)
+MATCHING_PIPELINE_FAILURES = {
+    (64, 3), (64, 4), (64, 7), (64, 32), (64, 36), (64, 39),
+    (48, 9), (48, 15), (48, 18), (48, 26), (48, 34), (48, 35),
+    (96, 2), (96, 17), (96, 19), (96, 21), (96, 22), (96, 26), (96, 30),
+}
+
+
+def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
+    graphs = failed = 0
+    for n, p, base in SPARSE_CORPUS:
+        alpha = expander_params_for_gnp(n, p).alpha
+        for s in range(40):
+            G = sample_gnp(n, p, RngSeed(base, s))
+            if not is_connected(G) or G.min_degree() < 2:
+                continue
+            graphs += 1
+            out = cover_graph(G, alpha)
+            fallback = out.losses["fallback_edges"]
+            assert (out.timings_ms["coloring"] > 0) == (fallback > 0)
+            if not out.ok:
+                failed += 1
+                assert (n, s) in MATCHING_PIPELINE_FAILURES
+                assert out.failure_phase == "covering" and fallback > 0
+            if (n, s) == (96, 20):
+                # covered only because the fallback colours the whole
+                # residual, not just the two edges handed to it
+                assert out.ok and fallback == 2
+    assert graphs == 113
+    assert failed < len(MATCHING_PIPELINE_FAILURES)
+
+
 def test_cover_graph_walecki_k5():
     out = cover_graph(complete_graph(5), alpha=0.5)
     assert out.ok
@@ -300,7 +392,8 @@ def _cycles_sha256(cycles) -> str:
 def test_pinned_cycles_are_byte_identical():
     # The engine is deterministic, so these hashes change only when the
     # search changes: the BFS order (ascending pivots, clean rotations
-    # before soft ones), the greedy extension or the packing loop. A change
+    # before soft ones), the greedy extension, the packing loop or the
+    # forest cover of the residual. A change
     # that alters the search on purpose records the new hashes here.
     G = sample_gnp(96, 0.5, RngSeed(4242, 0))
     packing = extract_packing(G, G.min_degree() // 2)
@@ -310,9 +403,9 @@ def test_pinned_cycles_are_byte_identical():
 
     G = sample_gnp(64, 0.3, RngSeed(4242, 1))
     out = cover_graph(G, alpha=expander_params_for_gnp(64, 0.3).alpha)
-    assert out.ok and out.certificate.cover_size == 25
+    assert out.ok and out.certificate.cover_size == 14
     assert _cycles_sha256(out.certificate.cycles) == (
-        "c95dabe9344b7f0cf9a8d65d5048564b620a2fd4d03e0968fad199a749aae43a")
+        "63431b604ab07c614529e2649db8c433ba79cd77325dbd356ca1f4dee7f73216")
 
 
 def test_soft_lost_counts_seed_edges_the_cycle_dropped():
@@ -365,8 +458,14 @@ def test_greedy_retries_do_not_merge(monkeypatch):
 
     monkeypatch.setattr(cover_mod, "cover_matching_once", traced_once)
     monkeypatch.setattr(cover_mod, "merge_into_single_path", traced_merge)
+    # cover_graph's forest loop covers these graphs without the matching
+    # fallback, so cover each colour class of the packing residual directly;
+    # on these two graphs five classes retry at attempt 2
     alpha = expander_params_for_gnp(64, 0.15).alpha
-    for s in (3, 4, 7):  # the G(64, 0.15) covers that retry at attempt 2
-        cover_graph(sample_gnp(64, 0.15, RngSeed(5, s)), alpha=alpha)
-    assert retries == [0, 0, 0]  # three retries, none reporting a merge loss
+    for s in (3, 7):
+        G = sample_gnp(64, 0.15, RngSeed(5, s))
+        residual = extract_packing(G, G.min_degree() // 2).residual
+        for cls in greedy_edge_coloring(residual):
+            cover_mod.cover_matching(G, cls, alpha)
+    assert retries == [0] * 5  # five retries, none reporting a merge loss
     assert merged_at and all(a < 2 for a in merged_at)

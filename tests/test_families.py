@@ -219,11 +219,15 @@ def test_merge_survives_even_length_survivor_with_straggler():
     assert out.lost_matching == frozenset([(5, 6)])
 
 
-def test_merge_rejects_non_matching():
-    with pytest.raises(FamilyError):
-        merge_into_single_path(complete_graph(4), {(0, 1), (1, 2)}, alpha=0.5)
+def test_merge_rejects_non_forest():
     with pytest.raises(FamilyError):  # a claw
         merge_into_single_path(complete_graph(4), {(0, 1), (0, 2), (0, 3)}, alpha=0.5)
+    with pytest.raises(FamilyError):  # a triangle
+        merge_into_single_path(complete_graph(4), {(0, 1), (1, 2), (0, 2)}, alpha=0.5)
+    # a two-edge path is a linear forest of one path: it merges to itself
+    out = merge_into_single_path(complete_graph(4), {(1, 2), (0, 1)}, alpha=0.5)
+    assert out.path == (0, 1, 2)
+    assert out.lost_matching == frozenset() and out.rounds == 0 and out.mu == 0
 
 
 def test_merge_preserves_matching_exactly():
