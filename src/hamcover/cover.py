@@ -35,7 +35,7 @@ from .graph import (
     path_edges,
 )
 from .gnp import RngSeed, expander_params_for_gnp, sample_gnp
-from .families import merge_into_single_path
+from .families import PathFamily, merge_into_single_path
 from .oracle import validate_cover
 from .rotation import RotationConstraints, find_hamilton_cycle
 
@@ -292,8 +292,10 @@ class CoverOutcome:
         return self.certificate is not None
 
 
-def degree_first_forest(n: int, us: np.ndarray, vs: np.ndarray) -> list[Edge]:
-    """One linear forest, first-fit over the edges (us[i], vs[i]).
+def degree_first_forest(n: int, us: np.ndarray,
+                        vs: np.ndarray) -> tuple[list[Edge], PathFamily]:
+    """One linear forest, first-fit over the edges (us[i], vs[i]): its
+    accepted edges, in the order accepted, and its paths.
 
     The edges must be canonical (u < v) and in lexicographic order. Each
     vertex's degree is counted over these edges, and the edges are taken in
@@ -301,7 +303,10 @@ def degree_first_forest(n: int, us: np.ndarray, vs: np.ndarray) -> list[Edge]:
     on one integer key per edge keeps the edge order among ties. An edge
     joins the forest when both its ends have forest degree below 2 and they
     are not the two ends of one forest path, which each path end's pointer
-    to its other end tells in O(1).
+    to its other end tells in O(1). Each vertex keeps its forest neighbours
+    in two slots, and each path is walked from its smaller end, in
+    ascending order of that end: PathFamily's sorted canonical order, so
+    merge_into_single_path takes the paths as built.
     """
     deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
     du, dv = deg[us], deg[vs]
@@ -309,6 +314,7 @@ def degree_first_forest(n: int, us: np.ndarray, vs: np.ndarray) -> list[Edge]:
     key = np.maximum(du, dv) * (n + 1) + np.minimum(du, dv)
     order = np.argsort(-key, kind="stable")
     fdeg = [0] * n
+    nbr = [0] * (2 * n)  # v's forest neighbours in slots 2v and 2v + 1
     other = list(range(n))  # a path end's other end; an isolated vertex's own
     forest: list[Edge] = []
     for u, v in zip(us[order].tolist(), vs[order].tolist()):
@@ -316,12 +322,25 @@ def degree_first_forest(n: int, us: np.ndarray, vs: np.ndarray) -> list[Edge]:
             continue
         a, b = other[u], other[v]
         other[a], other[b] = b, a
+        nbr[2 * u + fdeg[u]] = v
+        nbr[2 * v + fdeg[v]] = u
         fdeg[u] += 1
         fdeg[v] += 1
         forest.append((u, v))
         if len(forest) == n - 1:
             break
-    return forest
+    paths = []
+    for h in range(n):
+        if fdeg[h] != 1 or other[h] < h:
+            continue
+        prev, cur = h, nbr[2 * h]
+        path = [h, cur]
+        while fdeg[cur] == 2:
+            a, b = nbr[2 * cur], nbr[2 * cur + 1]
+            prev, cur = cur, b if a == prev else a
+            path.append(cur)
+        paths.append(path)
+    return forest, PathFamily(paths)
 
 
 def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
@@ -365,7 +384,7 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     def cover_new(cycle) -> bool:
         """Mark the cycle's residual edges covered; whether any was not."""
         c = np.array(cycle, dtype=np.int64)
-        d = np.roll(c, -1)
+        d = np.concatenate((c[1:], c[:1]))
         hit = np.minimum(c, d) * n + np.maximum(c, d)
         pos = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
         pos = pos[codes[pos] == hit]
@@ -375,16 +394,21 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
 
     while alive.any():
         idx = np.flatnonzero(alive)
-        forest = frozenset(degree_first_forest(n, us[idx], vs[idx]))
-        merged = merge_into_single_path(G, forest, alpha)
+        forest, family = degree_first_forest(n, us[idx], vs[idx])
+        merged = merge_into_single_path(G, family, alpha)
         losses["merge_lost"] += len(merged.lost_matching)
-        on_seed = forest & path_edges(merged.path)
+        # the forest edges on the seed path
+        on_seed = frozenset(forest) - merged.lost_matching
         for seed in (merged.path, merged.path[::-1]):
             res = find_hamilton_cycle(G, RotationConstraints(soft=on_seed), seed_path=seed)
             if not res.ok:
                 continue
             losses["soft_breaks"] += res.soft_breaks
-            losses["soft_lost"] += len(on_seed - cycle_edges(res.cycle))
+            pos = [0] * n
+            for i, v in enumerate(res.cycle):
+                pos[v] = i
+            losses["soft_lost"] += sum((pos[u] - pos[v]) % n not in (1, n - 1)
+                                       for u, v in on_seed)
             if cover_new(res.cycle):
                 cycles.append(res.cycle)
                 break

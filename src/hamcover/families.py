@@ -43,8 +43,11 @@ degree-first forests of the cover's residual) through one round at k = 1,
 where a splice uses path ends only and so trims nothing, then through
 lossy rounds with ends as deep as the longest path allows until a round
 makes no move. find_hamilton_cycle joins the paths of its locked edges
-into one seed with a single round at k = 1. Both build their starting
-family with PathFamily.from_edges.
+into one seed with a single round at k = 1. merge_into_single_path takes
+a forest as a PathFamily or as an edge set: the cover's forest builder
+hands over the paths it walked, so only an edge set (a fallback matching,
+a caller's forest) goes through PathFamily.from_edges, as the locked
+edges do.
 """
 
 from __future__ import annotations
@@ -439,16 +442,18 @@ class MergeOutcome:
         return sum(b.gained for b in self.budgets)
 
 
-def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
+def merge_into_single_path(G: Graph, forest, alpha: float) -> MergeOutcome:
     """Merge a linear forest (a matching, or any set of vertex-disjoint
-    paths given by their edges) into a single path.
+    paths) into a single path.
 
-    Runs reduction rounds with connector cap d = ceil(6/alpha): one round at
-    k = 1, which splices path ends only and so keeps every forest edge,
-    then lossy rounds with ends as deep as the longest path allows, until
-    one path is left or a round makes no move. If several paths survive,
-    all but the largest are dissolved and their forest edges reported as
-    lost. Raises FamilyError if the edges are not a linear forest.
+    ``forest`` is a PathFamily or an edge set; an edge set goes through
+    PathFamily.from_edges. Runs reduction rounds with connector cap
+    d = ceil(6/alpha): one round at k = 1, which splices path ends only and
+    so keeps every forest edge, then lossy rounds with ends as deep as the
+    longest path allows, until one path is left or a round makes no move.
+    If several paths survive, all but the largest are dissolved and their
+    forest edges reported as lost. Raises FamilyError if the edges are not
+    a linear forest.
 
     No lossy round follows a k = 1 round that made no move. On a matching
     every path is still one edge long, so that lossy round would be at
@@ -457,10 +462,10 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     edges, which the covering loop rarely meets, and the edges of the
     dissolved paths stay uncovered for its next forest.
     """
-    M = frozenset(edge_key(*e) for e in matching)
-    if not M:
+    family = forest if isinstance(forest, PathFamily) else PathFamily.from_edges(forest)
+    if not family.paths:
         raise ValueError("the forest must be non-empty")
-    family = PathFamily.from_edges(M)
+    start = family.paths
     d = max(1, math.ceil(6.0 / alpha))
     out = MergeOutcome(path=(), lost_matching=frozenset())
 
@@ -485,5 +490,8 @@ def merge_into_single_path(G: Graph, matching, alpha: float) -> MergeOutcome:
     keep = max(paths, key=lambda p: (len(p), tuple(-v for v in p)))
     out.dissolved = len(paths) - 1
     out.path = keep
-    out.lost_matching = M - path_edges(keep)
+    # with no path dissolved and no edge lost by a move (k = 1 rounds trim
+    # nothing), the path keeps every forest edge
+    if out.dissolved or out.lost:
+        out.lost_matching = frozenset().union(*map(path_edges, start)) - path_edges(keep)
     return out

@@ -220,9 +220,10 @@ def is_path(G: Graph, seq: Iterable[int]) -> bool:
     vs = list(seq)
     if len(vs) != len(set(vs)):
         return False
-    if any(not (0 <= v < G.n) for v in vs):
+    if vs and (min(vs) < 0 or max(vs) >= G.n):
         return False
-    return all(G.has_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
+    bits = G._bits
+    return all(bits[u] >> v & 1 for u, v in zip(vs, vs[1:]))
 
 
 def is_hamilton_cycle(G: Graph, seq: Iterable[int]) -> bool:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 
+from hamcover import cover as cover_mod
 from hamcover.cover import (
     STALL_LIMIT,
     PackingResult,
@@ -248,7 +249,14 @@ def degree_first_forest_ref(edges) -> list:
     return out
 
 
-def test_degree_first_forest_matches_sorted_reference():
+def test_degree_first_forest_matches_sorted_reference(monkeypatch):
+    walked = []  # the paths as the builder hands them to PathFamily
+
+    def spy(paths):
+        walked[:] = [list(p) for p in paths]
+        return PathFamily(paths)
+
+    monkeypatch.setattr(cover_mod, "PathFamily", spy)
     rnd = random.Random(2016)
     spanning = 0
     for trial in range(240):
@@ -264,11 +272,14 @@ def test_degree_first_forest_matches_sorted_reference():
                 edges.add((min(u, v), max(u, v)))
         edges = sorted(edges)
         arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        got = degree_first_forest(n, arr[:, 0], arr[:, 1])
+        got, family = degree_first_forest(n, arr[:, 0], arr[:, 1])
         assert got == degree_first_forest_ref(edges)
         assert set(got) <= set(edges)
+        # the paths are the forest's, each walked from its smaller end, in
+        # ascending order of that end: sorted canonical order already
+        assert family == PathFamily.from_edges(got)  # raises unless a linear forest
+        assert walked == [list(p) for p in family.paths]
         if got:
-            PathFamily.from_edges(got)  # raises unless a linear forest
             assert max(Counter(v for e in got for v in e).values()) <= 2
         spanning += len(got) == n - 1
     assert spanning >= 10
@@ -288,6 +299,7 @@ MATCHING_PIPELINE_FAILURES = {
 
 def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
     graphs = failed = 0
+    losses: Counter = Counter()
     for n, p, base in SPARSE_CORPUS:
         alpha = expander_params_for_gnp(n, p).alpha
         for s in range(40):
@@ -297,6 +309,8 @@ def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
             graphs += 1
             out = cover_graph(G, alpha)
             fallback = out.losses["fallback_edges"]
+            for key in ("merge_lost", "soft_breaks", "soft_lost", "fallback_edges"):
+                losses[key] += out.losses[key]
             assert (out.timings_ms["coloring"] > 0) == (fallback > 0)
             if not out.ok:
                 failed += 1
@@ -308,6 +322,11 @@ def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
                 assert out.ok and fallback == 2
     assert graphs == 113
     assert failed < len(MATCHING_PIPELINE_FAILURES)
+    assert graphs - failed == 107
+    # the corpus's summed loss counters, pinned so that the soft set and the
+    # soft_lost count cannot drift silently
+    assert losses == {"merge_lost": 3608, "soft_breaks": 15354, "soft_lost": 5144,
+                      "fallback_edges": 8}
 
 
 def test_cover_graph_walecki_k5():
@@ -435,8 +454,6 @@ def test_soft_lost_counts_seed_edges_the_cycle_dropped():
 def test_greedy_retries_do_not_merge(monkeypatch):
     # attempts 0 and 1 start from the merged seed path; later attempts start
     # from a greedy path, so they must not pay for a merge they ignore
-    import hamcover.cover as cover_mod
-
     attempts: list[int] = []  # attempt of the cover_matching_once running now
     merged_at: list[int] = []
     retries: list[int] = []

@@ -27,10 +27,12 @@ from hamcover.graph import (
     cycle_graph,
     disjoint_union,
     edge_key,
+    is_connected,
     mask_of,
     path_edges,
 )
 from hamcover.oracle import validate_family
+from hamcover import cover
 from hamcover.cover import extract_packing, greedy_edge_coloring, greedy_maximal_matching
 
 
@@ -504,6 +506,39 @@ def test_merge_matches_eager_reference(monkeypatch):
             assert budgets[0] == budgets[1], (n, p, d, trial)
     assert merges >= 100
     assert connectors >= 50, connectors
+
+
+def test_merge_of_a_family_equals_merge_of_its_edges(monkeypatch):
+    # every forest the cover loop merges over the sparse corpus of
+    # test_cover.py, which holds lossy rounds and dissolving merges
+    seen = []
+    real_merge = cover.merge_into_single_path
+
+    def record(G, forest, alpha):
+        seen.append((G, forest, alpha))
+        return real_merge(G, forest, alpha)
+
+    monkeypatch.setattr(cover, "merge_into_single_path", record)
+    for n, p, base in ((64, 0.15, 5), (48, 0.2, 11), (96, 0.1, 12)):
+        alpha = expander_params_for_gnp(n, p).alpha
+        for s in range(40):
+            G = sample_gnp(n, p, RngSeed(base, s))
+            if is_connected(G) and G.min_degree() >= 2:
+                cover.cover_graph(G, alpha)
+    merges = lossy = dissolving = 0
+    for G, forest, alpha in seen:
+        if not isinstance(forest, PathFamily):
+            continue  # a fallback matching
+        merges += 1
+        edges = frozenset().union(*map(path_edges, forest.paths))
+        got = merge_into_single_path(G, forest, alpha)
+        want = merge_into_single_path(G, edges, alpha)
+        assert _merge_summary(got) == _merge_summary(want)
+        assert got.mu == want.mu and got.budgets == want.budgets
+        assert got.lost_matching == edges - path_edges(got.path)
+        lossy += max(got.k_schedule, default=1) > 1
+        dissolving += got.dissolved > 0
+    assert merges >= 1000 and lossy >= 200 and dissolving >= 10, (merges, lossy, dissolving)
 
 
 # The driver as it was when it ran a growing end-depth schedule of rounds

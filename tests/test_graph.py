@@ -16,6 +16,7 @@ from hamcover.graph import (
     diameter,
     format_edge_list,
     induced_subgraph,
+    is_path,
     neighborhood_of_set,
     parse_edge_list,
     path_graph,
@@ -117,6 +118,46 @@ def test_parse_rejects_garbage():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(GraphError):
         parse_edge_list("3 1\n0 x\n")
+
+
+def is_path_ref(G, seq) -> bool:
+    """is_path as it was, one has_edge call per consecutive pair."""
+    vs = list(seq)
+    if len(vs) != len(set(vs)):
+        return False
+    if any(not (0 <= v < G.n) for v in vs):
+        return False
+    return all(G.has_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
+
+
+def test_is_path_matches_reference():
+    rnd = random.Random(218)
+    G = sample_gnp(24, 0.4, RngSeed(218, 0))
+    n = G.n
+    walk = find_hamilton_cycle(G).cycle
+    cases = [
+        [], [0], [n - 1], [-1], [n], [0, 0], [-1, 0], [0, n],
+        list(walk), list(walk[:5]) + [walk[2]], list(walk[:5]) + [-1], list(walk[:5]) + [n],
+        [u for u in range(n) if not G.has_edge(0, u) and u][:1] + [0],  # non-adjacent
+    ]
+    for _ in range(400):
+        k = rnd.randint(0, 8)
+        if rnd.random() < 0.5:
+            # a stretch of the Hamilton cycle, with a vertex perhaps changed
+            i = rnd.randrange(n)
+            seq = [walk[(i + j) % n] for j in range(k)]
+            if seq and rnd.random() < 0.5:
+                seq[rnd.randrange(k)] = rnd.randint(-2, n + 1)
+        else:
+            seq = [rnd.randint(-1, n) for _ in range(k)]
+        cases.append(seq)
+    wins = 0
+    for seq in cases:
+        want = is_path_ref(G, seq)
+        assert is_path(G, seq) == want, seq
+        assert is_path(G, iter(seq)) == want, seq
+        wins += want and len(seq) >= 2
+    assert wins >= 100
 
 
 def test_remove_edges():
