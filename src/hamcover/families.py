@@ -190,12 +190,12 @@ class _Ends:
     __slots__ = ("xs", "mask", "reach", "path_mask", "deletable")
 
     def __init__(self, G: Graph, path: tuple[int, ...], k: int, path_mask: int) -> None:
-        bits = G.adjacency_bits
+        rows = G.rows
         self.xs = xs = [path[i] for i in _end_candidates(path, k)]
         mask = reach = 0
         for x in xs:
             mask |= 1 << x
-            reach |= bits(x)
+            reach |= rows[x]
         self.mask, self.reach, self.path_mask = mask, reach, path_mask
         self.deletable = len(path) - 1 < 2 * k - 1
 
@@ -207,9 +207,10 @@ def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[
     with at most d edges inside, or None. The direct edge case is handled by
     the caller.
     """
+    rows = G.rows
     outside = ~family_mask
-    sources = G.adjacency_bits(x) & outside & G.full_mask()
-    targets = G.adjacency_bits(y) & outside & G.full_mask()
+    sources = rows[x] & outside & G.full_mask()
+    targets = rows[y] & outside & G.full_mask()
     if not sources or not targets:
         return None
     parent: dict[int, int | None] = {}
@@ -223,7 +224,7 @@ def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[
         v, dist = queue.popleft()
         if dist >= d:
             continue
-        for w in iter_bits(G.adjacency_bits(v) & outside):
+        for w in iter_bits(rows[v] & outside):
             if w in parent:
                 continue
             parent[w] = v
@@ -249,7 +250,7 @@ def _find_merge(G: Graph, paths: list[tuple[int, ...]], ends: dict[tuple[int, ..
     ends. Returns (path_i, path_j, x, y, interior) or None; the interior is
     empty for a direct edge.
     """
-    bits = G.adjacency_bits
+    rows = G.rows
     # direct edges first: cheapest gain, no outside vertices consumed
     for pi in paths:
         ei = ends[pi]
@@ -261,7 +262,7 @@ def _find_merge(G: Graph, paths: list[tuple[int, ...]], ends: dict[tuple[int, ..
             if ej.mask & hit:
                 break
         for x in ei.xs:
-            ys = bits(x) & ej.mask
+            ys = rows[x] & ej.mask
             if ys:
                 return pi, pj, x, (ys & -ys).bit_length() - 1, []
     return _first_connector(G, paths, [ends[p].xs for p in paths], family_mask, d)
@@ -271,10 +272,10 @@ def _first_connector(G: Graph, paths: list, xss: list, family_mask: int, d: int)
     """First outside connector in (pi, x, pj, y) order, with ``xss[i]`` the
     usable ends of ``paths[i]`` in candidate order: (pi, pj, x, y, interior)
     or None."""
-    bits = G.adjacency_bits
+    rows = G.rows
     outside = G.full_mask() & ~family_mask
     for i, xs in enumerate(xss):
-        xs = [x for x in xs if bits(x) & outside]
+        xs = [x for x in xs if rows[x] & outside]
         if not xs:
             continue
         for j, ys in enumerate(xss):
@@ -294,18 +295,18 @@ def _find_join(G: Graph, heads: list[int], other: dict[int, int], ends_mask: int
     holds the paths' smaller ends in ascending order, the order of the
     sorted paths, and ``other`` maps each end to its path's other end.
     Returns (x, y, interior) or None."""
-    bits = G.adjacency_bits
+    rows = G.rows
     for h in heads:
         o = other[h]
-        bh = bits(h)
-        hit = (bh | bits(o)) & ends_mask & ~(1 << h | 1 << o)
+        bh = rows[h]
+        hit = (bh | rows[o]) & ends_mask & ~(1 << h | 1 << o)
         if hit:
             for j in heads:
                 ej = 1 << j | 1 << other[j]
                 if ej & hit:
                     break
             x = h if bh & ej else o
-            ys = bits(x) & ej
+            ys = rows[x] & ej
             return x, (ys & -ys).bit_length() - 1, ()
     found = _first_connector(G, heads, [(h, other[h]) for h in heads], family_mask, d)
     return found and found[2:]

@@ -1,10 +1,12 @@
 """Immutable simple undirected graphs on dense integer vertices.
 
-Vertices are 0..n-1. Each graph keeps one adjacency view: an int bitmask
-per vertex (O(1) membership, fast set algebra on whole neighborhoods, and
-ascending iteration by walking the set bits). ``neighbors()`` derives the
-sorted neighbor tuple from the bitmask on each call. Graphs never mutate;
-edge removal and induced subgraphs build fresh graphs.
+Vertices are 0..n-1. Each graph keeps one adjacency view, the public
+tuple ``rows``: an int bitmask per vertex (O(1) membership, fast set
+algebra on whole neighborhoods, and ascending iteration by walking the set
+bits). Hot loops index ``G.rows[v]`` directly; ``adjacency_bits(v)`` is the
+same row behind a method call. ``neighbors()`` derives the sorted neighbor
+tuple from the bitmask on each call. Graphs never mutate, and ``rows`` is
+read only; edge removal and induced subgraphs build fresh graphs.
 """
 
 from __future__ import annotations
@@ -48,42 +50,42 @@ def set_of(mask: int) -> set[int]:
 class Graph:
     """Simple undirected graph; symmetric, loop-free, deduplicated."""
 
-    __slots__ = ("n", "m", "_bits")
+    __slots__ = ("n", "m", "rows")
 
-    def __init__(self, n: int, bits: tuple[int, ...], m: int):
+    def __init__(self, n: int, rows: tuple[int, ...], m: int):
         # internal constructor; use build_graph() for validated input
         self.n = n
         self.m = m
-        self._bits = bits
+        self.rows = rows  # rows[v]: bitmask of v's neighbours
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order, derived from its bitmask."""
-        return tuple(iter_bits(self._bits[v]))
+        return tuple(iter_bits(self.rows[v]))
 
     def adjacency_bits(self, v: int) -> int:
-        return self._bits[v]
+        return self.rows[v]
 
     def degree(self, v: int) -> int:
-        return self._bits[v].bit_count()
+        return self.rows[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return list(map(int.bit_count, self._bits))
+        return list(map(int.bit_count, self.rows))
 
     def max_degree(self) -> int:
-        return max(map(int.bit_count, self._bits), default=0)
+        return max(map(int.bit_count, self.rows), default=0)
 
     def min_degree(self) -> int:
-        return min(map(int.bit_count, self._bits), default=0)
+        return min(map(int.bit_count, self.rows), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._bits[u] >> v & 1)
+        return bool(self.rows[u] >> v & 1)
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
     def edges(self) -> Iterator[Edge]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        for u, b in enumerate(self._bits):
+        for u, b in enumerate(self.rows):
             b >>= u + 1
             while b:
                 low = b & -b
@@ -98,7 +100,7 @@ class Graph:
 
         Copies the bitmask rows once and clears two bits per dropped edge.
         """
-        bits = list(self._bits)
+        bits = list(self.rows)
         removed = 0
         for u, v in edges:
             if bits[u] >> v & 1:  # clearing the bit also skips repeats
@@ -108,10 +110,10 @@ class Graph:
         return Graph(self.n, tuple(bits), self.m - removed)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._bits == other._bits
+        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self._bits))
+        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -144,7 +146,7 @@ def neighborhood_bits(G: Graph, vertices: Iterable[int]) -> int:
     nb = 0
     for v in vertices:
         amask |= 1 << v
-        nb |= G._bits[v]
+        nb |= G.rows[v]
     return nb & ~amask
 
 
@@ -164,7 +166,7 @@ def bfs_distances(G: Graph, source: int) -> list[int]:
     while frontier:
         nxt = 0
         for v in iter_bits(frontier):
-            nxt |= G._bits[v]
+            nxt |= G.rows[v]
         nxt &= full & ~seen
         d += 1
         for v in iter_bits(nxt):
@@ -209,7 +211,7 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     bits = []
     m = 0
     for v in keep:
-        row = mask_of(to_sub[w] for w in iter_bits(G._bits[v] & kmask))
+        row = mask_of(to_sub[w] for w in iter_bits(G.rows[v] & kmask))
         bits.append(row)
         m += row.bit_count()
     return Graph(len(keep), tuple(bits), m // 2), to_sub, tuple(keep)
@@ -222,7 +224,7 @@ def is_path(G: Graph, seq: Iterable[int]) -> bool:
         return False
     if vs and (min(vs) < 0 or max(vs) >= G.n):
         return False
-    bits = G._bits
+    bits = G.rows
     return all(bits[u] >> v & 1 for u, v in zip(vs, vs[1:]))
 
 
@@ -231,7 +233,7 @@ def is_hamilton_cycle(G: Graph, seq: Iterable[int]) -> bool:
     vs = list(seq)
     if len(vs) != G.n or G.n < 3 or set(vs) != set(range(G.n)):
         return False
-    bits = G._bits
+    bits = G.rows
     return all(bits[u] >> v & 1 for u, v in zip(vs, vs[1:] + vs[:1]))
 
 

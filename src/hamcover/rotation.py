@@ -18,7 +18,6 @@ is deterministic for a given graph and seed path.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .families import ExtensionBudget, FamilyError, PathFamily, reduce_family
@@ -65,8 +64,10 @@ class RotationConstraints:
     soft_breaks: int = 0
 
     def __post_init__(self) -> None:
-        self.locked = frozenset(edge_key(*e) for e in self.locked)
-        self.soft = frozenset(edge_key(*e) for e in self.soft) | self.locked
+        # edge_key's (min, max) pairs without a call per edge: the cover
+        # builds constraints for every search it makes
+        self.locked = frozenset([(u, v) if u < v else (v, u) for u, v in self.locked])
+        self.soft = frozenset([(u, v) if u < v else (v, u) for u, v in self.soft]) | self.locked
 
     def record(self, broken: Edge) -> None:
         if broken in self.locked:
@@ -158,28 +159,33 @@ def _rotation_walk(G, root: list[int], constraints: RotationConstraints, visit,
     mask, which every rotated path shares (by default all of them). The
     root's expansion looks each up in ``positions`` (vertex -> position in
     root) when it is given; deeper expansions scan their path.
+
+    The queue is a plain list that the loop iterates while appending to it,
+    so it keeps every entry until the walk returns; the root's entry has no
+    pivot position and is expanded as ``root`` itself.
     """
     q = len(root)
     if q < 3 or max_depth <= 0:
         return None
-    bits = G.adjacency_bits
+    rows = G.rows
     locked, soft = constraints.locked, constraints.soft
     seen = {root[-1]}
-    queue = deque([(root, None, 0)])
-    while queue:
-        parent, at, depth = queue.popleft()
+    queue = [(root, None, 0)]
+    for parent, at, depth in queue:
         if depth >= max_depth:
             continue
-        path = _rotated(parent, at)
-        index = path.index if positions is None or depth else positions.__getitem__
+        if at is None:
+            path, known = root, positions
+        else:
+            path, known = parent[: at + 1] + parent[:at:-1], None
         held = []
-        nb = bits(path[-1]) & path_mask
+        nb = rows[path[-1]] & path_mask
         while nb:
             low = nb & -nb
             nb ^= low
             w = low.bit_length() - 1
             try:
-                i = index(w)
+                i = path.index(w) if known is None else known[w]
             except ValueError:
                 continue
             if i > q - 3:
@@ -259,7 +265,7 @@ def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
         out.endpoints.add(e)
         out.pivots[e] = pivots
         out.paths[e] = tuple(walked)
-        if G.adjacency_bits(e) & outside:
+        if G.rows[e] & outside:
             out.external = e
             return True
         return True if len(out.endpoints) >= cap else None
@@ -273,7 +279,10 @@ def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
     return out
 
 
-@dataclass(frozen=True)
+# the outcome records are built once per search pass, by position: plain
+# slotted dataclasses, which build several times faster than frozen ones
+
+@dataclass(slots=True)
 class ExtendAt:
     """A same-vertex-set path whose endpoint can step off the path.
 
@@ -289,14 +298,14 @@ class ExtendAt:
     at: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Chord:
     """A same-vertex-set path whose two endpoints are adjacent."""
     path: tuple[int, ...]
     ends: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Stuck:
     """Two-level rotation search exhausted with no extension and no chord."""
     level_one: int
@@ -306,7 +315,7 @@ class Stuck:
 
 
 def _external_neighbor(G: Graph, v: int, outside: int) -> int | None:
-    hit = G.adjacency_bits(v) & outside
+    hit = G.rows[v] & outside
     if hit:
         return (hit & -hit).bit_length() - 1
     return None
@@ -338,6 +347,11 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     keep them; with ``positions`` the seed's own rotations look their
     pivots up in O(1). An ExtendAt whose path is the seed rotated once
     carries the pivot position in ``at`` and no path.
+
+    find_hamilton_cycle calls this once per pass, and most passes make a
+    single rotation, so the fixed cost per call is kept low: the two seed
+    ends are tested inline on ``G.rows`` and the outcomes are built by
+    position.
     """
     if constraints is None:
         constraints = RotationConstraints()
@@ -346,20 +360,20 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
         raise RotationError("path must be non-trivial (at least 2 vertices)")
     if path_mask is None:
         path_mask = mask_of(p0)
-    bits = G.adjacency_bits
+    rows = G.rows
     outside = G.full_mask() & ~path_mask
     head, tail = p0[0], p0[-1]
 
-    ext = _external_neighbor(G, tail, outside)
-    if ext is not None:
-        return ExtendAt(path=tuple(p0), endpoint=tail, external=ext)
-    ext = _external_neighbor(G, head, outside)
-    if ext is not None:
-        return ExtendAt(path=tuple(p0[::-1]), endpoint=head, external=ext)
+    hit = rows[tail] & outside
+    if hit:
+        return ExtendAt(tuple(p0), tail, (hit & -hit).bit_length() - 1)
+    hit = rows[head] & outside
+    if hit:
+        return ExtendAt(tuple(p0[::-1]), head, (hit & -hit).bit_length() - 1)
 
     chord: Chord | None = None
-    if bits(head) >> tail & 1:
-        chord = Chord(path=tuple(p0), ends=(head, tail))
+    if rows[head] >> tail & 1:
+        chord = Chord(tuple(p0), (head, tail))
         if not outside:
             return chord
 
@@ -372,14 +386,14 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
         if fixed == head:
             level_one.append((parent, i, e))
         explored += 1
-        hit = bits(e) & outside
+        hit = rows[e] & outside
         if hit:
             ext = (hit & -hit).bit_length() - 1
             if parent is p0:
-                return ExtendAt(path=None, endpoint=e, external=ext, at=i)
-            return ExtendAt(path=tuple(_rotated(parent, i)), endpoint=e, external=ext)
-        if chord is None and bits(fixed) >> e & 1:
-            chord = Chord(path=tuple(_rotated(parent, i)), ends=(fixed, e))
+                return ExtendAt(None, e, ext, i)
+            return ExtendAt(tuple(_rotated(parent, i)), e, ext)
+        if chord is None and rows[fixed] >> e & 1:
+            chord = Chord(tuple(_rotated(parent, i)), (fixed, e))
             if not outside:
                 return chord
         if explored >= SEARCH_NODE_CAP:
@@ -464,27 +478,32 @@ def _greedy_extend(G: Graph, path: list[int], used: int, positions: list[int]) -
     mask of the extended path. ``positions`` is kept up to date.
 
     The tail is extended first until it is stuck, then the head: a stuck
-    tail stays stuck, because the path only gains vertices.
+    tail stays stuck, because the path only gains vertices. The steps
+    carry one mask, of the vertices off the path.
     """
-    bits = G.adjacency_bits
-    free = bits(path[-1]) & ~used
-    while free:
-        v = (free & -free).bit_length() - 1
+    rows = G.rows
+    full = G.full_mask()
+    free = full & ~used
+    step = rows[path[-1]] & free
+    while step:
+        low = step & -step
+        v = low.bit_length() - 1
         positions[v] = len(path)
         path.append(v)
-        used |= 1 << v
-        free = bits(v) & ~used
+        free ^= low
+        step = rows[v] & free
     head = []
-    free = bits(path[0]) & ~used
-    while free:
-        v = (free & -free).bit_length() - 1
+    step = rows[path[0]] & free
+    while step:
+        low = step & -step
+        v = low.bit_length() - 1
         head.append(v)
-        used |= 1 << v
-        free = bits(v) & ~used
+        free ^= low
+        step = rows[v] & free
     if head:
         path[:0] = head[::-1]
         _place(path, positions)
-    return used
+    return full ^ free
 
 
 def _start_vertex(degs: list[int], start_hint: int) -> int:

@@ -239,7 +239,23 @@ def test_remove_edges_matches_set_reference(case):
 
 def test_graph_stores_one_adjacency_view():
     assert "_nbrs" not in Graph.__slots__
-    assert "_bits" in Graph.__slots__
+    assert "rows" in Graph.__slots__
+    # the public rows are the graph: one bitmask per vertex, as a tuple, from
+    # every way of making a graph
+    G = sample_gnp(30, 0.3, RngSeed(240, 0))
+    drop = list(G.edges())[::3]
+    graphs = [
+        G,
+        build_graph(6, [(0, 1), (1, 0), (2, 5), (4, 3)]),
+        G.remove_edges(drop + [(v, u) for u, v in drop[:4]]),
+        induced_subgraph(G, range(3, 30, 2))[0],
+        parse_edge_list(format_edge_list(G)),
+        build_graph(0, []),
+    ]
+    for H in graphs:
+        assert isinstance(H.rows, tuple)
+        assert H.rows == tuple(H.adjacency_bits(v) for v in range(H.n))
+        assert H.rows == tuple(sum(1 << w for w in H.neighbors(v)) for v in range(H.n))
 
 
 def test_canonical_cycle():

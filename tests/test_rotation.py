@@ -66,6 +66,29 @@ def test_rotate_respects_locked_edge():
     with pytest.raises(RotationError, match="locked"):
         rotate(c5_with_chord(), st, pivot=1,
                constraints=RotationConstraints(locked={(1, 2)}))
+    # a reversed, repeated locked edge with no soft set is the same edge
+    with pytest.raises(RotationError, match="locked"):
+        rotate(c5_with_chord(), st, pivot=1,
+               constraints=RotationConstraints(locked=[(2, 1), [1, 2], (2, 1)]))
+    # the constraints canonicalise their edges as edge_key does: edges
+    # reversed, repeated, given as lists, locked with no soft set, in lists,
+    # sets and frozensets
+    rnd = random.Random(64)
+    for trial in range(200):
+        edges = [tuple(rnd.sample(range(12), 2)) for _ in range(rnd.randint(0, 10))]
+        edges += rnd.sample(edges, len(edges) // 2)
+        edges += [(v, u) for u, v in rnd.sample(edges, len(edges) // 3)]
+        locked = rnd.sample(edges, rnd.randint(0, len(edges)))
+        soft = rnd.sample(edges, rnd.randint(0, len(edges))) if trial % 4 else []
+        if trial % 3 == 0:
+            locked, soft = set(locked), frozenset(soft)
+        elif trial % 3 == 1:
+            locked = [list(e) for e in locked]
+        cons = RotationConstraints(locked=locked, soft=soft)
+        want_locked = frozenset(edge_key(*e) for e in locked)
+        assert type(cons.locked) is frozenset and cons.locked == want_locked
+        assert type(cons.soft) is frozenset
+        assert cons.soft == frozenset(edge_key(*e) for e in soft) | want_locked
 
 
 def test_rotate_around_fixed_endpoint():
@@ -542,7 +565,7 @@ def _bipartite_stuck_instance(rnd, a, b, p):
 
 def test_rotate_until_extendable_matches_eager_reference():
     rnd = random.Random(7171)
-    kinds = {ExtendAt: 0, Chord: 0, Stuck: 0}
+    kinds = {"ExtendAt": 0, "Chord": 0, "Stuck": 0}
     cap_hits = soft_breaks = 0
     cases = []
     for trial in range(240):
@@ -581,8 +604,11 @@ def test_rotate_until_extendable_matches_eager_reference():
         assert _with_path(got, path) == want, (G, path, locked, soft)
         assert (got_cons.rotations, got_cons.soft_breaks, got_cons.absorptions) == \
             (want_cons.rotations, want_cons.soft_breaks, want_cons.absorptions)
-        kinds[type(got)] += 1
-        cap_hits += isinstance(got, Stuck) and got.explored == SEARCH_NODE_CAP
+        # bench/spans.py tells the outcomes apart by class name alone, and
+        # reads a Stuck's message
+        assert type(got).__name__ in kinds and type(got) is type(want)
+        kinds[type(got).__name__] += 1
+        cap_hits += isinstance(got, Stuck) and "node budget exhausted" in got.message
         soft_breaks += got_cons.soft_breaks
     assert sum(kinds.values()) >= 200
     assert min(kinds.values()) >= 20 and cap_hits >= 4 and soft_breaks > 0, \
@@ -1280,20 +1306,32 @@ def test_search_hands_its_own_path_positions_and_mask_over(monkeypatch):
         assert all(positions[v] == i for i, v in enumerate(path))
         out = inner(G, path, constraints, path_mask=path_mask, positions=positions)
         calls[type(out).__name__, getattr(out, "at", None) is None] += 1
+        calls["all"] += 1
         return out
+
+    def search(G, *args, **kwargs):
+        # the bench reads one rotate_until_extendable call per search pass
+        before = calls["all"]
+        res = find_hamilton_cycle(G, *args, **kwargs)
+        assert calls["all"] - before == res.iterations, res
+        return res
 
     monkeypatch.setattr(rotation, "rotate_until_extendable", checked)
     rnd = random.Random(9191)
+    results = []
     for trial in range(40):
         G = sample_gnp(rnd.randint(40, 120), rnd.choice((0.15, 0.3, 0.6)), RngSeed(9191, trial))
-        find_hamilton_cycle(G, start_hint=trial % 3)
+        results.append(search(G, start_hint=trial % 3))
     for trial in range(40):
         G = sample_gnp(rnd.randint(10, 40), 0.3, RngSeed(9192, trial))
         locked = _linear_forest(G, rnd, G.n // 3)
-        find_hamilton_cycle(G, RotationConstraints(locked=locked, soft=locked))
+        results.append(search(G, RotationConstraints(locked=locked, soft=locked)))
     for trial in range(10):
         G, path = _absorbing_instance(rnd)
-        find_hamilton_cycle(G, seed_path=path)
+        results.append(search(G, seed_path=path))
     # ExtendAt with at set, and with at None; Chords, spanning or absorbed
     assert calls["ExtendAt", False] >= 50 and calls["ExtendAt", True] >= 10, calls
     assert calls["Chord", True] >= 10, calls
+    # searches that succeed, and ones that fail after some passes
+    assert sum(r.ok for r in results) >= 20, results
+    assert any(not r.ok and r.iterations for r in results), results
