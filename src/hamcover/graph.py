@@ -307,7 +307,11 @@ def read_edge_list(path: str) -> Graph:
 # --- small fixtures --------------------------------------------------------
 
 def complete_graph(n: int) -> Graph:
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    # every row is the full mask less its own bit; no edge list is built
+    if n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)), n * (n - 1) // 2)
 
 
 def cycle_graph(n: int) -> Graph:
