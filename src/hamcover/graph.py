@@ -7,6 +7,14 @@ bits). Hot loops index ``G.rows[v]`` directly; ``adjacency_bits(v)`` is the
 same row behind a method call. ``neighbors()`` derives the sorted neighbor
 tuple from the bitmask on each call. Graphs never mutate, and ``rows`` is
 read only; edge removal and induced subgraphs build fresh graphs.
+
+The per-cycle steps, ``Graph.remove_edges``, ``is_hamilton_cycle`` and
+``is_path``, test and clear bits with one shared table of one-hot masks,
+``one_hot(n)[v] == 1 << v``, instead of shifts that allocate a fresh n-bit
+integer per edge. The table is built on first use, never at import or while
+sampling, and is only ever replaced by a longer one, so it holds about
+N^2 / 8 bytes for the largest N used in the process. ``remove_edges``
+raises GraphError for a vertex outside 0..n-1, whatever the table's length.
 """
 
 from __future__ import annotations
@@ -45,6 +53,22 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def set_of(mask: int) -> set[int]:
     return set(iter_bits(mask))
+
+
+_one_hot: list[int] = []
+
+
+def one_hot(n: int) -> list[int]:
+    """The shared table ``bit`` with ``bit[v] == 1 << v``, at least n long.
+
+    It may be longer than n, and a negative index wraps round to its end,
+    so callers range-check their vertices. The table is extended, never
+    shrunk, by replacing it: a table a caller already holds stays valid.
+    """
+    global _one_hot
+    if len(_one_hot) < n:
+        _one_hot = _one_hot + [1 << v for v in range(len(_one_hot), n)]
+    return _one_hot
 
 
 class Graph:
@@ -98,16 +122,28 @@ class Graph:
     def remove_edges(self, edges: Iterable[Edge]) -> "Graph":
         """New graph with the given edges removed (absent edges ignored).
 
-        Copies the bitmask rows once and clears two bits per dropped edge.
+        Copies the bitmask rows once and clears two bits per dropped edge
+        with one-hot table entries. Raises GraphError, naming the edge, for
+        a vertex outside 0..n-1 in either position.
         """
+        n = self.n
         bits = list(self.rows)
+        bit = one_hot(n)
         removed = 0
         for u, v in edges:
-            if bits[u] >> v & 1:  # clearing the bit also skips repeats
-                bits[u] ^= 1 << v
-                bits[v] ^= 1 << u
+            if (u | v) < 0:  # a negative index would wrap round
+                raise _out_of_range(u, v, n)
+            try:
+                hit = bits[u] & bit[v]
+            except IndexError:  # u >= n, or v past the end of the table
+                raise _out_of_range(u, v, n) from None
+            if hit:  # clearing the bit also skips repeats
+                bits[u] ^= bit[v]
+                bits[v] ^= bit[u]
                 removed += 1
-        return Graph(self.n, tuple(bits), self.m - removed)
+            elif v >= n:  # bit[v] may exist, as the table can be longer than n
+                raise _out_of_range(u, v, n)
+        return Graph(n, tuple(bits), self.m - removed)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -117,6 +153,10 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _out_of_range(u: int, v: int, n: int) -> GraphError:
+    return GraphError(f"edge ({u}, {v}) out of range for n={n}")
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -130,7 +170,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     m = 0
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            raise _out_of_range(u, v, n)
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         if not bits[u] >> v & 1:
@@ -219,22 +259,38 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 
 def is_path(G: Graph, seq: Iterable[int]) -> bool:
     """True iff seq is a sequence of distinct vertices joined by edges."""
-    vs = list(seq)
+    vs = seq if isinstance(seq, (list, tuple)) else list(seq)
     if len(vs) != len(set(vs)):
         return False
-    if vs and (min(vs) < 0 or max(vs) >= G.n):
+    if not vs:
+        return True
+    if min(vs) < 0 or max(vs) >= G.n:
         return False
-    bits = G.rows
-    return all(bits[u] >> v & 1 for u, v in zip(vs, vs[1:]))
+    rows = G.rows
+    bit = one_hot(G.n)
+    u = vs[0]
+    for v in vs[1:]:
+        if not rows[u] & bit[v]:
+            return False
+        u = v
+    return True
 
 
 def is_hamilton_cycle(G: Graph, seq: Iterable[int]) -> bool:
     """True iff seq visits every vertex exactly once and closes into a cycle."""
-    vs = list(seq)
-    if len(vs) != G.n or G.n < 3 or set(vs) != set(range(G.n)):
+    n = G.n
+    vs = seq if isinstance(seq, (list, tuple)) else list(seq)
+    # n distinct vertices in 0..n-1 are all of them
+    if n < 3 or len(vs) != n or len(set(vs)) != n or min(vs) < 0 or max(vs) >= n:
         return False
-    bits = G.rows
-    return all(bits[u] >> v & 1 for u, v in zip(vs, vs[1:] + vs[:1]))
+    rows = G.rows
+    bit = one_hot(n)
+    u = vs[-1]  # the closing pair first
+    for v in vs:
+        if not rows[u] & bit[v]:
+            return False
+        u = v
+    return True
 
 
 def cycle_edges(seq: Iterable[int]) -> frozenset[Edge]:

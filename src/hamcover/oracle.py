@@ -224,7 +224,6 @@ def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
     matrix.
     """
     n = G.n
-    adj = _adjacency_matrix(G)
     vertices = set(range(n))
     bad = None
     rows = []
@@ -235,22 +234,41 @@ def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
             bad = idx
             break
         rows.append(cyc)
+    good, edges, counts, uncovered = _edge_counts(G, rows)
+    if good < len(rows):
+        bad = good
+    coverage: dict[Edge, int] = dict(zip(edges, counts))
+    ok = bad is None and not uncovered
+    return CoverValidation(ok=ok, n_cycles=len(cycles), bad_cycle=bad,
+                           coverage=coverage, uncovered=uncovered)
+
+
+def _edge_counts(G: Graph, rows: list[tuple[int, ...]]
+                 ) -> tuple[int, list[Edge], list[int], list[Edge]]:
+    """How many leading ``rows`` are Hamilton cycles of G; the edges of G in
+    ``G.edges()`` order; how many of those leading cycles use each edge;
+    and the edges that none of them uses.
+
+    Each row holds n vertices of 0..n-1. The counts take O(m) memory, not
+    O(n^2), and every array lives only in this call, so none is held while
+    the caller builds its dict.
+    """
+    n = G.n
+    adj = _adjacency_matrix(G)
     A = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     B = np.roll(A, -1, axis=1)
     # a row is a permutation iff it sorts to 0..n-1
     good = (np.sort(A, axis=1) == np.arange(n)).all(axis=1) & adj[A, B].all(axis=1)
-    if not good.all():
-        bad = int(np.argmin(good))
-        A, B = A[:bad], B[:bad]
+    k = len(rows) if good.all() else int(np.argmin(good))
+    A, B = A[:k], B[:k]
     us, ws = np.nonzero(np.triu(adj, 1))  # row-major, so in G.edges() order
-    keys = np.minimum(A, B) * n + np.maximum(A, B)
-    counts = np.bincount(keys.ravel(), minlength=n * n)[us * n + ws]
+    codes = us * n + ws  # ascending, one per edge
+    # every key is an edge of a cycle that passed the adjacency check, so
+    # it is found among the codes; sorted keys search several times faster
+    keys = np.sort(np.minimum(A, B) * n + np.maximum(A, B), axis=None)
+    counts = np.bincount(np.searchsorted(codes, keys), minlength=len(codes))
     edges = list(zip(us.tolist(), ws.tolist()))
-    coverage: dict[Edge, int] = dict(zip(edges, counts.tolist()))
-    uncovered = [edges[i] for i in np.flatnonzero(counts == 0).tolist()]
-    ok = bad is None and not uncovered
-    return CoverValidation(ok=ok, n_cycles=len(cycles), bad_cycle=bad,
-                           coverage=coverage, uncovered=uncovered)
+    return k, edges, counts.tolist(), [edges[i] for i in np.flatnonzero(counts == 0).tolist()]
 
 
 def _adjacency_matrix(G: Graph) -> np.ndarray:

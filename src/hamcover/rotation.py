@@ -479,16 +479,18 @@ def _greedy_extend(G: Graph, path: list[int], used: int, positions: list[int]) -
 
     The tail is extended first until it is stuck, then the head: a stuck
     tail stays stuck, because the path only gains vertices. The steps
-    carry one mask, of the vertices off the path.
+    carry one mask, of the vertices off the path. The new positions are
+    written once at the end: from the old tail on, or from 0 when the head
+    grew and every vertex moved.
     """
     rows = G.rows
     full = G.full_mask()
     free = full & ~used
+    start = len(path)
     step = rows[path[-1]] & free
     while step:
         low = step & -step
         v = low.bit_length() - 1
-        positions[v] = len(path)
         path.append(v)
         free ^= low
         step = rows[v] & free
@@ -502,7 +504,9 @@ def _greedy_extend(G: Graph, path: list[int], used: int, positions: list[int]) -
         step = rows[v] & free
     if head:
         path[:0] = head[::-1]
-        _place(path, positions)
+        start = 0
+    if start < len(path):  # most passes add no vertex
+        _place(path, positions, start)
     return full ^ free
 
 
@@ -599,11 +603,11 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             used |= 1 << outcome.external
             continue
         if isinstance(outcome, Chord):
-            cyc = list(outcome.path)
+            cyc = outcome.path  # a fresh tuple, so returned as it is
             if len(cyc) == n:
                 if not is_hamilton_cycle(G, cyc):
                     return failed("internal: closed sequence is not a Hamilton cycle", n)
-                return HamiltonResult(tuple(cyc), iterations=iterations,
+                return HamiltonResult(cyc, iterations=iterations,
                                       rotations=constraints.rotations,
                                       soft_breaks=constraints.soft_breaks,
                                       path_len=n)

@@ -1,4 +1,9 @@
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +21,10 @@ from hamcover.graph import (
     diameter,
     format_edge_list,
     induced_subgraph,
+    is_hamilton_cycle,
     is_path,
     neighborhood_of_set,
+    one_hot,
     parse_edge_list,
     path_graph,
     petersen_graph,
@@ -158,6 +165,113 @@ def test_is_path_matches_reference():
         assert is_path(G, iter(seq)) == want, seq
         wins += want and len(seq) >= 2
     assert wins >= 100
+
+
+def is_hamilton_cycle_ref(G, seq):
+    # is_hamilton_cycle as it was before the one-hot table
+    vs = list(seq)
+    if len(vs) != G.n or G.n < 3 or set(vs) != set(range(G.n)):
+        return False
+    bits = G.rows
+    return all(bits[u] >> v & 1 for u, v in zip(vs, vs[1:] + vs[:1]))
+
+
+def _answer(check, G, seq):
+    try:
+        return check(G, seq)
+    except Exception as exc:  # the two versions must raise the same type
+        return type(exc)
+
+
+def test_is_hamilton_cycle_matches_reference():
+    rnd = random.Random(231)
+    G = sample_gnp(24, 0.4, RngSeed(231, 0))
+    n = G.n
+    walk = list(find_hamilton_cycle(G).cycle)
+    non_adjacent = next(v for v in range(1, n) if not G.has_edge(walk[0], v))
+    cases = [(G, walk[:-1]), (G, walk + walk[:1]), (G, [])]
+    for k in range(n):
+        turned = walk[k:] + walk[:k]
+        cases += [(G, turned), (G, turned[::-1])]  # rotations and reflections
+        for bad in (turned[1], -1, n, n + 1):
+            cases.append((G, turned[:-1] + [bad]))
+        # a non-adjacent pair, at the closing position or inside
+        swapped = [walk[0], non_adjacent] + [v for v in walk[1:] if v != non_adjacent]
+        cases.append((G, swapped[k:] + swapped[:k]))
+    for _ in range(200):
+        seq = walk[:]
+        for _ in range(rnd.randint(1, 3)):
+            i, j = rnd.randrange(n), rnd.randrange(n)
+            seq[i], seq[j] = seq[j], seq[i]
+        if rnd.random() < 0.3:
+            seq[rnd.randrange(n)] = rnd.randint(-1, n + 1)
+        cases.append((G, seq))
+    # the closing pair missing, and present
+    cases += [(path_graph(7), list(range(7))), (cycle_graph(7), list(range(7)))]
+    for m in (0, 1, 2):
+        K = complete_graph(m)
+        cases += [(K, list(range(m))), (K, [0] * m), (K, [-1]), (K, [0, 1])]
+    hits = 0
+    for H, seq in cases:
+        want = _answer(is_hamilton_cycle_ref, H, seq)
+        assert _answer(is_hamilton_cycle, H, seq) == want, seq
+        assert _answer(is_hamilton_cycle, H, iter(seq)) == want, seq
+        assert _answer(is_hamilton_cycle, H, tuple(seq)) == want, seq
+        hits += want is True
+    assert len(cases) >= 300
+    assert hits >= 2 * n + 1
+
+
+def test_one_hot_table_across_graph_sizes():
+    # the table is shared and only grows, so each size sees a table at
+    # least as long as the largest graph used before it
+    longest = 0
+    for n in (300, 5, 70):
+        C = cycle_graph(n)
+        assert is_hamilton_cycle(C, range(n))
+        assert is_path(C, range(n))
+        H = C.remove_edges([(v, (v + 1) % n) for v in range(0, n, 2)])
+        assert H == build_graph(n, [(v, (v + 1) % n) for v in range(1, n, 2)])
+        bit = one_hot(n)
+        longest = max(longest, n)
+        assert len(bit) >= longest
+        assert all(bit[v] == 1 << v for v in range(n))
+        assert one_hot(0) is bit
+
+
+def test_one_hot_table_is_not_built_at_import_or_while_sampling():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import hamcover, hamcover.graph as g\n"
+            "hamcover.sample_gnp(300, 0.5, hamcover.RngSeed(1, 0))\n"
+            "assert not g._one_hot, len(g._one_hot)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (-3, -2), (4, 0), (0, 4), (9, 2), (2, 9),
+                                  (299, 0), (0, 299), (10**30, 1), (1, 10**30)])
+def test_remove_edges_rejects_out_of_range_vertices(edge):
+    u, v = edge
+    K4 = complete_graph(4)
+    before = _snapshot(K4)
+    for _ in range(2):
+        with pytest.raises(GraphError, match=re.escape(f"edge ({u}, {v}) out of range for n=4")):
+            K4.remove_edges([(0, 1), edge, (2, 3)])
+        assert _snapshot(K4) == before
+        # the shared table now outgrows n, which must not change the answer
+        complete_graph(300).remove_edges([(0, 299)])
+
+
+def test_remove_edges_passes_on_the_input_own_errors():
+    K4 = complete_graph(4)
+    pairs = [(0, 1), (2, 3)]
+    with pytest.raises(IndexError):
+        K4.remove_edges(pairs[i] for i in range(3))
+    with pytest.raises(IndexError):
+        K4.remove_edges(pairs[i] for i in range(2, 3))
 
 
 def test_remove_edges():

@@ -36,6 +36,7 @@ from hamcover.rotation import (
     RotationState,
     Stuck,
     _external_neighbor,
+    _greedy_extend,
     _rotated,
     _rotation_walk,
     _start_vertex,
@@ -1099,6 +1100,31 @@ def _greedy_extend_ref(G: Graph, path: list[int], used: int) -> int:
         free = bits(v) & ~used
     path[:0] = head[::-1]
     return used
+
+
+def test_greedy_extend_keeps_every_position_exact():
+    # positions are written once per call, from the old tail on or from 0
+    # after a head extension; stale entries of off-path vertices must not
+    # leak into the path's positions
+    rnd = random.Random(1077)
+    grew = Counter()
+    for trial in range(300):
+        G = sample_gnp(rnd.randint(3, 60), rnd.choice((0.05, 0.1, 0.2, 0.5)), RngSeed(1077, trial))
+        if rnd.random() < 0.5:
+            path = [rnd.randrange(G.n)]
+        else:
+            path = _random_walk_path(G, rnd)
+        pos = [rnd.randint(-5, 2 * G.n) for _ in range(G.n)]  # stale values
+        for i, v in enumerate(path):
+            pos[v] = i
+        want = list(path)
+        want_used = _greedy_extend_ref(G, want, mask_of(want))
+        head, length = path[0], len(path)
+        used = _greedy_extend(G, path, mask_of(path), pos)
+        assert path == want and used == want_used == mask_of(path)
+        assert all(pos[v] == i for i, v in enumerate(path)), (path, pos)
+        grew["head" if path[0] != head else "tail" if len(path) > length else "none"] += 1
+    assert min(grew["head"], grew["tail"], grew["none"]) >= 20, grew
 
 
 def _greedy_seed_ref(G: Graph, start_hint: int = 0) -> list[int]:
