@@ -235,7 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hamilton", help="heuristic Hamilton cycle search")
     p.add_argument("--graph", required=True)
     p.add_argument("--forbid", default=None,
-                   help="edge-list file of edges the search must never break")
+                   help="edge-list file of edges the search must never break; they are "
+                        "joined into one seed path by a single greedy k = 1 splice round, "
+                        "which can fail with \"could not chain locked edges into one "
+                        "path\" on a linear forest that another splice order joins")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_hamilton)
 

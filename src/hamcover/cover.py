@@ -12,7 +12,9 @@ residual's maximum degree in cycles covers it. If both searches of a round
 to the matching fallback: color the residual into matchings by first-fit
 and cover each matching the same way. A certificate records the cycles and
 per-edge coverage counts; it is validated against the independent oracle
-before being returned. Search failures are values carrying the phase and
+before being returned, and it keeps the oracle's counts as they come, in
+numpy arrays behind a read-only edge mapping (``EdgeCounts``), not as a
+dict of m edge tuples. Search failures are values carrying the phase and
 the stuck instance, never exceptions.
 """
 
@@ -36,7 +38,7 @@ from .graph import (
 )
 from .gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from .families import PathFamily, merge_into_single_path
-from .oracle import validate_cover
+from .oracle import EdgeCounts, validate_cover
 from .rotation import RotationConstraints, find_hamilton_cycle
 
 log = logging.getLogger(__name__)
@@ -252,10 +254,15 @@ def cover_matching(G: Graph, matching, alpha: float) -> MatchingCover:
 
 @dataclass
 class CoverCertificate:
-    """A Hamilton covering: cycles, per-edge counts, and the packing prefix."""
+    """A Hamilton covering: cycles, per-edge counts, and the packing prefix.
+
+    ``coverage`` is the ``EdgeCounts`` that ``validate_cover`` returned for
+    ``cycles``: ``coverage[(u, v)]``, ``u < v``, is how many cycles use the
+    edge, read from numpy arrays.
+    """
 
     cycles: list[tuple[int, ...]]
-    coverage: dict[Edge, int]
+    coverage: EdgeCounts
     h: int                      # how many leading cycles form the packing
 
     @property
@@ -263,7 +270,7 @@ class CoverCertificate:
         return len(self.cycles)
 
     def min_coverage(self) -> int:
-        return min(self.coverage.values(), default=0)
+        return self.coverage.min_coverage
 
 
 @dataclass
@@ -275,7 +282,8 @@ class CoverOutcome:
     matching edges): ``merge_lost``, ``soft_breaks`` and ``soft_lost``;
     ``fallback_edges`` counts the residual edges handed to the matching
     fallback (0 when it does not run), and ``uncovered`` lists the
-    matching edges left uncovered on a covering failure.
+    matching edges left uncovered on a covering failure. A failed
+    validation carries the counters of the covering phase it checked.
     ``timings_ms["coloring"]`` times the fallback's coloring, 0 when it
     does not run; ``timings_ms["covering"]`` the rest of the covering phase.
     """
@@ -451,14 +459,16 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
         return CoverOutcome(None, "validation",
                             f"internal certificate check failed (bad cycle {check.bad_cycle}, "
                             f"{len(check.uncovered)} uncovered)",
-                            packing_stopped=packing.stopped, timings_ms=timings)
+                            packing_stopped=packing.stopped, losses=losses,
+                            timings_ms=timings)
     cert = CoverCertificate(cycles=cycles, coverage=check.coverage, h=packing.achieved)
     lower = math.ceil(G.max_degree() / 2)
     if cert.cover_size < lower:
         return CoverOutcome(None, "validation",
                             f"cover size {cert.cover_size} beats the degree bound {lower}: "
                             "certificate must be wrong",
-                            packing_stopped=packing.stopped, timings_ms=timings)
+                            packing_stopped=packing.stopped, losses=losses,
+                            timings_ms=timings)
     return CoverOutcome(cert, packing_stopped=packing.stopped, losses=losses,
                         timings_ms=timings)
 

@@ -10,15 +10,18 @@ of the package against.
 ``validate_cover`` checks and counts all cycles at once with numpy on a
 dense adjacency matrix. It reads only the graph's bitmask rows and uses no
 code of the search (rotation, families, cover), so it stays an independent
-check of every certificate.
+check of every certificate. Its per-edge counts stay in numpy arrays behind
+``EdgeCounts``, a read-only mapping that makes an edge tuple only when one
+is read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -201,27 +204,82 @@ def bfs_distances_reference(G: Graph, source: int) -> list[int]:
     return dist
 
 
+_NO_EDGES = np.zeros(0, dtype=np.int64)
+
+
+class EdgeCounts(Mapping):
+    """Read-only map from each edge ``(u, v)``, ``u < v``, of a graph to how
+    many cycles use it.
+
+    Keys and values are Python ints, keys in ``G.edges()`` order. It holds
+    two arrays of one int64 each per edge: the ascending row-major edge codes
+    ``u * n + v`` and the counts. A key is found by ``searchsorted``; a
+    reversed pair or a non-edge raises ``KeyError``, as a dict keyed by the
+    canonical edges does. ``EdgeCounts()`` is the map of a graph with no
+    edges.
+    """
+
+    __slots__ = ("_n", "_codes", "_counts")
+
+    def __init__(self, n: int = 0, codes: np.ndarray = _NO_EDGES,
+                 counts: np.ndarray = _NO_EDGES):
+        self._n = n
+        self._codes = codes
+        self._counts = counts
+
+    def __getitem__(self, edge) -> int:
+        try:
+            u, v = edge
+            if 0 <= u < v < self._n:
+                code = u * self._n + v
+                i = int(self._codes.searchsorted(code))
+                if i < len(self._codes) and self._codes[i] == code:
+                    return int(self._counts[i])
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(edge)
+
+    def __iter__(self):
+        return map(divmod, self._codes.tolist(), repeat(self._n))
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    @property
+    def min_coverage(self) -> int:
+        """The smallest count, 0 when there is no edge."""
+        return int(self._counts.min()) if len(self._counts) else 0
+
+    def __repr__(self) -> str:
+        return f"EdgeCounts({len(self)} edges, min {self.min_coverage})"
+
+
 @dataclass
 class CoverValidation:
+    """The verdict on a cover: ``coverage`` counts, for each edge of the
+    graph, the cycles before ``bad_cycle`` (all of them when it is None)
+    that use it; ``uncovered`` lists the edges with a count of 0."""
+
     ok: bool
     n_cycles: int
     bad_cycle: int | None = None  # index of first invalid cycle
-    coverage: dict[Edge, int] = field(default_factory=dict)
+    coverage: EdgeCounts = field(default_factory=EdgeCounts)
     uncovered: list[Edge] = field(default_factory=list)
 
     @property
     def min_coverage(self) -> int:
-        return min(self.coverage.values(), default=0)
+        return self.coverage.min_coverage
 
 
 def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
     """Check every cycle is a Hamilton cycle of G and every edge is covered.
 
     ``bad_cycle`` is the index of the first invalid cycle; ``coverage``
-    counts only the cycles before it, keyed in ``G.edges()`` order. All
-    cycles up to the first one of the wrong length or with a vertex that is
-    not one of 0..n-1 are checked and counted at once on a dense adjacency
-    matrix.
+    counts only the cycles before it, as an ``EdgeCounts`` over the edges
+    of G, so the result holds O(m) machine ints and no per-edge Python
+    object; only the ``uncovered`` edges become tuples. All cycles up to
+    the first one of the wrong length or with a vertex that is not one of
+    0..n-1 are checked and counted at once on a dense adjacency matrix.
     """
     n = G.n
     vertices = set(range(n))
@@ -234,24 +292,23 @@ def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
             bad = idx
             break
         rows.append(cyc)
-    good, edges, counts, uncovered = _edge_counts(G, rows)
+    good, codes, counts = _edge_counts(G, rows)
     if good < len(rows):
         bad = good
-    coverage: dict[Edge, int] = dict(zip(edges, counts))
+    uncovered = [divmod(c, n) for c in codes[counts == 0].tolist()]
     ok = bad is None and not uncovered
     return CoverValidation(ok=ok, n_cycles=len(cycles), bad_cycle=bad,
-                           coverage=coverage, uncovered=uncovered)
+                           coverage=EdgeCounts(n, codes, counts), uncovered=uncovered)
 
 
 def _edge_counts(G: Graph, rows: list[tuple[int, ...]]
-                 ) -> tuple[int, list[Edge], list[int], list[Edge]]:
-    """How many leading ``rows`` are Hamilton cycles of G; the edges of G in
-    ``G.edges()`` order; how many of those leading cycles use each edge;
-    and the edges that none of them uses.
+                 ) -> tuple[int, np.ndarray, np.ndarray]:
+    """How many leading ``rows`` are Hamilton cycles of G; the row-major
+    codes ``u * n + v`` of the edges of G, ascending, so in ``G.edges()``
+    order; and how many of those leading cycles use each edge.
 
-    Each row holds n vertices of 0..n-1. The counts take O(m) memory, not
-    O(n^2), and every array lives only in this call, so none is held while
-    the caller builds its dict.
+    Each row holds n vertices of 0..n-1. The two returned arrays take O(m)
+    memory, not O(n^2); every other array lives only in this call.
     """
     n = G.n
     adj = _adjacency_matrix(G)
@@ -261,14 +318,13 @@ def _edge_counts(G: Graph, rows: list[tuple[int, ...]]
     good = (np.sort(A, axis=1) == np.arange(n)).all(axis=1) & adj[A, B].all(axis=1)
     k = len(rows) if good.all() else int(np.argmin(good))
     A, B = A[:k], B[:k]
-    us, ws = np.nonzero(np.triu(adj, 1))  # row-major, so in G.edges() order
+    us, ws = np.nonzero(np.triu(adj, 1))  # row-major
     codes = us * n + ws  # ascending, one per edge
     # every key is an edge of a cycle that passed the adjacency check, so
     # it is found among the codes; sorted keys search several times faster
     keys = np.sort(np.minimum(A, B) * n + np.maximum(A, B), axis=None)
     counts = np.bincount(np.searchsorted(codes, keys), minlength=len(codes))
-    edges = list(zip(us.tolist(), ws.tolist()))
-    return k, edges, counts.tolist(), [edges[i] for i in np.flatnonzero(counts == 0).tolist()]
+    return k, codes, counts
 
 
 def _adjacency_matrix(G: Graph) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import shlex
 from pathlib import Path
 
+from hamcover import cover as cover_mod
 from hamcover.cli import build_parser, main
 from hamcover.graph import (
     complete_graph,
@@ -13,6 +14,7 @@ from hamcover.graph import (
     read_edge_list,
     write_edge_list,
 )
+from hamcover.oracle import CoverValidation
 
 
 def run(capsys, *argv):
@@ -107,6 +109,25 @@ def test_cover_reports_and_verifies(tmp_path, capsys):
     assert report["packing_stopped"] == "target reached"
     code, _ = run(capsys, "verify", "--graph", str(gpath), "--cover", str(cycles))
     assert code == 0
+
+
+def test_cover_validation_failure_keeps_its_losses(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "g.txt"
+    run(capsys, "gen", "--n", "32", "--p", "0.5", "--seed", "3", "--out", str(gpath))
+    code, out = run(capsys, "cover", "--graph", str(gpath), "--alpha", "0.4")
+    assert code == 0
+    want = json.loads(out)["losses"]
+    assert {"merge_lost", "soft_breaks", "soft_lost", "fallback_edges"} <= set(want)
+    # a validator that rejects every cover, as if the certificate were wrong
+    monkeypatch.setattr(cover_mod, "validate_cover",
+                        lambda G, cycles: CoverValidation(ok=False, n_cycles=len(cycles),
+                                                          bad_cycle=0))
+    code, out = run(capsys, "cover", "--graph", str(gpath), "--alpha", "0.4")
+    assert code == 1
+    report = json.loads(out)
+    assert report["failure_phase"] == "validation"
+    assert report["failure_detail"].startswith("internal certificate check failed")
+    assert report["losses"] == want
 
 
 def test_cover_report_deterministic_modulo_timings(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcover.cover import cover_graph
+from hamcover.cover import CoverCertificate, cover_graph
 from hamcover.gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from hamcover.graph import (
     Edge,
@@ -20,6 +22,7 @@ from hamcover.graph import (
 )
 from hamcover.oracle import (
     CoverValidation,
+    EdgeCounts,
     backtracking_hamiltonian,
     exhaustive_expansion_check,
     held_karp_hamiltonian,
@@ -162,15 +165,19 @@ def _assert_matches_reference(G, cycles):
     return got
 
 
-def _pipeline_covers():
-    covers = []
+def _pipeline_certificates():
+    certs = []
     for n, p, stream in [(12, 0.6, 0), (16, 0.5, 1), (24, 0.4, 2), (32, 0.3, 3)]:
         G = sample_gnp(n, p, RngSeed(4100, stream))
         out = cover_graph(G, alpha=expander_params_for_gnp(n, p).alpha)
         if out.ok:
-            covers.append((G, list(out.certificate.cycles)))
-    assert len(covers) >= 3
-    return covers
+            certs.append((G, out.certificate))
+    assert len(certs) >= 3
+    return certs
+
+
+def _pipeline_covers():
+    return [(G, list(cert.cycles)) for G, cert in _pipeline_certificates()]
 
 
 def test_validate_cover_matches_reference_on_pipeline_covers():
@@ -224,6 +231,88 @@ def test_validate_cover_matches_reference_on_edge_cases():
     assert validate_cover(K5, [(0, 1, 2, 3.5, 4)]).bad_cycle == 0
     assert validate_cover(build_graph(2, [(0, 1)]), [(0, 1)]).bad_cycle == 0
     assert validate_cover(build_graph(4, []), []).ok
+
+
+def _assert_counts_read_like(G, got, want: dict):
+    assert isinstance(got, EdgeCounts)
+    for e, c in want.items():
+        assert got[e] == c and type(got[e]) is int
+        assert e in got and got.get(e) == c
+    n = G.n
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not G.has_edge(u, v)]
+    # (u - 1, v + n) has the row-major code of the edge (u, v)
+    aliases = [(u - 1, v + n) for u, v in want][:20]
+    for key in [(v, u) for u, v in want] + non_edges[:20] + aliases + [
+            (-1, 0), (0, n), (n, n + 1), (0, 0), (0, 2 ** 70), (0.5, 1), "ab", (0, 1, 2), 7]:
+        with pytest.raises(KeyError):
+            got[key]
+        assert key not in got
+    assert len(got) == len(want) == G.m
+    assert got == want and want == got
+    assert list(got) == list(want) == list(G.edges())
+    assert list(got.values()) == list(want.values())
+    assert got.min_coverage == min(want.values(), default=0)
+
+
+def test_edge_counts_read_like_the_reference_dict():
+    for G, cert in _pipeline_certificates():
+        cycles = list(cert.cycles)
+        for cs in (cycles, cycles[1:], cycles[:1], [], cycles[:1] + [(0,) * G.n] + cycles):
+            got = validate_cover(G, cs)
+            want = _reference_validate_cover(G, cs).coverage
+            _assert_counts_read_like(G, got.coverage, want)
+            assert got.min_coverage == min(want.values(), default=0)
+        # the certificate keeps the validation's counts and reads its minimum
+        want = _reference_validate_cover(G, cycles).coverage
+        _assert_counts_read_like(G, cert.coverage, want)
+        assert cert.min_coverage() == min(want.values()) >= 1
+        # a record, so a tampered copy is one replace away
+        short = dataclasses.replace(cert, cycles=cycles[1:])
+        assert short.cycles == cycles[1:] and short.coverage is cert.coverage
+        assert short.h == cert.h and short.cover_size == cert.cover_size - 1
+
+
+def test_edge_counts_edge_cases():
+    K5 = complete_graph(5)
+    for G, cycles in [
+        (build_graph(4, []), []),                    # m = 0
+        (build_graph(0, []), []),
+        (K5, []),                                    # every edge uncovered
+        (K5, [(0, 1, 2, 3, 3)]),                     # a bad first cycle counts nothing
+        (K5, [(0, 1, 2, 3, 4), (0, 2, 4, 1, 3)]),
+    ]:
+        got = validate_cover(G, cycles)
+        want = _reference_validate_cover(G, cycles).coverage
+        _assert_counts_read_like(G, got.coverage, want)
+        cert = CoverCertificate(cycles=cycles, coverage=got.coverage, h=0)
+        assert got.min_coverage == cert.min_coverage() == min(want.values(), default=0)
+    assert validate_cover(K5, []).min_coverage == 0
+    assert validate_cover(K5, [(0, 1, 2, 3, 4), (0, 2, 4, 1, 3)]).min_coverage == 1
+    empty = EdgeCounts()
+    assert len(empty) == 0 and empty == {} and empty.min_coverage == 0
+    assert CoverValidation(ok=True, n_cycles=0).coverage == {}
+
+
+def test_held_validations_keep_under_32_bytes_per_edge():
+    alpha = expander_params_for_gnp(128, 0.3).alpha
+    cases = []
+    for i in range(20):
+        G = sample_gnp(128, 0.3, RngSeed(7100, i))
+        out = cover_graph(G, alpha=alpha)
+        assert out.ok
+        cases.append((G, out.certificate.cycles))
+    m = sum(G.m for G, _ in cases)
+    validate_cover(*cases[0])  # any one-time set-up is not the validations' to hold
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [validate_cover(G, cycles) for G, cycles in cases]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(v.ok for v in held)
+    # a dict of m (u, v) tuple keys holds about 84 bytes per edge
+    assert retained < 32 * m, retained / m
 
 
 @st.composite
