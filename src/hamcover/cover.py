@@ -15,7 +15,8 @@ per-edge coverage counts; it is validated against the independent oracle
 before being returned, and it keeps the oracle's counts as they come, in
 numpy arrays behind a read-only edge mapping (``EdgeCounts``), not as a
 dict of m edge tuples. Search failures are values carrying the phase and
-the stuck instance, never exceptions.
+the stuck instance, never exceptions; only an alpha that is not a finite
+number > 0 raises (ValueError).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .graph import (
     path_edges,
 )
 from .gnp import RngSeed, expander_params_for_gnp, sample_gnp
-from .families import PathFamily, merge_into_single_path
+from .families import PathFamily, check_alpha, merge_into_single_path
 from .oracle import EdgeCounts, validate_cover
 from .rotation import RotationConstraints, find_hamilton_cycle
 
@@ -300,10 +301,11 @@ class CoverOutcome:
         return self.certificate is not None
 
 
-def degree_first_forest(n: int, us: np.ndarray,
-                        vs: np.ndarray) -> tuple[list[Edge], PathFamily]:
+def degree_first_forest(n: int, us: np.ndarray, vs: np.ndarray
+                        ) -> tuple[list[Edge], np.ndarray, PathFamily]:
     """One linear forest, first-fit over the edges (us[i], vs[i]): its
-    accepted edges, in the order accepted, and its paths.
+    accepted edges, in the order accepted, their positions i in the input
+    in the same order, and its paths.
 
     The edges must be canonical (u < v) and in lexicographic order. Each
     vertex's degree is counted over these edges, and the edges are taken in
@@ -325,7 +327,8 @@ def degree_first_forest(n: int, us: np.ndarray,
     nbr = [0] * (2 * n)  # v's forest neighbours in slots 2v and 2v + 1
     other = list(range(n))  # a path end's other end; an isolated vertex's own
     forest: list[Edge] = []
-    for u, v in zip(us[order].tolist(), vs[order].tolist()):
+    taken: list[int] = []
+    for i, u, v in zip(order.tolist(), us[order].tolist(), vs[order].tolist()):
         if fdeg[u] == 2 or fdeg[v] == 2 or other[u] == v:
             continue
         a, b = other[u], other[v]
@@ -335,6 +338,7 @@ def degree_first_forest(n: int, us: np.ndarray,
         fdeg[u] += 1
         fdeg[v] += 1
         forest.append((u, v))
+        taken.append(i)
         if len(forest) == n - 1:
             break
     paths = []
@@ -348,7 +352,23 @@ def degree_first_forest(n: int, us: np.ndarray,
             prev, cur = cur, b if a == prev else a
             path.append(cur)
         paths.append(path)
-    return forest, PathFamily(paths)
+    return forest, np.array(taken, dtype=np.intp), PathFamily(paths)
+
+
+def _edge_table(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The codes u * n + v of G's edges (u < v), ascending, so in
+    G.edges() order, and their ends us and vs: one unpack of the bitmask
+    rows cut to their upper triangle and one flatnonzero, with no tuple
+    per edge. validate_cover unpacks the rows with its own code, so that an
+    edge this table missed would still show as uncovered."""
+    n = G.n
+    width = (n + 7) // 8
+    packed = b"".join(((b >> (u + 1)) << (u + 1)).to_bytes(width, "little")
+                      for u, b in enumerate(G.rows))
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+    codes = np.flatnonzero(np.unpackbits(bits, axis=1, count=n, bitorder="little"))
+    us, vs = np.divmod(codes, n)
+    return codes, us, vs
 
 
 def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
@@ -361,12 +381,18 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     Hamilton cycle with the forest edges on the seed soft-protected; a
     search that covers no new edge is retried once from the reversed seed
     (the search is deterministic, so a third try would repeat the second).
+    Phase 2 keeps one table of the residual's edges, built once from the
+    packed rows: codes u * n + v ascending, with an uncovered flag per row.
+    The forest builder reports the table rows of its edges, and one
+    searchsorted of a found cycle's edge codes gives both the edges it
+    newly covers and the seed's forest edges it dropped (soft_lost).
     Phase 3 runs only if both searches of a round cover nothing new: it
     colors the whole residual into matchings and covers each matching -
     minus the edges the certificate already covers - by protected-cycle
     searches. The assembled certificate is validated internally before
-    being returned.
+    being returned. Raises ValueError unless alpha is a finite number > 0.
     """
+    check_alpha(alpha)
     if G.n < 3 or G.m == 0:
         return CoverOutcome(None, "precheck", f"degenerate graph (n={G.n}, m={G.m})")
     if not is_connected(G):
@@ -384,40 +410,37 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     cycles = list(packing.cycles)
     losses = {"merge_lost": 0, "soft_breaks": 0, "soft_lost": 0, "fallback_edges": 0}
     n = G.n
-    edges = np.array(list(packing.residual.edges()), dtype=np.int64).reshape(-1, 2)
-    us, vs = edges[:, 0], edges[:, 1]
-    codes = us * n + vs  # ascending, as the edges are in lexicographic order
+    # the residual's edge table: row i is the edge (us[i], vs[i])
+    codes, us, vs = _edge_table(packing.residual)
     alive = np.ones(len(codes), dtype=bool)  # residual edges still uncovered
-
-    def cover_new(cycle) -> bool:
-        """Mark the cycle's residual edges covered; whether any was not."""
-        c = np.array(cycle, dtype=np.int64)
-        d = np.concatenate((c[1:], c[:1]))
-        hit = np.minimum(c, d) * n + np.maximum(c, d)
-        pos = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
-        pos = pos[codes[pos] == hit]
-        new = bool(alive[pos].any())
-        alive[pos] = False
-        return new
 
     while alive.any():
         idx = np.flatnonzero(alive)
-        forest, family = degree_first_forest(n, us[idx], vs[idx])
+        forest, taken, family = degree_first_forest(n, us[idx], vs[idx])
         merged = merge_into_single_path(G, family, alpha)
-        losses["merge_lost"] += len(merged.lost_matching)
-        # the forest edges on the seed path
-        on_seed = frozenset(forest) - merged.lost_matching
+        lost = merged.lost_matching
+        losses["merge_lost"] += len(lost)
+        # the forest edges on the seed path, as a set and as table rows
+        on_seed = frozenset(forest)
+        seeded = np.zeros(len(codes), dtype=bool)
+        seeded[idx[taken]] = True
+        if lost:
+            on_seed -= lost
+            seeded[np.searchsorted(codes, [u * n + v for u, v in lost])] = False
         for seed in (merged.path, merged.path[::-1]):
             res = find_hamilton_cycle(G, RotationConstraints(soft=on_seed), seed_path=seed)
             if not res.ok:
                 continue
             losses["soft_breaks"] += res.soft_breaks
-            pos = [0] * n
-            for i, v in enumerate(res.cycle):
-                pos[v] = i
-            losses["soft_lost"] += sum((pos[u] - pos[v]) % n not in (1, n - 1)
-                                       for u, v in on_seed)
-            if cover_new(res.cycle):
+            # the table rows of the cycle's residual edges
+            c = np.array(res.cycle, dtype=np.int64)
+            d = np.concatenate((c[1:], c[:1]))
+            hit = np.minimum(c, d) * n + np.maximum(c, d)
+            pos = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
+            pos = pos[codes[pos] == hit]
+            losses["soft_lost"] += len(on_seed) - int(np.count_nonzero(seeded[pos]))
+            if alive[pos].any():
+                alive[pos] = False
                 cycles.append(res.cycle)
                 break
         else:
@@ -430,7 +453,7 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
         # groups them into other matchings, which covered fewer graphs.
         # The residual holds no packing edge, so only covering cycles can
         # cover a class edge
-        left = set(map(tuple, edges[alive].tolist()))
+        left = set(zip(us[alive].tolist(), vs[alive].tolist()))
         losses["fallback_edges"] = len(left)
         t1 = time.perf_counter()
         classes = greedy_edge_coloring(packing.residual)

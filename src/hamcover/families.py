@@ -21,6 +21,8 @@ most d edges.
 A round at k = 1 only splices path ends, so it runs on end pointers: a
 splice repoints the two new ends at each other and links the joined ends
 through the connector, and the paths are built from the links at the end.
+It starts from the family's vertex mask, which PathFamily keeps from its
+own disjointness check.
 
 A lossy round (k >= 2) works incrementally. What the move search needs of
 a path (its usable k-end vertices in candidate order, their mask, the
@@ -102,9 +104,11 @@ def _canonical(path) -> tuple[int, ...]:
 @dataclass
 class PathFamily:
     """Vertex-disjoint non-trivial paths of graph vertices (ints >= 0),
-    checked on vertex bitmasks."""
+    checked on vertex bitmasks. ``mask``, the union of the paths' vertex
+    masks, is the one the check builds; it takes no part in equality."""
 
     paths: list[tuple[int, ...]]
+    mask: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.paths = sorted(_canonical(p) for p in self.paths)
@@ -118,6 +122,7 @@ class PathFamily:
             if mask & seen:
                 raise FamilyError(f"path {p} shares vertices with the family")
             seen |= mask
+        self.mask = seen
 
     @classmethod
     def from_edges(cls, edges) -> "PathFamily":
@@ -323,7 +328,7 @@ def _join(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
         piece[a], piece[b] = p, p[::-1]
     heads = [p[0] for p in family.paths]
     ends_mask = mask_of(other)
-    family_mask = mask_of(v for p in family.paths for v in p)
+    family_mask = family.mask
     link: dict[int, tuple] = {}
     while len(heads) >= 2:
         found = _find_join(G, heads, other, ends_mask, family_mask, budget.d)
@@ -418,6 +423,15 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> Path
     return PathFamily(paths)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError, naming the value, unless alpha is a finite number
+    > 0 whose connector cap ceil(6/alpha) is finite."""
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
+    if 6.0 / alpha == math.inf:
+        raise ValueError(f"alpha {alpha!r} is too small: the connector cap 6 / alpha overflows")
+
+
 @dataclass
 class MergeOutcome:
     """Result of collapsing a linear forest into one path;
@@ -454,7 +468,8 @@ def merge_into_single_path(G: Graph, forest, alpha: float) -> MergeOutcome:
     longest path allows, until one path is left or a round makes no move.
     If several paths survive, all but the largest are dissolved and their
     forest edges reported as lost. Raises FamilyError if the edges are not
-    a linear forest.
+    a linear forest, and ValueError unless alpha is a finite number > 0
+    (check_alpha).
 
     No lossy round follows a k = 1 round that made no move. On a matching
     every path is still one edge long, so that lossy round would be at
@@ -463,6 +478,7 @@ def merge_into_single_path(G: Graph, forest, alpha: float) -> MergeOutcome:
     edges, which the covering loop rarely meets, and the edges of the
     dissolved paths stay uncovered for its next forest.
     """
+    check_alpha(alpha)
     family = forest if isinstance(forest, PathFamily) else PathFamily.from_edges(forest)
     if not family.paths:
         raise ValueError("the forest must be non-empty")
@@ -488,7 +504,8 @@ def merge_into_single_path(G: Graph, forest, alpha: float) -> MergeOutcome:
         moved = round_with((longest + 1) // 2)
 
     paths = family.paths
-    keep = max(paths, key=lambda p: (len(p), tuple(-v for v in p)))
+    keep = paths[0] if len(paths) == 1 else max(
+        paths, key=lambda p: (len(p), tuple(-v for v in p)))
     out.dissolved = len(paths) - 1
     out.path = keep
     # with no path dissolved and no edge lost by a move (k = 1 rounds trim

@@ -7,10 +7,11 @@ from the bitset BFS in graph.py, and validators for covers, path families
 and matchings. These are the ground truth the test suite measures the rest
 of the package against.
 
-``validate_cover`` checks and counts all cycles at once with numpy on a
-dense adjacency matrix. It reads only the graph's bitmask rows and uses no
-code of the search (rotation, families, cover), so it stays an independent
-check of every certificate. Its per-edge counts stay in numpy arrays behind
+``validate_cover`` checks and counts the cycles with numpy on a dense
+adjacency matrix, ``CHUNK`` cycles at a time, and adds up the chunks'
+per-edge counts. It reads only the graph's bitmask rows and uses no code of
+the search (rotation, families, cover), so it stays an independent check of
+every certificate. Its per-edge counts stay in numpy arrays behind
 ``EdgeCounts``, a read-only mapping that makes an edge tuple only when one
 is read.
 """
@@ -35,6 +36,8 @@ from .graph import (
 
 HELD_KARP_LIMIT = 20
 EXHAUSTIVE_LIMIT = 16
+# validate_cover checks and counts this many cycles at a time
+CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -279,7 +282,9 @@ def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
     of G, so the result holds O(m) machine ints and no per-edge Python
     object; only the ``uncovered`` edges become tuples. All cycles up to
     the first one of the wrong length or with a vertex that is not one of
-    0..n-1 are checked and counted at once on a dense adjacency matrix.
+    0..n-1 are checked and counted on a dense adjacency matrix, CHUNK at a
+    time in int32 vertex arrays (int64 once n * n reaches 2**31); the edge
+    codes come from one flatnonzero of its upper triangle.
     """
     n = G.n
     vertices = set(range(n))
@@ -308,23 +313,31 @@ def _edge_counts(G: Graph, rows: list[tuple[int, ...]]
     order; and how many of those leading cycles use each edge.
 
     Each row holds n vertices of 0..n-1. The two returned arrays take O(m)
-    memory, not O(n^2); every other array lives only in this call.
+    memory, not O(n^2). The cycles are checked and counted CHUNK at a time,
+    in int32 while every code u * n + v fits, and the chunks' counts are
+    added up, so the per-cycle arrays never hold all k x n vertices at once.
     """
     n = G.n
     adj = _adjacency_matrix(G)
-    A = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    B = np.roll(A, -1, axis=1)
-    # a row is a permutation iff it sorts to 0..n-1
-    good = (np.sort(A, axis=1) == np.arange(n)).all(axis=1) & adj[A, B].all(axis=1)
-    k = len(rows) if good.all() else int(np.argmin(good))
-    A, B = A[:k], B[:k]
-    us, ws = np.nonzero(np.triu(adj, 1))  # row-major
-    codes = us * n + ws  # ascending, one per edge
-    # every key is an edge of a cycle that passed the adjacency check, so
-    # it is found among the codes; sorted keys search several times faster
-    keys = np.sort(np.minimum(A, B) * n + np.maximum(A, B), axis=None)
-    counts = np.bincount(np.searchsorted(codes, keys), minlength=len(codes))
-    return k, codes, counts
+    codes = np.flatnonzero(np.triu(adj, 1))  # row-major, one per edge
+    counts = np.zeros(len(codes), dtype=np.int64)
+    dtype = np.int32 if n * n < 2 ** 31 else np.int64
+    ident = np.arange(n, dtype=dtype)
+    for start in range(0, len(rows), CHUNK):
+        A = np.array(rows[start:start + CHUNK], dtype=dtype).reshape(-1, n)
+        B = np.roll(A, -1, axis=1)
+        # a row is a permutation iff it sorts to 0..n-1
+        good = (np.sort(A, axis=1) == ident).all(axis=1) & adj[A, B].all(axis=1)
+        k = len(good) if good.all() else int(np.argmin(good))
+        A, B = A[:k], B[:k]
+        # every key is an edge of a cycle that passed the adjacency check,
+        # so it is found among the codes; sorted keys search several times
+        # faster
+        keys = np.sort(np.minimum(A, B) * n + np.maximum(A, B), axis=None)
+        counts += np.bincount(np.searchsorted(codes, keys), minlength=len(codes))
+        if k < len(good):
+            return start + k, codes, counts
+    return len(rows), codes, counts
 
 
 def _adjacency_matrix(G: Graph) -> np.ndarray:

@@ -39,6 +39,20 @@ class RotationError(ValueError):
     """Illegal rotation request (bad pivot, missing chord, locked edge)."""
 
 
+def _canonical_edges(edges) -> frozenset[Edge]:
+    """``edges`` as a frozenset of edge_key's (min, max) pairs, built
+    without a call per edge. A frozenset whose pairs are already (min, max)
+    is returned as it is: the cover hands one over for every search it
+    makes, and every packing search passes an empty one."""
+    if type(edges) is frozenset:
+        for u, v in edges:
+            if u > v:
+                break
+        else:
+            return edges
+    return frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+
+
 @dataclass
 class RotationConstraints:
     """Edge protection for rotation searches.
@@ -64,10 +78,9 @@ class RotationConstraints:
     soft_breaks: int = 0
 
     def __post_init__(self) -> None:
-        # edge_key's (min, max) pairs without a call per edge: the cover
-        # builds constraints for every search it makes
-        self.locked = frozenset([(u, v) if u < v else (v, u) for u, v in self.locked])
-        self.soft = frozenset([(u, v) if u < v else (v, u) for u, v in self.soft]) | self.locked
+        self.locked = _canonical_edges(self.locked)
+        soft = _canonical_edges(self.soft)
+        self.soft = soft | self.locked if self.locked else soft
 
     def record(self, broken: Edge) -> None:
         if broken in self.locked:

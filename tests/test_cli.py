@@ -82,6 +82,16 @@ def test_verify_json_reports_vertex_beyond_int64(tmp_path, capsys):
     assert report["bad_cycle"] == 0
 
 
+def test_cover_rejects_bad_alpha(tmp_path, capsys):
+    gpath = tmp_path / "k5.txt"
+    write_edge_list(complete_graph(5), str(gpath))
+    for alpha in ("0", "-1", "inf", "nan"):
+        code = main(["cover", "--graph", str(gpath), "--alpha", alpha])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"alpha must be a finite number > 0, got {float(alpha)!r}" in err
+
+
 def test_cover_petersen_fails_with_json(tmp_path, capsys):
     gpath = tmp_path / "petersen.txt"
     write_edge_list(petersen_graph(), str(gpath))

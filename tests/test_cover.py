@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from hamcover import cover as cover_mod
 from hamcover.cover import (
@@ -272,9 +273,11 @@ def test_degree_first_forest_matches_sorted_reference(monkeypatch):
                 edges.add((min(u, v), max(u, v)))
         edges = sorted(edges)
         arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        got, family = degree_first_forest(n, arr[:, 0], arr[:, 1])
+        got, taken, family = degree_first_forest(n, arr[:, 0], arr[:, 1])
         assert got == degree_first_forest_ref(edges)
         assert set(got) <= set(edges)
+        # the positions index exactly the accepted edges, in accepted order
+        assert [edges[i] for i in taken.tolist()] == got
         # the paths are the forest's, each walked from its smaller end, in
         # ascending order of that end: sorted canonical order already
         assert family == PathFamily.from_edges(got)  # raises unless a linear forest
@@ -327,6 +330,49 @@ def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
     # soft_lost count cannot drift silently
     assert losses == {"merge_lost": 3608, "soft_breaks": 15354, "soft_lost": 5144,
                       "fallback_edges": 8}
+
+
+def test_cover_small_batch_shape_is_pinned():
+    # the benchmark's cover-small-batch graphs, G(128, 0.3) with base seed
+    # 1: the forest rounds' cover sizes and summed loss counters, so that
+    # the residual's edge table and its per-cycle lookup cannot drift
+    alpha = expander_params_for_gnp(128, 0.3).alpha
+    sizes = []
+    losses: Counter = Counter()
+    for s in range(5):
+        out = cover_graph(sample_gnp(128, 0.3, RngSeed(1, s)), alpha)
+        assert out.ok
+        sizes.append(out.certificate.cover_size)
+        losses.update(out.losses)
+    assert sizes == [27, 28, 27, 26, 26]
+    assert losses == {"merge_lost": 15, "soft_breaks": 83, "soft_lost": 34,
+                      "fallback_edges": 0}
+
+
+def test_edge_table_lists_the_edges_in_order():
+    rnd = random.Random(22)
+    for n in (3, 7, 8, 9, 16, 33):
+        G = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rnd.random() < 0.4])
+        codes, us, vs = cover_mod._edge_table(G)
+        assert list(zip(us.tolist(), vs.tolist())) == list(G.edges())
+        assert codes.tolist() == [u * n + v for u, v in G.edges()]
+    codes, us, vs = cover_mod._edge_table(build_graph(5, []))
+    assert len(codes) == len(us) == len(vs) == 0
+
+
+def test_cover_graph_rejects_bad_alpha():
+    for alpha in (0, 0.0, -1, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"alpha must be a finite number > 0, got {alpha!r}"):
+            cover_graph(complete_graph(5), alpha)
+        with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
+            merge_into_single_path(complete_graph(6), {(0, 1), (2, 3)}, alpha)
+    # a positive alpha so small that 6 / alpha overflows is named too
+    with pytest.raises(ValueError, match="alpha 5e-324 is too small"):
+        cover_graph(complete_graph(5), 5e-324)
+    # tiny and huge finite alphas still run: connector caps 6e300 and 1
+    assert cover_graph(complete_graph(5), 1e-300).ok
+    assert cover_graph(complete_graph(5), 1e308).ok
 
 
 def test_cover_graph_walecki_k5():

@@ -21,6 +21,7 @@ from hamcover.graph import (
     petersen_graph,
 )
 from hamcover.oracle import (
+    CHUNK,
     CoverValidation,
     EdgeCounts,
     backtracking_hamiltonian,
@@ -291,6 +292,26 @@ def test_edge_counts_edge_cases():
     empty = EdgeCounts()
     assert len(empty) == 0 and empty == {} and empty.min_coverage == 0
     assert CoverValidation(ok=True, n_cycles=0).coverage == {}
+
+
+def test_validate_cover_counts_across_chunks():
+    # validate_cover checks and counts CHUNK cycles at a time: a bad cycle
+    # at either side of a chunk boundary stops the count there, and every
+    # chunk before it adds to the counts
+    rnd = random.Random(32)
+    G = complete_graph(10).remove_edges([(0, 1), (2, 5), (3, 7), (4, 9)])
+    good = []
+    while len(good) < 3 * CHUNK + 5:
+        perm = tuple(rnd.sample(range(10), 10))
+        if is_hamilton_cycle(G, perm):
+            good.append(perm)
+    non_edge = tuple(range(10))  # (0, 1) is not an edge of G
+    for cycles in (good, good[:CHUNK], good[:2 * CHUNK], good[:CHUNK + 1]):
+        assert _assert_matches_reference(G, cycles).ok
+    for at in (0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, len(good)):
+        for bad in (non_edge, good[0][:-1] + good[0][:1], good[0][:-1]):
+            r = _assert_matches_reference(G, good[:at] + [bad] + good[at:])
+            assert r.bad_cycle == at
 
 
 def test_held_validations_keep_under_32_bytes_per_edge():

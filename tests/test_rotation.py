@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,23 @@ def test_rotate_respects_locked_edge():
         assert type(cons.locked) is frozenset and cons.locked == want_locked
         assert type(cons.soft) is frozenset
         assert cons.soft == frozenset(edge_key(*e) for e in soft) | want_locked
+    # a one-shot iterator is read once, and canonicalised the same way
+    cons = RotationConstraints(locked=iter([(2, 1), (2, 1)]), soft=iter([(4, 3), (1, 2)]))
+    assert cons.locked == {(1, 2)} and cons.soft == {(1, 2), (3, 4)}
+    with pytest.raises(RotationError, match="locked"):
+        rotate(c5_with_chord(), st, pivot=1,
+               constraints=RotationConstraints(locked=iter([(2, 1)])))
+    # numpy-int vertices, reversed in a frozenset or already (min, max)
+    pairs = [tuple(e) for e in np.array([[2, 1], [4, 3], [1, 2]])]
+    cons = RotationConstraints(locked=pairs[:1], soft=frozenset(pairs))
+    assert cons.locked == {(1, 2)} and cons.soft == {(1, 2), (3, 4)}
+    for locked in (pairs[:1], frozenset(pairs[2:])):
+        with pytest.raises(RotationError, match="locked"):
+            rotate(c5_with_chord(), st, pivot=1,
+                   constraints=RotationConstraints(locked=locked))
+    # a frozenset of (min, max) pairs is kept as it is, not rebuilt
+    soft = frozenset({(1, 2), (3, 4)})
+    assert RotationConstraints(soft=soft).soft is soft
 
 
 def test_rotate_around_fixed_endpoint():
