@@ -504,8 +504,7 @@ def merge_into_single_path(G: Graph, forest, alpha: float) -> MergeOutcome:
         moved = round_with((longest + 1) // 2)
 
     paths = family.paths
-    keep = paths[0] if len(paths) == 1 else max(
-        paths, key=lambda p: (len(p), tuple(-v for v in p)))
+    keep = max(paths, key=lambda p: (len(p), tuple(-v for v in p)))
     out.dissolved = len(paths) - 1
     out.path = keep
     # with no path dissolved and no edge lost by a move (k = 1 rounds trim

@@ -283,8 +283,7 @@ def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
     object; only the ``uncovered`` edges become tuples. All cycles up to
     the first one of the wrong length or with a vertex that is not one of
     0..n-1 are checked and counted on a dense adjacency matrix, CHUNK at a
-    time in int32 vertex arrays (int64 once n * n reaches 2**31); the edge
-    codes come from one flatnonzero of its upper triangle.
+    time; the edge codes come from one flatnonzero of its upper triangle.
     """
     n = G.n
     vertices = set(range(n))
@@ -313,18 +312,17 @@ def _edge_counts(G: Graph, rows: list[tuple[int, ...]]
     order; and how many of those leading cycles use each edge.
 
     Each row holds n vertices of 0..n-1. The two returned arrays take O(m)
-    memory, not O(n^2). The cycles are checked and counted CHUNK at a time,
-    in int32 while every code u * n + v fits, and the chunks' counts are
-    added up, so the per-cycle arrays never hold all k x n vertices at once.
+    memory, not O(n^2). The cycles are checked and counted CHUNK at a time
+    and the chunks' counts are added up, so the per-cycle arrays never hold
+    all k x n vertices at once.
     """
     n = G.n
     adj = _adjacency_matrix(G)
     codes = np.flatnonzero(np.triu(adj, 1))  # row-major, one per edge
     counts = np.zeros(len(codes), dtype=np.int64)
-    dtype = np.int32 if n * n < 2 ** 31 else np.int64
-    ident = np.arange(n, dtype=dtype)
+    ident = np.arange(n)
     for start in range(0, len(rows), CHUNK):
-        A = np.array(rows[start:start + CHUNK], dtype=dtype).reshape(-1, n)
+        A = np.array(rows[start:start + CHUNK], dtype=np.int64).reshape(-1, n)
         B = np.roll(A, -1, axis=1)
         # a row is a permutation iff it sorts to 0..n-1
         good = (np.sort(A, axis=1) == ident).all(axis=1) & adj[A, B].all(axis=1)
