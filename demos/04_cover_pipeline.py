@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The full pipeline: pack edge-disjoint Hamilton cycles, cover the rest
-one degree-first linear forest per cycle (with a matching fallback for
-edges the forests stall on), and validate the certificate.
+one degree-first linear forest per cycle (a stalled round is retried from
+one uncovered edge alone), and validate the certificate.
 
 On odd complete graphs the packing alone decomposes the graph (K5 needs
 exactly ceil(Delta/2) = 2 cycles). On G(n,p) the certificate size lands

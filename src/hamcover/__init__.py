@@ -1,8 +1,9 @@
 """hamcover: cover the edges of expander-like graphs by Hamilton cycles.
 
-The pipeline packs edge-disjoint Hamilton cycles greedily, colors the
-leftover edges into matchings, and covers each matching by cycles found
-with rotation-extension searches that protect the matching edges. Exact
+The pipeline packs edge-disjoint Hamilton cycles greedily, then covers
+the leftover edges forest by forest: each round builds one linear forest
+over the uncovered edges, merges it into a seed path and finds a cycle
+with a rotation-extension search that protects the forest edges. Exact
 brute-force oracles (subset-DP Hamiltonicity, exhaustive expansion checks)
 provide the ground truth at small scale.
 """

@@ -1,4 +1,4 @@
-"""The pack, forest-cover, fallback pipeline.
+"""The pack, then forest-cover pipeline.
 
 To cover every edge of a graph by Hamilton cycles: greedily extract a
 packing of edge-disjoint Hamilton cycles (each one lowers every degree by
@@ -8,9 +8,11 @@ first, merges it into a single seed path and searches for a Hamilton cycle
 of the original graph from that seed, protecting the forest edges on it
 during rotations; one cycle can carry a whole forest, so about half the
 residual's maximum degree in cycles covers it. If both searches of a round
-(from the seed and from its reverse) cover nothing new, the edges left go
-to the matching fallback: color the residual into matchings by first-fit
-and cover each matching the same way. A certificate records the cycles and
+(from the seed and from its reverse) cover nothing new, the next round
+seeds from one uncovered edge alone; if that stalls too, the cover fails
+and names the edges left. The matching covers (cover_matching and its
+helpers) and the first-fit edge coloring are kept as standalone tools;
+the pipeline calls neither. A certificate records the cycles and
 per-edge coverage counts; it is validated against the independent oracle
 before being returned, and it keeps the oracle's counts as they come, in
 numpy arrays behind a read-only edge mapping (``EdgeCounts``), not as a
@@ -279,14 +281,12 @@ class CoverOutcome:
     """A certificate or the phase and cause of a failure.
 
     ``losses`` sums the covering phase's counters over the forest searches
-    and the fallback's (see ``OnceOutcome``, with forest edges in place of
-    matching edges): ``merge_lost``, ``soft_breaks`` and ``soft_lost``;
-    ``fallback_edges`` counts the residual edges handed to the matching
-    fallback (0 when it does not run), and ``uncovered`` lists the
-    matching edges left uncovered on a covering failure. A failed
-    validation carries the counters of the covering phase it checked.
-    ``timings_ms["coloring"]`` times the fallback's coloring, 0 when it
-    does not run; ``timings_ms["covering"]`` the rest of the covering phase.
+    (see ``OnceOutcome``, with forest edges in place of matching edges):
+    ``merge_lost``, ``soft_breaks`` and ``soft_lost``; on a covering
+    failure ``uncovered`` lists every residual edge left uncovered, in
+    lexicographic order. A failed validation carries the counters of the
+    covering phase it checked. ``timings_ms`` holds the ``packing`` and
+    ``covering`` phase times.
     """
 
     certificate: CoverCertificate | None
@@ -372,7 +372,7 @@ def _edge_table(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
-    """Cover all edges of G by Hamilton cycles: pack, forest cover, fallback.
+    """Cover all edges of G by Hamilton cycles: pack, then forest cover.
 
     Phase 1 extracts edge-disjoint cycles, at most half the minimum degree.
     Phase 2 covers the residual edges by forests: while residual edges stay
@@ -386,11 +386,13 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     The forest builder reports the table rows of its edges, and one
     searchsorted of a found cycle's edge codes gives both the edges it
     newly covers and the seed's forest edges it dropped (soft_lost).
-    Phase 3 runs only if both searches of a round cover nothing new: it
-    colors the whole residual into matchings and covers each matching -
-    minus the edges the certificate already covers - by protected-cycle
-    searches. The assembled certificate is validated internally before
-    being returned. Raises ValueError unless alpha is a finite number > 0.
+    A round whose two searches both cover nothing new has stalled; the
+    next round builds its forest from the first uncovered table row alone,
+    one edge, and a round that covers a new edge goes back to full
+    forests. A second stall in a row ends the cover with a "covering"
+    failure that names the stalled edge. The assembled certificate is
+    validated internally before being returned. Raises ValueError unless
+    alpha is a finite number > 0.
     """
     check_alpha(alpha)
     if G.n < 3 or G.m == 0:
@@ -404,18 +406,20 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     t0 = time.perf_counter()
     packing = extract_packing(G, G.min_degree() // 2)
     timings["packing"] = (time.perf_counter() - t0) * 1000.0
-    timings["coloring"] = 0.0
 
     t0 = time.perf_counter()
     cycles = list(packing.cycles)
-    losses = {"merge_lost": 0, "soft_breaks": 0, "soft_lost": 0, "fallback_edges": 0}
+    losses = {"merge_lost": 0, "soft_breaks": 0, "soft_lost": 0}
     n = G.n
     # the residual's edge table: row i is the edge (us[i], vs[i])
     codes, us, vs = _edge_table(packing.residual)
     alive = np.ones(len(codes), dtype=bool)  # residual edges still uncovered
+    stalled = False  # the last round covered nothing new
 
     while alive.any():
         idx = np.flatnonzero(alive)
+        if stalled:
+            idx = idx[:1]  # retry from the first uncovered edge alone
         forest, taken, family = degree_first_forest(n, us[idx], vs[idx])
         merged = merge_into_single_path(G, family, alpha)
         lost = merged.lost_matching
@@ -442,39 +446,19 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
             if alive[pos].any():
                 alive[pos] = False
                 cycles.append(res.cycle)
+                stalled = False
                 break
         else:
-            break
-
-    if alive.any():
-        # the forest searches stalled: cover what is left colour class by
-        # colour class. The classes colour the whole packing.residual, as
-        # the matching pipeline did; colouring only the leftover edges
-        # groups them into other matchings, which covered fewer graphs.
-        # The residual holds no packing edge, so only covering cycles can
-        # cover a class edge
-        left = set(zip(us[alive].tolist(), vs[alive].tolist()))
-        losses["fallback_edges"] = len(left)
-        t1 = time.perf_counter()
-        classes = greedy_edge_coloring(packing.residual)
-        timings["coloring"] = (time.perf_counter() - t1) * 1000.0
-        for cls in classes:
-            need = cls & left
-            if not need:
-                continue
-            mc = cover_matching(G, need, alpha)
-            losses["soft_breaks"] += mc.soft_breaks
-            losses["merge_lost"] += mc.merge_lost
-            losses["soft_lost"] += mc.soft_lost
-            cycles.extend(mc.cycles)
-            left -= mc.covered
-            if not mc.ok:
-                timings["covering"] = (time.perf_counter() - t0) * 1000.0 - timings["coloring"]
-                losses["uncovered"] = sorted(mc.uncovered)
-                return CoverOutcome(None, "covering", mc.failure,
+            if stalled:
+                timings["covering"] = (time.perf_counter() - t0) * 1000.0
+                losses["uncovered"] = list(zip(us[alive].tolist(), vs[alive].tolist()))
+                return CoverOutcome(None, "covering",
+                                    f"no Hamilton cycle found through the uncovered edge "
+                                    f"({us[idx[0]]}, {vs[idx[0]]})",
                                     packing_stopped=packing.stopped,
                                     losses=losses, timings_ms=timings)
-    timings["covering"] = (time.perf_counter() - t0) * 1000.0 - timings["coloring"]
+            stalled = True
+    timings["covering"] = (time.perf_counter() - t0) * 1000.0
 
     cycles = [canonical_cycle(c) for c in cycles]
     check = validate_cover(G, cycles)

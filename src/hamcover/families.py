@@ -360,8 +360,9 @@ def _join(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
 def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
     """Apply deletion and merge moves to a fixpoint, mutating ``budget``.
 
-    Deletion drops any path of fewer than 2k-1 edges; merging splices two
-    paths whose k-ends connect directly or through at most d outside edges.
+    Deletion drops any path of fewer than 2k-1 edges, which only an input
+    path can have; merging splices two paths whose k-ends connect directly
+    or through at most d outside edges.
     Budget invariants are asserted after every move. At k = 1 no path is
     short enough to delete and a splice trims nothing, so the round joins
     path ends on end pointers (_join); any linear forest may be its input.
@@ -394,8 +395,11 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> Path
 
     for p in paths:
         add(p, mask_of(p))
-    # whether a path may be deleted depends on the path alone: after this
-    # pass, in sorted order, only a freshly merged path can be
+    # whether a path may be deleted depends on the path alone, and after
+    # this pass none is: every path has at least 2k - 1 edges, a splice
+    # point lies within k - 1 of an end and _split_at keeps the longer side,
+    # so a merge keeps at least k edges of each parent and adds at least
+    # one, and a merged path has at least 2k + 1
     for p in [p for p in paths if ends[p].deletable]:
         delete(p)
     while len(paths) >= 2:
@@ -418,8 +422,6 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> Path
         remove(pj)
         insort(paths, merged)
         add(merged, merged_mask)
-        if ends[merged].deletable:
-            delete(merged)
     return PathFamily(paths)
 
 

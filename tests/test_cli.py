@@ -127,7 +127,7 @@ def test_cover_validation_failure_keeps_its_losses(tmp_path, capsys, monkeypatch
     code, out = run(capsys, "cover", "--graph", str(gpath), "--alpha", "0.4")
     assert code == 0
     want = json.loads(out)["losses"]
-    assert {"merge_lost", "soft_breaks", "soft_lost", "fallback_edges"} <= set(want)
+    assert {"merge_lost", "soft_breaks", "soft_lost"} <= set(want)
     # a validator that rejects every cover, as if the certificate were wrong
     monkeypatch.setattr(cover_mod, "validate_cover",
                         lambda G, cycles: CoverValidation(ok=False, n_cycles=len(cycles),
@@ -261,6 +261,29 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("not a graph\n")
     code, _ = run(capsys, "hamilton", "--graph", str(bad))
     assert code == 2
+
+
+def test_bad_inputs_exit_2_with_an_error_line(tmp_path, capsys):
+    gpath = tmp_path / "k5.txt"
+    write_edge_list(complete_graph(5), str(gpath))
+    words = tmp_path / "words.txt"
+    words.write_text("0 1 two 3 4\n")
+    forbid = tmp_path / "k6.txt"
+    write_edge_list(complete_graph(6), str(forbid))
+    cases = {
+        "cover file not found": ("verify", "--graph", str(gpath),
+                                 "--cover", str(tmp_path / "missing.txt")),
+        "malformed cover file": ("verify", "--graph", str(gpath), "--cover", str(words)),
+        "forbid file is on 6 vertices, graph on 5": ("hamilton", "--graph", str(gpath),
+                                                     "--forbid", str(forbid)),
+        "--s must exceed 1 unless --g and --l are given": ("check", "--graph", str(gpath),
+                                                           "--s", "1"),
+    }
+    for message, argv in cases.items():
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
 
 
 def test_readme_command_lines_parse():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -311,25 +312,24 @@ def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
                 continue
             graphs += 1
             out = cover_graph(G, alpha)
-            fallback = out.losses["fallback_edges"]
-            for key in ("merge_lost", "soft_breaks", "soft_lost", "fallback_edges"):
+            for key in ("merge_lost", "soft_breaks", "soft_lost"):
                 losses[key] += out.losses[key]
-            assert (out.timings_ms["coloring"] > 0) == (fallback > 0)
             if not out.ok:
                 failed += 1
                 assert (n, s) in MATCHING_PIPELINE_FAILURES
-                assert out.failure_phase == "covering" and fallback > 0
+                assert out.failure_phase == "covering" and out.losses["uncovered"]
             if (n, s) == (96, 20):
-                # covered only because the fallback colours the whole
-                # residual, not just the two edges handed to it
-                assert out.ok and fallback == 2
+                # the forest rounds stall with two edges left; the retries
+                # seeded from one uncovered edge each cover them
+                assert out.ok
+                assert _cycles_sha256(out.certificate.cycles) == (
+                    "79b880098362f63f32580e9efd58cca1a5f7c75777d7607ae67f3a08af931bb6")
     assert graphs == 113
     assert failed < len(MATCHING_PIPELINE_FAILURES)
     assert graphs - failed == 107
     # the corpus's summed loss counters, pinned so that the soft set and the
     # soft_lost count cannot drift silently
-    assert losses == {"merge_lost": 3608, "soft_breaks": 15354, "soft_lost": 5144,
-                      "fallback_edges": 8}
+    assert losses == {"merge_lost": 3608, "soft_breaks": 15354, "soft_lost": 5144}
 
 
 def test_cover_small_batch_shape_is_pinned():
@@ -345,8 +345,7 @@ def test_cover_small_batch_shape_is_pinned():
         sizes.append(out.certificate.cover_size)
         losses.update(out.losses)
     assert sizes == [27, 28, 27, 26, 26]
-    assert losses == {"merge_lost": 15, "soft_breaks": 83, "soft_lost": 34,
-                      "fallback_edges": 0}
+    assert losses == {"merge_lost": 15, "soft_breaks": 83, "soft_lost": 34}
 
 
 def test_edge_table_lists_the_edges_in_order():
@@ -447,6 +446,20 @@ def test_run_experiment_seed_order_stable():
     b = run_gnp_experiment(32, 0.5, seeds=[0, 1, 2], base_seed=4)
     assert [r.cover_size for r in a] == [r.cover_size for r in b]
     assert [r.stream for r in a] == [0, 1, 2]
+
+
+def test_run_experiment_in_two_workers_matches_one_process():
+    # `hamcover experiment` runs on every core by default: the reports that
+    # two worker processes send back equal the in-process ones, in seed order
+    def fields(reports):
+        return [{k: v for k, v in dataclasses.asdict(r).items() if k != "timings_ms"}
+                for r in reports]
+
+    one = run_gnp_experiment(32, 0.5, [0, 1, 2], base_seed=77, jobs=1)
+    two = run_gnp_experiment(32, 0.5, [0, 1, 2], base_seed=77, jobs=2)
+    assert fields(two) == fields(one)
+    assert [r.stream for r in two] == [0, 1, 2]
+    assert all(r.valid for r in one)
 
 
 def _cycles_sha256(cycles) -> str:

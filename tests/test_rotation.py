@@ -779,6 +779,18 @@ def test_absorb_external_vertex():
     assert cons.soft_breaks == 1
 
 
+def test_absorb_drops_the_next_edge_when_the_previous_is_kept():
+    # the cycle 0-1-2-3 plus vertex 4 on 2: at w = 2 the previous edge is
+    # (1, 2) and the next is (2, 3), so keeping (1, 2) opens the cycle after 2
+    G = build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4)])
+    for cons in (RotationConstraints(locked={(1, 2)}),
+                 RotationConstraints(soft={(1, 2)})):
+        p = absorb_external_vertex(G, [0, 1, 2, 3], w=2, a=4, constraints=cons)
+        assert p == [3, 0, 1, 2, 4]
+        assert is_path(G, p)
+        assert cons.absorptions == 1 and cons.soft_breaks == 0
+
+
 def test_absorb_errors():
     K4 = complete_graph(4)
     with pytest.raises(RotationError):
