@@ -24,20 +24,10 @@ through the connector, and the paths are built from the links at the end.
 It starts from the family's vertex mask, which PathFamily keeps from its
 own disjointness check.
 
-A lossy round (k >= 2) works incrementally. What the move search needs of
-a path (its usable k-end vertices in candidate order, their mask, the
-union of their neighbourhoods, its vertex mask, and whether a deletion may
-claim it) is computed once per path and call, from the path's first and
-last k vertices only; only the starting paths have their vertex masks
-built from all their vertices. A merge computes it for the one path it
-makes, a deletion for none, and a merged path's vertex mask is its two
-parents' minus the at most k-1 cut vertices per side plus the connector
-interior. The family's vertex mask and the union of all usable ends are
-carried across moves and updated on each splice or deletion, so a move
-touches only the cut vertices, the connector and the two end sets, and the
-direct-edge scan passes over a path with one AND when none of its ends
-sees another path's. Both kinds of round make their moves in one candidate
-order, exactly those of recomputing everything after every move.
+A lossy round (k >= 2) first deletes every path too short to keep, then
+makes each move from the current paths: their k-end vertices, those ends'
+masks and, only when no direct edge joins two paths, the family's vertex
+mask. Both kinds of round make their moves in one candidate order.
 
 reduce_family is the one code that joins paths, and it has two users. The
 driver merge_into_single_path feeds a linear forest (a matching, or the
@@ -47,9 +37,9 @@ lossy rounds with ends as deep as the longest path allows until a round
 makes no move. find_hamilton_cycle joins the paths of its locked edges
 into one seed with a single round at k = 1. merge_into_single_path takes
 a forest as a PathFamily or as an edge set: the cover's forest builder
-hands over the paths it walked, so only an edge set (a fallback matching,
-a caller's forest) goes through PathFamily.from_edges, as the locked
-edges do.
+hands over the paths it walked. PathFamily.from_edges serves the edge
+sets: the locked-edge join's, and those that cover_matching_once and
+callers such as acceptance criterion 3 hand to merge_into_single_path.
 """
 
 from __future__ import annotations
@@ -185,26 +175,6 @@ def _end_candidates(path: tuple[int, ...], k: int) -> list[int]:
     return out
 
 
-class _Ends:
-    """What the move search needs of one path, computed once per path and
-    reduce_family call: the k-end vertices a splice may use, in candidate
-    order, their mask, the union of their neighbourhoods, the path's vertex
-    mask ``path_mask`` (given, not computed) and whether a deletion may
-    claim the path."""
-
-    __slots__ = ("xs", "mask", "reach", "path_mask", "deletable")
-
-    def __init__(self, G: Graph, path: tuple[int, ...], k: int, path_mask: int) -> None:
-        rows = G.rows
-        self.xs = xs = [path[i] for i in _end_candidates(path, k)]
-        mask = reach = 0
-        for x in xs:
-            mask |= 1 << x
-            reach |= rows[x]
-        self.mask, self.reach, self.path_mask = mask, reach, path_mask
-        self.deletable = len(path) - 1 < 2 * k - 1
-
-
 def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[int] | None:
     """Shortest x..y connector interior through vertices off the family.
 
@@ -245,32 +215,28 @@ def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[
     return None
 
 
-def _find_merge(G: Graph, paths: list[tuple[int, ...]], ends: dict[tuple[int, ...], _Ends],
-                ends_mask: int, family_mask: int, d: int):
-    """First applicable merge under the deterministic candidate order.
+def _find_merge(G: Graph, paths: list[tuple[int, ...]], k: int, d: int):
+    """First applicable merge under the deterministic candidate order,
+    computed from ``paths`` alone.
 
     The order runs over (i, j, x, y): paths i and j in sorted order, x over
-    i's usable ends in candidate order, then y over j's (ascending vertex
-    for a direct edge). ``ends_mask`` is the union of every path's usable
-    ends. Returns (path_i, path_j, x, y, interior) or None; the interior is
-    empty for a direct edge.
+    i's k-end vertices in candidate order (_end_candidates), then y over j's
+    (ascending vertex for a direct edge). Returns (path_i, path_j, x, y,
+    interior) or None; the interior is empty for a direct edge.
     """
     rows = G.rows
+    xss = [[p[i] for i in _end_candidates(p, k)] for p in paths]
+    masks = [mask_of(xs) for xs in xss]
     # direct edges first: cheapest gain, no outside vertices consumed
-    for pi in paths:
-        ei = ends[pi]
-        hit = ei.reach & ends_mask & ~ei.mask
-        if not hit:
-            continue
-        for pj in paths:
-            ej = ends[pj]
-            if ej.mask & hit:
-                break
-        for x in ei.xs:
-            ys = rows[x] & ej.mask
-            if ys:
-                return pi, pj, x, (ys & -ys).bit_length() - 1, []
-    return _first_connector(G, paths, [ends[p].xs for p in paths], family_mask, d)
+    for i, xs in enumerate(xss):
+        for j, mask in enumerate(masks):
+            if j == i:
+                continue
+            for x in xs:
+                ys = rows[x] & mask
+                if ys:
+                    return paths[i], paths[j], x, (ys & -ys).bit_length() - 1, []
+    return _first_connector(G, paths, xss, mask_of(v for p in paths for v in p), d)
 
 
 def _first_connector(G: Graph, paths: list, xss: list, family_mask: int, d: int):
@@ -361,67 +327,44 @@ def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> Path
     """Apply deletion and merge moves to a fixpoint, mutating ``budget``.
 
     Deletion drops any path of fewer than 2k-1 edges, which only an input
-    path can have; merging splices two paths whose k-ends connect directly
-    or through at most d outside edges.
-    Budget invariants are asserted after every move. At k = 1 no path is
-    short enough to delete and a splice trims nothing, so the round joins
-    path ends on end pointers (_join); any linear forest may be its input.
+    path can have, so all deletions come first, in path order; merging
+    then splices two paths whose k-ends connect directly or through at
+    most d outside edges, each move found from the current paths
+    (_find_merge). Budget invariants are asserted after every move. At
+    k = 1 no path is short enough to delete and a splice trims nothing, so
+    the round joins path ends on end pointers (_join); any linear forest
+    may be its input.
     """
     k, d = budget.k, budget.d
     if k == 1:
         return _join(G, family, budget)
-    paths = list(family.paths)
-    ends: dict[tuple[int, ...], _Ends] = {}
-    ends_mask = family_mask = 0
-
-    def add(p: tuple[int, ...], path_mask: int) -> None:
-        nonlocal ends_mask, family_mask
-        e = ends[p] = _Ends(G, p, k, path_mask)
-        ends_mask |= e.mask
-        family_mask |= path_mask
-
-    def remove(p: tuple[int, ...]) -> None:
-        nonlocal ends_mask, family_mask
-        paths.remove(p)
-        e = ends.pop(p)
-        ends_mask &= ~e.mask
-        family_mask &= ~e.path_mask
-
-    def delete(p: tuple[int, ...]) -> None:
-        budget.mu += 1
-        budget.lost += len(p) - 1
-        budget.check()
-        remove(p)
-
-    for p in paths:
-        add(p, mask_of(p))
     # whether a path may be deleted depends on the path alone, and after
     # this pass none is: every path has at least 2k - 1 edges, a splice
     # point lies within k - 1 of an end and _split_at keeps the longer side,
     # so a merge keeps at least k edges of each parent and adds at least
     # one, and a merged path has at least 2k + 1
-    for p in [p for p in paths if ends[p].deletable]:
-        delete(p)
+    paths = []
+    for p in family.paths:
+        if len(p) - 1 < 2 * k - 1:
+            budget.mu += 1
+            budget.lost += len(p) - 1
+            budget.check()
+        else:
+            paths.append(p)
     while len(paths) >= 2:
-        found = _find_merge(G, paths, ends, ends_mask, family_mask, d)
+        found = _find_merge(G, paths, k, d)
         if found is None:
             break
         pi, pj, x, y, interior = found
         kept_i, cut_i = _split_at(pi, x)
         kept_j, cut_j = _split_at(pj, y)
-        cut = cut_i + cut_j
-        merged = _canonical(kept_i + tuple(interior) + kept_j[::-1])
         budget.mu += 1
-        budget.lost += len(cut)
+        budget.lost += len(cut_i) + len(cut_j)
         budget.gained += len(interior) + 1
         budget.check()
-        # both parents' vertices but the cut ones, and the interior
-        merged_mask = ((ends[pi].path_mask | ends[pj].path_mask) & ~mask_of(cut)
-                       | mask_of(interior))
-        remove(pi)
-        remove(pj)
-        insort(paths, merged)
-        add(merged, merged_mask)
+        paths.remove(pi)
+        paths.remove(pj)
+        insort(paths, _canonical(kept_i + tuple(interior) + kept_j[::-1]))
     return PathFamily(paths)
 
 

@@ -396,6 +396,11 @@ def test_cover_graph_petersen_fails_with_phase():
 def test_cover_graph_rejects_degenerate_inputs():
     assert cover_graph(build_graph(4, [(0, 1), (2, 3)]), 0.5).failure_phase == "precheck"
     assert cover_graph(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), 0.5).failure_phase == "precheck"
+    # too few vertices, or no edge at all
+    for G, detail in ((build_graph(2, [(0, 1)]), "degenerate graph (n=2, m=1)"),
+                      (build_graph(5, []), "degenerate graph (n=5, m=0)")):
+        out = cover_graph(G, 0.5)
+        assert (out.ok, out.failure_phase, out.failure_detail) == (False, "precheck", detail)
 
 
 def test_cover_certificate_structure():

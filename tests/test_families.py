@@ -15,7 +15,6 @@ from hamcover.families import (
     PathFamily,
     _canonical,
     _end_candidates,
-    _Ends,
     merge_into_single_path,
     reduce_family,
 )
@@ -663,8 +662,19 @@ def test_end_candidates_match_keyed_sort(path, k):
     assert _end_candidates(path, k) == want
 
 
-def _ends_state(e):
-    return e.xs, e.mask, e.reach, e.path_mask, e.deletable
+def test_find_merge_scans_paths_before_ends():
+    # p0's first end candidate 0 sees only p2, its second, 4, sees p1: the
+    # first move takes the first other path that any end of p0 sees, and
+    # the lowest y there
+    p0, p1, p2 = (0, 1, 2, 3, 4), (10, 11, 12, 13), (20, 21, 22, 23)
+    edges = [*path_edges(p0), *path_edges(p1), *path_edges(p2), (0, 20), (4, 13), (4, 10)]
+    G = build_graph(24, edges)
+    assert families._find_merge(G, [p0, p1, p2], 2, 0) == (p0, p1, 4, 10, [])
+    # no direct edge left: the connector 4-5-13 to p1 comes before 1-6-22
+    # to p2, and both run outside the family
+    G = build_graph(24, [*path_edges(p0), *path_edges(p1), *path_edges(p2),
+                         (4, 5), (5, 13), (1, 6), (6, 22)])
+    assert families._find_merge(G, [p0, p1, p2], 2, 1) == (p0, p1, 4, 13, [5])
 
 
 def _walk_paths(G, rnd, max_edges):
@@ -702,17 +712,18 @@ def _splice(paths, x, y, interior):
 
 
 def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
-    # every move search sees the family mask and end state that a
-    # from-scratch computation over the current paths would give: per-path
-    # end state in a lossy round, the other-end map, the sorted smaller ends
-    # and the ends mask in a k = 1 join
+    # every k = 1 join sees the family mask and end state that a
+    # from-scratch computation over the current paths would give: the
+    # other-end map, the sorted smaller ends and the ends mask; lossy
+    # rounds find each move from their current paths, and their moves,
+    # connectors and trims are counted
     real_reduce, real_find = families.reduce_family, families._find_merge
     real_join = families._find_join
     ctx = {}
     seen = {"families": 0, "moves": 0, "connectors": 0, "cuts": 0, "k": set()}
 
     def reduce_spy(G, family, budget):
-        ctx.update(k=budget.k, paths=list(family.paths))
+        ctx["paths"] = list(family.paths)
         seen["families"] += 1
         seen["k"].add(budget.k)
         out = real_reduce(G, family, budget)
@@ -739,17 +750,8 @@ def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
             seen["connectors"] += bool(interior)
         return found
 
-    def find_spy(G, paths, ends, ends_mask, family_mask, d):
-        want_family = want_ends = 0
-        for p in paths:
-            want_family |= mask_of(p)
-            fresh = _Ends(G, p, ctx["k"], mask_of(p))
-            assert _ends_state(ends[p]) == _ends_state(fresh), p
-            want_ends |= fresh.mask
-        assert set(ends) == set(paths)
-        assert family_mask == want_family
-        assert ends_mask == want_ends
-        found = real_find(G, paths, ends, ends_mask, family_mask, d)
+    def find_spy(G, paths, k, d):
+        found = real_find(G, paths, k, d)
         if found is not None:
             pi, pj, x, y, interior = found
             seen["moves"] += 1

@@ -48,6 +48,12 @@ def test_held_karp_petersen_not_hamiltonian():
 def test_held_karp_path_graph():
     v = held_karp_hamiltonian(path_graph(5))
     assert v.decided and v.value is False
+    # too few vertices for a cycle, and a degree-1 vertex (K4 with a pendant 4)
+    pendant = build_graph(5, [*complete_graph(4).edges(), (3, 4)])
+    for G in (complete_graph(2), build_graph(1, []), pendant, path_graph(5)):
+        for oracle in (held_karp_hamiltonian, backtracking_hamiltonian):
+            v = oracle(G)
+            assert (v.decided, v.value, v.witness) == (True, False, None), (G.n, oracle)
 
 
 def test_held_karp_refuses_large():
@@ -369,6 +375,11 @@ def test_validate_family():
     assert not bad.ok and "trivial" in bad.violation
     bad = validate_family(cycle_graph(5), [(0, 2)])
     assert not bad.ok and "missing edge" in bad.violation
+    bad = validate_family(cycle_graph(5), [(0, 1, 0)])
+    assert not bad.ok and bad.violation == "repeated vertex inside [0, 1, 0]"
+    for v in (-1, 5):
+        bad = validate_family(cycle_graph(5), [(4, v)])
+        assert not bad.ok and bad.violation == f"vertex {v} out of range"
 
 
 def test_validate_family_accepts_matching_as_edges():

@@ -124,6 +124,10 @@ def test_rotate_rejects_bad_pivots():
         rotate(G, st, pivot=2)  # (4,2) is no edge
     with pytest.raises(RotationError, match="position"):
         rotate(G, st, pivot=3)  # position q-2 breaks nothing
+    with pytest.raises(RotationError, match="pivot 4 not on the path"):
+        rotate(G, RotationState(path=[0, 1, 2, 3], fixed_endpoint=0), pivot=4)
+    with pytest.raises(RotationError, match="does not start at its fixed endpoint"):
+        rotate(G, RotationState(path=[1, 2, 3, 4, 0], fixed_endpoint=0), pivot=1)
 
 
 def test_rotation_preserves_vertex_set_and_length():
@@ -798,6 +802,14 @@ def test_absorb_errors():
     cons = RotationConstraints(locked={(0, 1), (0, 2)})
     with pytest.raises(RotationError, match="locked"):
         absorb_external_vertex(K4, [0, 1, 2], w=0, a=3, constraints=cons)
+    # a triangle with a pendant vertex 3 on 2: (3, 0) is no edge
+    G = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(RotationError, match=r"\(3, 0\) is not an edge"):
+        absorb_external_vertex(G, [0, 1, 2], w=0, a=3)
+    cons = RotationConstraints(locked={(0, 1)})
+    with pytest.raises(RotationError, match=r"attempt to drop locked edge \(0, 1\)"):
+        cons.record_absorption((0, 1))
+    assert cons.absorptions == 0
 
 
 def test_absorb_rejects_vertices_off_the_cycle_or_the_graph():
@@ -862,6 +874,29 @@ def test_locked_seed_failures_name_their_cause():
     G = disjoint_union(complete_graph(4), complete_graph(4))
     res = find_hamilton_cycle(G, RotationConstraints(locked={(0, 1), (4, 5)}))
     assert res.failure == "could not chain locked edges into one path"
+    res = find_hamilton_cycle(cycle_graph(5), RotationConstraints(locked={(0, 2)}))
+    assert res.failure == "locked edges not in the graph: [(0, 2)]"
+
+
+def test_find_hamilton_input_failures_name_their_cause():
+    C5 = cycle_graph(5)
+    res = find_hamilton_cycle(complete_graph(2))
+    assert res.failure == "no Hamilton cycle on 2 < 3 vertices"
+    for seed in ([0, 0], [0, 2]):  # a repeated vertex; a non-edge
+        res = find_hamilton_cycle(C5, seed_path=seed)
+        assert res.failure == "seed is not a path of this graph"
+    # the search closes one triangle, and no vertex outside it is adjacent
+    res = find_hamilton_cycle(disjoint_union(complete_graph(3), complete_graph(3)))
+    assert res.failure == "cycle spans a whole component; graph disconnected"
+    assert not res.ok and res.path_len == 3
+
+
+def test_path_inputs_must_be_paths_with_the_given_end():
+    C5 = cycle_graph(5)
+    with pytest.raises(RotationError, match="2 is not an endpoint of the path"):
+        endpoint_set(C5, [0, 1, 2, 3, 4], fixed=2)
+    with pytest.raises(RotationError, match="non-trivial"):
+        rotate_until_extendable(C5, [0])
 
 
 def test_internal_failure_reports_search_state(monkeypatch):
