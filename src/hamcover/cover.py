@@ -10,15 +10,16 @@ during rotations; one cycle can carry a whole forest, so about half the
 residual's maximum degree in cycles covers it. If both searches of a round
 (from the seed and from its reverse) cover nothing new, the next round
 seeds from one uncovered edge alone; if that stalls too, the cover fails
-and names the edges left. The matching covers (cover_matching and its
-helpers) and the first-fit edge coloring are kept as standalone tools;
-the pipeline calls neither. A certificate records the cycles and
-per-edge coverage counts; it is validated against the independent oracle
-before being returned, and it keeps the oracle's counts as they come, in
-numpy arrays behind a read-only edge mapping (``EdgeCounts``), not as a
-dict of m edge tuples. Search failures are values carrying the phase and
-the stuck instance, never exceptions; only an alpha that is not a finite
-number > 0 raises (ValueError).
+and names the edges left. The matching covers (cover_matching and
+cover_matching_once) run the same covering loop, and one round of it, on
+a matching's edges; they and the first-fit edge coloring are kept as
+standalone tools that the pipeline calls none of. A certificate records
+the cycles and per-edge coverage counts; it is validated against the
+independent oracle before being returned, and it keeps the oracle's
+counts as they come, in numpy arrays behind a read-only edge mapping
+(``EdgeCounts``), not as a dict of m edge tuples. Search failures are
+values carrying the phase and the stuck instance, never exceptions; only
+an alpha that is not a finite number > 0 raises (ValueError).
 """
 
 from __future__ import annotations
@@ -33,11 +34,10 @@ import numpy as np
 from .graph import (
     Edge,
     Graph,
+    build_graph,
     canonical_cycle,
-    cycle_edges,
     edge_key,
     is_connected,
-    path_edges,
 )
 from .gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from .families import PathFamily, check_alpha, merge_into_single_path
@@ -48,15 +48,6 @@ log = logging.getLogger(__name__)
 
 # give up on a phase after this many consecutive fruitless searches
 STALL_LIMIT = 3
-
-
-def is_matching(edges) -> bool:
-    seen: set[int] = set()
-    for u, v in edges:
-        if u == v or u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return True
 
 
 def greedy_maximal_matching(G: Graph) -> frozenset[Edge]:
@@ -138,124 +129,6 @@ def extract_packing(G: Graph, target: int) -> PackingResult:
 
 
 @dataclass
-class OnceOutcome:
-    """One protected Hamilton cycle aimed at a matching.
-
-    ``merge_lost`` counts matching edges the merged seed path left out,
-    ``soft_lost`` the matching edges on the seed path that the returned
-    cycle dropped (both 0 for a retry that starts from a greedy path and
-    merges nothing), and ``soft_breaks`` the soft-edge rotations and absorptions
-    the search generated, exploration included; it counts moves, not edges
-    lost, and bounds ``soft_lost``. ``covered`` holds the cycle's edges.
-    """
-
-    cycle: tuple[int, ...] | None
-    uncovered: frozenset[Edge]
-    failure: str | None = None
-    covered: frozenset[Edge] = frozenset()
-    merge_lost: int = 0
-    soft_breaks: int = 0
-    soft_lost: int = 0
-
-
-def cover_matching_once(G: Graph, matching, alpha: float,
-                        attempt: int = 0) -> OnceOutcome:
-    """Find one Hamilton cycle covering as much of a matching as possible.
-
-    The matching is merged into a single seed path; edges on the seed are
-    soft-protected during the search. The paper also locks them when the
-    matching has fewer than alpha^3 * n^(alpha/2) / 136 edges, a cap below 1
-    for every n < 18496 at alpha <= 1, so this search locks nothing.
-    Attempt 1 starts from the reversed seed; attempts 2 and later start
-    from a greedy path with the matching soft-protected and do not merge.
-    Returns the cycle and the matching edges it missed.
-    """
-    M = frozenset(edge_key(*e) for e in matching)
-    if not is_matching(M):
-        return OnceOutcome(None, M, failure="input edge set is not a matching")
-    if any(not G.has_edge(u, v) for u, v in M):
-        return OnceOutcome(None, M, failure="matching contains edges absent from the graph")
-    if not M:
-        res = find_hamilton_cycle(G, start_hint=attempt)
-        if res.ok:
-            return OnceOutcome(res.cycle, frozenset(), covered=cycle_edges(res.cycle))
-        return OnceOutcome(None, frozenset(), failure=res.failure)
-
-    if attempt >= 2:
-        # later retries abandon the merged seed for greedy variety, so they
-        # do not merge at all
-        res = find_hamilton_cycle(G, RotationConstraints(soft=M), start_hint=attempt)
-        if not res.ok:
-            return OnceOutcome(None, M, failure=res.failure)
-        covered = cycle_edges(res.cycle)
-        return OnceOutcome(res.cycle, M - covered, covered=covered,
-                           soft_breaks=res.soft_breaks)
-
-    merged = merge_into_single_path(G, M, alpha)
-    seed = merged.path if attempt == 0 else merged.path[::-1]
-    on_seed = M & path_edges(seed)
-    constraints = RotationConstraints(soft=on_seed)
-    res = find_hamilton_cycle(G, constraints, seed_path=seed)
-    if not res.ok:
-        return OnceOutcome(None, M, failure=res.failure,
-                           merge_lost=len(merged.lost_matching))
-    covered = cycle_edges(res.cycle)
-    return OnceOutcome(res.cycle, M - covered, covered=covered,
-                       merge_lost=len(merged.lost_matching),
-                       soft_breaks=res.soft_breaks,
-                       soft_lost=len(on_seed - covered))
-
-
-@dataclass
-class MatchingCover:
-    """Cycles covering a matching and the union of their edges; the loss
-    counters sum those of every search made, as in ``OnceOutcome``."""
-
-    ok: bool
-    cycles: list[tuple[int, ...]]
-    covered: set[Edge] = field(default_factory=set)
-    uncovered: frozenset[Edge] = frozenset()
-    failure: str | None = None
-    soft_breaks: int = 0
-    merge_lost: int = 0
-    soft_lost: int = 0
-
-
-def cover_matching(G: Graph, matching, alpha: float) -> MatchingCover:
-    """Cover every edge of a matching by Hamilton cycles of G.
-
-    Iterates cover_matching_once on whatever part of the matching remains
-    uncovered. Stalls out after three iterations without progress.
-    """
-    residual = frozenset(edge_key(*e) for e in matching)
-    cycles: list[tuple[int, ...]] = []
-    covered: set[Edge] = set()
-    soft_breaks = 0
-    merge_lost = 0
-    soft_lost = 0
-    attempt = 0
-    while residual:
-        once = cover_matching_once(G, residual, alpha, attempt=attempt)
-        soft_breaks += once.soft_breaks
-        merge_lost += once.merge_lost
-        soft_lost += once.soft_lost
-        if once.cycle is None or len(once.uncovered) >= len(residual):
-            attempt += 1
-            if attempt >= STALL_LIMIT:
-                detail = once.failure or "no progress on uncovered matching edges"
-                return MatchingCover(False, cycles, covered, uncovered=residual,
-                                     failure=detail, soft_breaks=soft_breaks,
-                                     merge_lost=merge_lost, soft_lost=soft_lost)
-            continue
-        cycles.append(once.cycle)
-        covered |= once.covered
-        residual = once.uncovered
-        attempt = 0
-    return MatchingCover(True, cycles, covered, soft_breaks=soft_breaks,
-                         merge_lost=merge_lost, soft_lost=soft_lost)
-
-
-@dataclass
 class CoverCertificate:
     """A Hamilton covering: cycles, per-edge counts, and the packing prefix.
 
@@ -280,8 +153,8 @@ class CoverCertificate:
 class CoverOutcome:
     """A certificate or the phase and cause of a failure.
 
-    ``losses`` sums the covering phase's counters over the forest searches
-    (see ``OnceOutcome``, with forest edges in place of matching edges):
+    ``losses`` sums the covering phase's counters over its rounds (see
+    ``OnceOutcome``, with forest edges in place of matching edges):
     ``merge_lost``, ``soft_breaks`` and ``soft_lost``; on a covering
     failure ``uncovered`` lists every residual edge left uncovered, in
     lexicographic order. A failed validation carries the counters of the
@@ -371,26 +244,88 @@ def _edge_table(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return codes, us, vs
 
 
+def _cover_round(G: Graph, alpha: float, codes: np.ndarray, us: np.ndarray,
+                 vs: np.ndarray, alive: np.ndarray, idx: np.ndarray,
+                 losses: dict) -> tuple[int, ...] | None:
+    """One covering round: a degree-first forest over the uncovered table
+    rows idx, merged into a seed path, and a Hamilton search of G with the
+    forest edges on the seed soft-protected, retried once from the
+    reversed seed if it covers no uncovered row (the search is
+    deterministic, so a third try would repeat the second). One
+    searchsorted of a found cycle's edge codes gives both the rows it
+    covers and the seed's forest edges it dropped (soft_lost). Adds the
+    counters to losses, clears the covered rows in alive and returns the
+    cycle, or None when both searches cover nothing new."""
+    n = G.n
+    forest, taken, family = degree_first_forest(n, us[idx], vs[idx])
+    merged = merge_into_single_path(G, family, alpha)
+    lost = merged.lost_matching
+    losses["merge_lost"] += len(lost)
+    # the forest edges on the seed path, as a set and as table rows
+    on_seed = frozenset(forest)
+    seeded = np.zeros(len(codes), dtype=bool)
+    seeded[idx[taken]] = True
+    if lost:
+        on_seed -= lost
+        seeded[np.searchsorted(codes, [u * n + v for u, v in lost])] = False
+    for seed in (merged.path, merged.path[::-1]):
+        res = find_hamilton_cycle(G, RotationConstraints(soft=on_seed), seed_path=seed)
+        if not res.ok:
+            continue
+        losses["soft_breaks"] += res.soft_breaks
+        # the table rows of the cycle's edges
+        c = np.array(res.cycle, dtype=np.int64)
+        d = np.concatenate((c[1:], c[:1]))
+        hit = np.minimum(c, d) * n + np.maximum(c, d)
+        pos = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
+        pos = pos[codes[pos] == hit]
+        losses["soft_lost"] += len(on_seed) - int(np.count_nonzero(seeded[pos]))
+        if alive[pos].any():
+            alive[pos] = False
+            return res.cycle
+    return None
+
+
+def _cover_loop(G: Graph, alpha: float, codes: np.ndarray, us: np.ndarray,
+                vs: np.ndarray, cycles: list, losses: dict
+                ) -> tuple[list[Edge], str | None]:
+    """Cover the edges of a table (see _edge_table) by Hamilton cycles of
+    G, appending each round's cycle to cycles. After a round that covers
+    nothing new, the next round's forest is the first uncovered row alone;
+    a second such round in a row ends the loop. Returns the edges left
+    uncovered, in table order, and the failure naming the stalled edge, or
+    None."""
+    alive = np.ones(len(codes), dtype=bool)  # table rows still uncovered
+    stalled = False  # the last round covered nothing new
+    failure = None
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        if stalled:
+            idx = idx[:1]  # retry from the first uncovered edge alone
+        cycle = _cover_round(G, alpha, codes, us, vs, alive, idx, losses)
+        if cycle is not None:
+            cycles.append(cycle)
+            stalled = False
+        elif stalled:
+            failure = (f"no Hamilton cycle found through the uncovered edge "
+                       f"({us[idx[0]]}, {vs[idx[0]]})")
+            break
+        else:
+            stalled = True
+    return list(zip(us[alive].tolist(), vs[alive].tolist())), failure
+
+
 def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     """Cover all edges of G by Hamilton cycles: pack, then forest cover.
 
     Phase 1 extracts edge-disjoint cycles, at most half the minimum degree.
-    Phase 2 covers the residual edges by forests: while residual edges stay
-    uncovered, it builds one degree-first linear forest over them
-    (degree_first_forest), merges it into a seed path and searches for a
-    Hamilton cycle with the forest edges on the seed soft-protected; a
-    search that covers no new edge is retried once from the reversed seed
-    (the search is deterministic, so a third try would repeat the second).
-    Phase 2 keeps one table of the residual's edges, built once from the
-    packed rows: codes u * n + v ascending, with an uncovered flag per row.
-    The forest builder reports the table rows of its edges, and one
-    searchsorted of a found cycle's edge codes gives both the edges it
-    newly covers and the seed's forest edges it dropped (soft_lost).
-    A round whose two searches both cover nothing new has stalled; the
-    next round builds its forest from the first uncovered table row alone,
-    one edge, and a round that covers a new edge goes back to full
-    forests. A second stall in a row ends the cover with a "covering"
-    failure that names the stalled edge. The assembled certificate is
+    Phase 2 runs the covering loop (_cover_loop) on one table of the
+    residual's edges, built once from the packed rows (_edge_table): while
+    residual edges stay uncovered, each round builds one degree-first
+    linear forest over them, merges it into a seed path and searches for a
+    Hamilton cycle with the forest edges on the seed soft-protected. A
+    second stalled round in a row ends the cover with a "covering" failure
+    that names the stalled edge. The assembled certificate is
     validated internally before being returned. Raises ValueError unless
     alpha is a finite number > 0.
     """
@@ -410,55 +345,12 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     t0 = time.perf_counter()
     cycles = list(packing.cycles)
     losses = {"merge_lost": 0, "soft_breaks": 0, "soft_lost": 0}
-    n = G.n
-    # the residual's edge table: row i is the edge (us[i], vs[i])
-    codes, us, vs = _edge_table(packing.residual)
-    alive = np.ones(len(codes), dtype=bool)  # residual edges still uncovered
-    stalled = False  # the last round covered nothing new
-
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        if stalled:
-            idx = idx[:1]  # retry from the first uncovered edge alone
-        forest, taken, family = degree_first_forest(n, us[idx], vs[idx])
-        merged = merge_into_single_path(G, family, alpha)
-        lost = merged.lost_matching
-        losses["merge_lost"] += len(lost)
-        # the forest edges on the seed path, as a set and as table rows
-        on_seed = frozenset(forest)
-        seeded = np.zeros(len(codes), dtype=bool)
-        seeded[idx[taken]] = True
-        if lost:
-            on_seed -= lost
-            seeded[np.searchsorted(codes, [u * n + v for u, v in lost])] = False
-        for seed in (merged.path, merged.path[::-1]):
-            res = find_hamilton_cycle(G, RotationConstraints(soft=on_seed), seed_path=seed)
-            if not res.ok:
-                continue
-            losses["soft_breaks"] += res.soft_breaks
-            # the table rows of the cycle's residual edges
-            c = np.array(res.cycle, dtype=np.int64)
-            d = np.concatenate((c[1:], c[:1]))
-            hit = np.minimum(c, d) * n + np.maximum(c, d)
-            pos = np.minimum(np.searchsorted(codes, hit), len(codes) - 1)
-            pos = pos[codes[pos] == hit]
-            losses["soft_lost"] += len(on_seed) - int(np.count_nonzero(seeded[pos]))
-            if alive[pos].any():
-                alive[pos] = False
-                cycles.append(res.cycle)
-                stalled = False
-                break
-        else:
-            if stalled:
-                timings["covering"] = (time.perf_counter() - t0) * 1000.0
-                losses["uncovered"] = list(zip(us[alive].tolist(), vs[alive].tolist()))
-                return CoverOutcome(None, "covering",
-                                    f"no Hamilton cycle found through the uncovered edge "
-                                    f"({us[idx[0]]}, {vs[idx[0]]})",
-                                    packing_stopped=packing.stopped,
-                                    losses=losses, timings_ms=timings)
-            stalled = True
+    uncovered, failure = _cover_loop(G, alpha, *_edge_table(packing.residual), cycles, losses)
     timings["covering"] = (time.perf_counter() - t0) * 1000.0
+    if failure:
+        losses["uncovered"] = uncovered
+        return CoverOutcome(None, "covering", failure, packing_stopped=packing.stopped,
+                            losses=losses, timings_ms=timings)
 
     cycles = [canonical_cycle(c) for c in cycles]
     check = validate_cover(G, cycles)
@@ -478,6 +370,84 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
                             timings_ms=timings)
     return CoverOutcome(cert, packing_stopped=packing.stopped, losses=losses,
                         timings_ms=timings)
+
+
+def _matching_failure(G: Graph, M: frozenset[Edge]) -> str | None:
+    """Why the canonical edge set M is not a matching of G, or None."""
+    if len({v for e in M for v in e}) != 2 * len(M):  # a shared end or a loop
+        return "input edge set is not a matching"
+    if any(not (0 <= u and v < G.n and G.has_edge(u, v)) for u, v in M):
+        return "matching contains edges absent from the graph"
+    return None
+
+
+@dataclass
+class OnceOutcome:
+    """One covering round aimed at a matching: its cycle, or None, and the
+    matching edges left uncovered. ``merge_lost`` counts matching edges
+    the merged seed path left out, ``soft_lost`` the matching edges on the
+    seed path that the round's found cycles dropped, and ``soft_breaks``
+    the soft-edge rotations and absorptions its searches generated,
+    exploration included; it counts moves, not edges lost, and bounds
+    ``soft_lost``."""
+
+    cycle: tuple[int, ...] | None
+    uncovered: frozenset[Edge]
+    failure: str | None = None
+    merge_lost: int = 0
+    soft_breaks: int = 0
+    soft_lost: int = 0
+
+
+def cover_matching_once(G: Graph, matching, alpha: float) -> OnceOutcome:
+    """One round of cover_graph's covering loop (_cover_round) on a
+    matching. Its forest is the matching itself, so the round merges the
+    matching into a seed path and soft-protects the matching edges on it.
+    The paper also locks them when the matching has fewer than
+    alpha^3 * n^(alpha/2) / 136 edges, a cap below 1 for every n < 18496
+    at alpha <= 1, so this search locks nothing. An empty matching gives
+    no cycle and no failure."""
+    M = frozenset(edge_key(*e) for e in matching)
+    failure = _matching_failure(G, M)
+    if failure or not M:
+        return OnceOutcome(None, M, failure=failure)
+    codes, us, vs = _edge_table(build_graph(G.n, M))
+    alive = np.ones(len(codes), dtype=bool)
+    losses = {"merge_lost": 0, "soft_breaks": 0, "soft_lost": 0}
+    cycle = _cover_round(G, alpha, codes, us, vs, alive, np.flatnonzero(alive), losses)
+    if cycle is None:
+        return OnceOutcome(None, M, failure="no Hamilton cycle found through the merged "
+                           "matching", **losses)
+    return OnceOutcome(cycle, frozenset(zip(us[alive].tolist(), vs[alive].tolist())),
+                       **losses)
+
+
+@dataclass
+class MatchingCover:
+    """Cycles covering a matching, or also the edges left uncovered and the
+    failure; the loss counters sum those of every round (``OnceOutcome``)."""
+
+    ok: bool
+    cycles: list[tuple[int, ...]]
+    uncovered: frozenset[Edge] = frozenset()
+    failure: str | None = None
+    soft_breaks: int = 0
+    merge_lost: int = 0
+    soft_lost: int = 0
+
+
+def cover_matching(G: Graph, matching, alpha: float) -> MatchingCover:
+    """Cover every edge of a matching by Hamilton cycles of G: cover_graph's
+    covering loop (_cover_loop) on the matching's edges."""
+    M = frozenset(edge_key(*e) for e in matching)
+    failure = _matching_failure(G, M)
+    if failure:
+        return MatchingCover(False, [], uncovered=M, failure=failure)
+    cycles: list[tuple[int, ...]] = []
+    losses = {"merge_lost": 0, "soft_breaks": 0, "soft_lost": 0}
+    uncovered, failure = _cover_loop(G, alpha, *_edge_table(build_graph(G.n, M)),
+                                     cycles, losses)
+    return MatchingCover(failure is None, cycles, frozenset(uncovered), failure, **losses)
 
 
 @dataclass

@@ -37,9 +37,10 @@ lossy rounds with ends as deep as the longest path allows until a round
 makes no move. find_hamilton_cycle joins the paths of its locked edges
 into one seed with a single round at k = 1. merge_into_single_path takes
 a forest as a PathFamily or as an edge set: the cover's forest builder
-hands over the paths it walked. PathFamily.from_edges serves the edge
-sets: the locked-edge join's, and those that cover_matching_once and
-callers such as acceptance criterion 3 hand to merge_into_single_path.
+hands over the paths it walked, for the residual's forests and for the
+matching covers alike. PathFamily.from_edges serves the edge sets: the
+locked-edge join's, and those that callers such as acceptance criterion
+3 hand to merge_into_single_path.
 """
 
 from __future__ import annotations

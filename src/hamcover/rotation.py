@@ -570,7 +570,9 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             if missing:
                 return HamiltonResult(None, failure=f"seed path misses locked edges {missing}")
     elif constraints.locked:
-        absent = [e for e in sorted(constraints.locked) if not G.has_edge(*e)]
+        # the edges are canonical (u < v); one with an end outside 0..n-1 is absent
+        absent = [(u, v) for u, v in sorted(constraints.locked)
+                  if not (0 <= u and v < n and G.has_edge(u, v))]
         if absent:
             return HamiltonResult(None, failure=f"locked edges not in the graph: {absent}")
         # a vertex on 3+ locked edges, or a locked cycle, rules out every

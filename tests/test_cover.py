@@ -188,8 +188,9 @@ def test_cover_matching_once_k6():
 
 
 def test_cover_matching_once_empty_matching():
+    # nothing to cover: no cycle and no failure, as cover_matching gives
     once = cover_matching_once(complete_graph(6), set(), alpha=0.5)
-    assert once.cycle is not None and once.uncovered == frozenset()
+    assert once.cycle is None and once.failure is None and once.uncovered == frozenset()
 
 
 def test_cover_matching_once_petersen_fails():
@@ -210,6 +211,48 @@ def test_cover_matching_k6():
 def test_cover_matching_empty():
     mc = cover_matching(complete_graph(6), set(), alpha=0.5)
     assert mc.ok and mc.cycles == []
+
+
+def test_bad_matchings_are_failure_values():
+    # a vertex past n - 1 or below 0 is an edge absent from the graph, as a
+    # non-edge is, not an IndexError or a negative shift
+    K6 = complete_graph(6)
+    absent = "matching contains edges absent from the graph"
+    shared = "input edge set is not a matching"
+    for M, detail in (({(2, 9)}, absent), ({(7, 9)}, absent), ({(-1, 3)}, absent),
+                      ({(0, 1), (6, 2)}, absent), ({(0, 1), (2, 1)}, shared),
+                      ({(3, 3)}, shared), ({(0, 1), (1, 9)}, shared)):
+        once = cover_matching_once(K6, M, alpha=0.5)
+        assert (once.cycle, once.failure) == (None, detail)
+        mc = cover_matching(K6, M, alpha=0.5)
+        assert (mc.ok, mc.cycles, mc.failure) == (False, [], detail)
+        assert mc.uncovered == once.uncovered == frozenset((min(e), max(e)) for e in M)
+
+
+def test_cover_matching_runs_the_covering_loop():
+    # the colour classes of two sparse packing residuals: every class is
+    # covered with the cycles that the matching covers gave before they ran
+    # on cover_graph's covering loop, and each class that stalls names its
+    # one uncovered edge in the failure
+    alpha = expander_params_for_gnp(64, 0.15).alpha
+    cycles, failed = [], []
+    for s in (3, 7):
+        G = sample_gnp(64, 0.15, RngSeed(5, s))
+        residual = extract_packing(G, G.min_degree() // 2).residual
+        for cls in greedy_edge_coloring(residual):
+            mc = cover_matching(G, cls, alpha)
+            cycles += mc.cycles
+            assert all(is_hamilton_cycle(G, c) for c in mc.cycles)
+            if mc.ok:
+                assert not mc.uncovered and mc.failure is None
+                continue
+            (e,) = mc.uncovered
+            assert mc.failure == f"no Hamilton cycle found through the uncovered edge {e}"
+            failed.append(e)
+    assert len(cycles) == 61
+    assert _cycles_sha256(cycles) == (
+        "e903d92394bb1e10682c689727bf6cf52fe71d4ae6ac2c1bde264e7b7930b7c4")
+    assert failed == [(7, 63), (38, 56), (38, 63), (26, 39), (26, 44)]
 
 
 def test_cover_matching_on_sample_covers_every_edge():
@@ -506,47 +549,9 @@ def test_soft_lost_counts_seed_edges_the_cycle_dropped():
 
         M = greedy_maximal_matching(G)
         on_seed = M & path_edges(merge_into_single_path(G, M, alpha).path)
-        for attempt in range(3):
-            once = cover_matching_once(G, M, alpha, attempt=attempt)
-            assert once.cycle is not None
-            expected = len(on_seed - cycle_edges(once.cycle)) if attempt < 2 else 0
-            assert once.soft_lost == expected <= once.soft_breaks
-            lost += once.soft_lost
+        once = cover_matching_once(G, M, alpha)
+        assert once.cycle is not None
+        assert once.soft_lost == len(on_seed - cycle_edges(once.cycle)) <= once.soft_breaks
+        lost += once.soft_lost
     assert lost > 0
 
-
-def test_greedy_retries_do_not_merge(monkeypatch):
-    # attempts 0 and 1 start from the merged seed path; later attempts start
-    # from a greedy path, so they must not pay for a merge they ignore
-    attempts: list[int] = []  # attempt of the cover_matching_once running now
-    merged_at: list[int] = []
-    retries: list[int] = []
-    once, merge = cover_mod.cover_matching_once, cover_mod.merge_into_single_path
-
-    def traced_once(*args, attempt=0, **kwargs):
-        attempts.append(attempt)
-        try:
-            out = once(*args, attempt=attempt, **kwargs)
-        finally:
-            attempts.pop()
-        if attempt >= 2:
-            retries.append(out.merge_lost)
-        return out
-
-    def traced_merge(*args, **kwargs):
-        merged_at.append(attempts[-1])
-        return merge(*args, **kwargs)
-
-    monkeypatch.setattr(cover_mod, "cover_matching_once", traced_once)
-    monkeypatch.setattr(cover_mod, "merge_into_single_path", traced_merge)
-    # cover_graph's forest loop covers these graphs without the matching
-    # fallback, so cover each colour class of the packing residual directly;
-    # on these two graphs five classes retry at attempt 2
-    alpha = expander_params_for_gnp(64, 0.15).alpha
-    for s in (3, 7):
-        G = sample_gnp(64, 0.15, RngSeed(5, s))
-        residual = extract_packing(G, G.min_degree() // 2).residual
-        for cls in greedy_edge_coloring(residual):
-            cover_mod.cover_matching(G, cls, alpha)
-    assert retries == [0] * 5  # five retries, none reporting a merge loss
-    assert merged_at and all(a < 2 for a in merged_at)

@@ -876,6 +876,12 @@ def test_locked_seed_failures_name_their_cause():
     assert res.failure == "could not chain locked edges into one path"
     res = find_hamilton_cycle(cycle_graph(5), RotationConstraints(locked={(0, 2)}))
     assert res.failure == "locked edges not in the graph: [(0, 2)]"
+    # so is an edge with a vertex past n - 1 or below 0, not an IndexError
+    # or a negative shift
+    for locked, absent in (({(7, 9)}, "[(7, 9)]"), ({(-1, 3)}, "[(-1, 3)]"),
+                           ({(0, 1), (5, 6)}, "[(5, 6)]")):
+        res = find_hamilton_cycle(K6, RotationConstraints(locked=locked))
+        assert res.failure == f"locked edges not in the graph: {absent}"
 
 
 def test_find_hamilton_input_failures_name_their_cause():
