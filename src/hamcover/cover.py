@@ -134,7 +134,10 @@ class CoverCertificate:
 
     ``coverage`` is the ``EdgeCounts`` that ``validate_cover`` returned for
     ``cycles``: ``coverage[(u, v)]``, ``u < v``, is how many cycles use the
-    edge, read from numpy arrays.
+    edge, read from numpy arrays of the narrowest unsigned type that holds
+    the edge codes and the counts. The cycles are the search's, which all
+    point at one shared int object per vertex (``graph.vertex_ints``), so
+    the certificate holds no int per vertex occurrence.
     """
 
     cycles: list[tuple[int, ...]]
@@ -376,7 +379,7 @@ def _matching_failure(G: Graph, M: frozenset[Edge]) -> str | None:
     """Why the canonical edge set M is not a matching of G, or None."""
     if len({v for e in M for v in e}) != 2 * len(M):  # a shared end or a loop
         return "input edge set is not a matching"
-    if any(not (0 <= u and v < G.n and G.has_edge(u, v)) for u, v in M):
+    if any(not G.has_edge(u, v) for u, v in M):
         return "matching contains edges absent from the graph"
     return None
 

@@ -450,7 +450,8 @@ def merge_into_single_path(G: Graph, forest, alpha: float) -> MergeOutcome:
         moved = round_with((longest + 1) // 2)
 
     paths = family.paths
-    keep = max(paths, key=lambda p: (len(p), tuple(-v for v in p)))
+    size = max(map(len, paths))
+    keep = min(p for p in paths if len(p) == size)  # the smallest longest path
     out.dissolved = len(paths) - 1
     out.path = keep
     # with no path dissolved and no edge lost by a move (k = 1 rounds trim

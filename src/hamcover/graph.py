@@ -15,6 +15,12 @@ integer per edge. The table is built on first use, never at import or while
 sampling, and is only ever replaced by a longer one, so it holds about
 N^2 / 8 bytes for the largest N used in the process. ``remove_edges``
 raises GraphError for a vertex outside 0..n-1, whatever the table's length.
+
+A second shared table, ``vertex_ints(n)[v] == v``, holds one int object per
+vertex, grown the same way. The Hamilton search rebuilds each cycle it
+returns from it, so that every cycle of a packing or cover points at the
+same n ints: CPython shares only the ints up to 256, and each vertex the
+search computes above that is a private 28-byte object.
 """
 
 from __future__ import annotations
@@ -71,6 +77,20 @@ def one_hot(n: int) -> list[int]:
     return _one_hot
 
 
+_vertex_ints: list[int] = []
+
+
+def vertex_ints(n: int) -> list[int]:
+    """The shared table ``ints`` with ``ints[v] == v``, at least n long, one
+    int object per vertex. Like ``one_hot``'s table it is built on first
+    use and only ever replaced by a longer one that keeps the same objects,
+    so every caller maps a vertex to one object."""
+    global _vertex_ints
+    if len(_vertex_ints) < n:
+        _vertex_ints = _vertex_ints + list(range(len(_vertex_ints), n))
+    return _vertex_ints
+
+
 class Graph:
     """Simple undirected graph; symmetric, loop-free, deduplicated."""
 
@@ -102,7 +122,8 @@ class Graph:
         return min(map(int.bit_count, self.rows), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        """True iff (u, v) is an edge; False for a vertex outside 0..n-1."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.rows[u] >> v & 1)
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -13,7 +13,8 @@ per-edge counts. It reads only the graph's bitmask rows and uses no code of
 the search (rotation, families, cover), so it stays an independent check of
 every certificate. Its per-edge counts stay in numpy arrays behind
 ``EdgeCounts``, a read-only mapping that makes an edge tuple only when one
-is read.
+is read; the arrays it keeps are of the narrowest unsigned integer type
+that holds their values.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def bfs_distances_reference(G: Graph, source: int) -> list[int]:
     return dist
 
 
-_NO_EDGES = np.zeros(0, dtype=np.int64)
+_NO_EDGES = np.zeros(0, dtype=np.uint8)
 
 
 class EdgeCounts(Mapping):
@@ -215,11 +216,14 @@ class EdgeCounts(Mapping):
     many cycles use it.
 
     Keys and values are Python ints, keys in ``G.edges()`` order. It holds
-    two arrays of one int64 each per edge: the ascending row-major edge codes
-    ``u * n + v`` and the counts. A key is found by ``searchsorted``; a
-    reversed pair or a non-edge raises ``KeyError``, as a dict keyed by the
-    canonical edges does. ``EdgeCounts()`` is the map of a graph with no
-    edges.
+    two arrays with one entry per edge: the ascending row-major edge codes
+    ``u * n + v`` and the counts, each of whatever unsigned integer type the
+    caller chose (``validate_cover`` picks the narrowest that holds the
+    values). A key is found by ``searchsorted``; only a code of a pair
+    ``0 <= u < v < n``, so below n^2, is searched for, which the codes' type
+    holds. A reversed pair or a non-edge raises ``KeyError``, as a dict
+    keyed by the canonical edges does. ``EdgeCounts()`` is the map of a
+    graph with no edges.
     """
 
     __slots__ = ("_n", "_codes", "_counts")
@@ -284,6 +288,10 @@ def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
     the first one of the wrong length or with a vertex that is not one of
     0..n-1 are checked and counted on a dense adjacency matrix, CHUNK at a
     time; the edge codes come from one flatnonzero of its upper triangle.
+    The counting runs in int64; the ``EdgeCounts`` keeps the codes in the
+    narrowest unsigned type that holds n^2 - 1 and the counts in the
+    narrowest that holds the number of cycles counted, so a cover of fewer
+    than 256 cycles on fewer than 256 vertices holds 3 bytes per edge.
     """
     n = G.n
     vertices = set(range(n))
@@ -301,8 +309,10 @@ def validate_cover(G: Graph, cycles: list[tuple[int, ...]]) -> CoverValidation:
         bad = good
     uncovered = [divmod(c, n) for c in codes[counts == 0].tolist()]
     ok = bad is None and not uncovered
+    coverage = EdgeCounts(n, codes.astype(np.min_scalar_type(max(n * n - 1, 0))),
+                          counts.astype(np.min_scalar_type(good)))
     return CoverValidation(ok=ok, n_cycles=len(cycles), bad_cycle=bad,
-                           coverage=EdgeCounts(n, codes, counts), uncovered=uncovered)
+                           coverage=coverage, uncovered=uncovered)
 
 
 def _edge_counts(G: Graph, rows: list[tuple[int, ...]]

@@ -29,6 +29,7 @@ from .graph import (
     is_path,
     mask_of,
     path_edges,
+    vertex_ints,
 )
 
 # hard ceiling on paths explored per rotate_until_extendable call
@@ -551,6 +552,10 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
     The search keeps one path list with its vertex mask and a vertex ->
     position list. An extension found by one rotation of that path rotates
     it in place and rewrites the positions of the reversed suffix only.
+
+    A returned cycle is built from the shared ``vertex_ints(n)`` table, so
+    the cycles of a packing or cover all hold the same n int objects. Only
+    for n > 257: CPython already shares the ints 0..256.
     """
     if constraints is None:
         constraints = RotationConstraints()
@@ -570,9 +575,7 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             if missing:
                 return HamiltonResult(None, failure=f"seed path misses locked edges {missing}")
     elif constraints.locked:
-        # the edges are canonical (u < v); one with an end outside 0..n-1 is absent
-        absent = [(u, v) for u, v in sorted(constraints.locked)
-                  if not (0 <= u and v < n and G.has_edge(u, v))]
+        absent = [e for e in sorted(constraints.locked) if not G.has_edge(*e)]
         if absent:
             return HamiltonResult(None, failure=f"locked edges not in the graph: {absent}")
         # a vertex on 3+ locked edges, or a locked cycle, rules out every
@@ -618,10 +621,12 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             used |= 1 << outcome.external
             continue
         if isinstance(outcome, Chord):
-            cyc = outcome.path  # a fresh tuple, so returned as it is
+            cyc = outcome.path
             if len(cyc) == n:
                 if not is_hamilton_cycle(G, cyc):
                     return failed("internal: closed sequence is not a Hamilton cycle", n)
+                if n > 257:  # a vertex above 256 is a private int object
+                    cyc = tuple(map(vertex_ints(n).__getitem__, cyc))
                 return HamiltonResult(cyc, iterations=iterations,
                                       rotations=constraints.rotations,
                                       soft_breaks=constraints.soft_breaks,

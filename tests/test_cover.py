@@ -35,6 +35,7 @@ from hamcover.graph import (
     is_hamilton_cycle,
     path_edges,
     petersen_graph,
+    vertex_ints,
 )
 from hamcover.oracle import held_karp_hamiltonian, validate_cover
 from hamcover.rotation import find_hamilton_cycle
@@ -104,6 +105,15 @@ def test_extract_packing_zero_target():
     packing = extract_packing(G, target=0)
     assert packing.achieved == 0
     assert packing.residual == G
+
+
+def test_packed_cycles_share_one_int_per_vertex():
+    packing = extract_packing(sample_gnp(300, 0.3, RngSeed(1, 0)), 3)
+    assert packing.achieved == 3
+    # the search computes vertices above 256 as fresh ints; each returned
+    # cycle is rebuilt from the shared table
+    held = {id(v) for c in packing.cycles for v in c}
+    assert held == {id(v) for v in vertex_ints(300)[:300]}
 
 
 # The packing loop as it was when it rescanned the residual's minimum degree

@@ -274,6 +274,15 @@ def test_remove_edges_passes_on_the_input_own_errors():
         K4.remove_edges(pairs[i] for i in range(2, 3))
 
 
+def test_has_edge_is_false_outside_the_vertex_range():
+    K6 = complete_graph(6)
+    assert all(K6.has_edge(u, v) for u in range(6) for v in range(6) if u != v)
+    # -1 used to read row 5, and 7 or a negative v used to raise
+    for u, v in [(-1, 3), (3, -1), (2, -1), (-6, 0), (7, 9), (9, 7), (0, 6), (6, 0),
+                 (1, 10**30), (10**30, 1), (3, 3)]:
+        assert K6.has_edge(u, v) is False
+
+
 def test_remove_edges():
     K4 = complete_graph(4)
     H = K4.remove_edges([(0, 1), (1, 0), (2, 3)])

@@ -13,6 +13,7 @@ from hamcover.graph import (
     Graph,
     build_graph,
     complete_graph,
+    cycle_edges,
     cycle_graph,
     disjoint_union,
     edge_key,
@@ -320,7 +321,8 @@ def test_validate_cover_counts_across_chunks():
             assert r.bad_cycle == at
 
 
-def test_held_validations_keep_under_32_bytes_per_edge():
+def _held_validation_bytes_per_edge() -> float:
+    """Bytes that the validations of 20 G(128, 0.3) covers hold, per edge."""
     alpha = expander_params_for_gnp(128, 0.3).alpha
     cases = []
     for i in range(20):
@@ -338,8 +340,35 @@ def test_held_validations_keep_under_32_bytes_per_edge():
     finally:
         tracemalloc.stop()
     assert all(v.ok for v in held)
+    return retained / m
+
+
+def test_held_validations_keep_under_32_bytes_per_edge():
     # a dict of m (u, v) tuple keys holds about 84 bytes per edge
-    assert retained < 32 * m, retained / m
+    assert _held_validation_bytes_per_edge() < 32
+
+
+def test_held_validations_keep_under_4_bytes_per_edge():
+    # codes below 2^16 and counts below 2^8 take 3 bytes per edge; two
+    # int64 arrays took 16
+    assert _held_validation_bytes_per_edge() < 4
+
+
+def test_narrow_counts_do_not_wrap():
+    K5 = complete_graph(5)
+    c = (0, 1, 2, 3, 4)
+    # 300 cycles need two bytes per count: one would wrap round to 44
+    got = _assert_matches_reference(K5, [c] * 300).coverage
+    assert all(got[e] == (300 if e in cycle_edges(c) else 0) for e in K5.edges())
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_narrow_codes_reach_the_last_edge(n):
+    # n = 256 has codes up to 65535, the top of two bytes; n = 257 needs four
+    G = cycle_graph(n)
+    c = tuple(range(n))
+    got = _assert_matches_reference(G, [c, c[::-1], c]).coverage
+    assert got[(n - 2, n - 1)] == got[(0, n - 1)] == 3
 
 
 @st.composite
