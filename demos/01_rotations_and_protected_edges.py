@@ -1,43 +1,44 @@
 #!/usr/bin/env python3
-"""Walk through rotations, endpoint sets, and edge protection on tiny graphs.
+"""Walk through the rotation search and edge protection on tiny graphs.
 
 A rotation pivots a path around a chord from its endpoint: the suffix past
-the pivot flips, one path edge breaks, and a new endpoint appears. Locked
-edges are never broken; that single rule is what lets the cover pipeline
-drag a matching through an entire Hamilton cycle search unharmed.
+the pivot flips, one path edge breaks, and a new endpoint appears. The
+search, ``rotate_until_extendable``, rotates until some endpoint has a
+neighbour off the path, which is the step the Hamilton cycle search runs on
+every pass. Locked edges are never broken; that single rule is what lets
+the cover pipeline drag a matching through an entire Hamilton cycle search
+unharmed.
 """
 
 from hamcover import (
+    ExtendAt,
     RotationConstraints,
-    RotationState,
-    endpoint_set,
     find_hamilton_cycle,
-    rotate,
+    rotate_until_extendable,
 )
-from hamcover.graph import build_graph, complete_graph, cycle_graph, cycle_edges
+from hamcover.graph import build_graph, complete_graph, cycle_edges, path_edges
 
-# C5 plus one chord (4,1): the path 0-1-2-3-4 can rotate around that chord
-G = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 1)])
-state = RotationState(path=[0, 1, 2, 3, 4], fixed_endpoint=0)
-print("start path:   ", state.path)
+# C5 plus the chord (4,1) and the edge (2,5): neither end of the path
+# 0-1-2-3-4 sees vertex 5, but rotating around the chord makes 2 an endpoint
+G = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 1), (2, 5)])
+path = [0, 1, 2, 3, 4]
+print("start path:", path)
 
-rotated = rotate(G, state, pivot=1)
-print("after pivot 1:", rotated.path, "(broke", rotated.history[0][1], ")")
+out = rotate_until_extendable(G, path)
+assert isinstance(out, ExtendAt) and out.at is not None
+# at set: the found path is the start path rotated once around position at
+rotated = path[: out.at + 1] + path[: out.at : -1]
+print(f"search: {out}")
+print(f"  pivot {path[out.at]} breaks {(path[out.at], path[out.at + 1])}:",
+      rotated, f"-> endpoint {out.endpoint} steps off to {out.external}")
 
-# the same rotation is illegal if the broken edge is locked
+# with (1,2) locked that rotation is ruled out; the search reaches 2 as an
+# endpoint another way, on a path that still holds the locked edge
 locked = RotationConstraints(locked={(1, 2)})
-try:
-    rotate(G, state, pivot=1, constraints=locked)
-except Exception as exc:
-    print("with (1,2) locked:", exc)
-
-# endpoint sets: all endpoints reachable by rotations fixing vertex 0
-C5 = cycle_graph(5)
-es = endpoint_set(C5, [0, 1, 2, 3, 4], fixed=0)
-print("\nC5 endpoints reachable with 0 fixed:", sorted(es.endpoints))
-es = endpoint_set(C5, [0, 1, 2, 3, 4], fixed=0,
-                  constraints=RotationConstraints(locked={(0, 1)}))
-print("same but (0,1) locked:              ", sorted(es.endpoints))
+out = rotate_until_extendable(G, path, locked)
+print(f"\nwith (1,2) locked: {out}")
+print("  (1,2) still on the path:", (1, 2) in path_edges(out.path),
+      f"after {locked.rotations} rotations")
 
 # the payoff: a Hamilton cycle of K6 forced through a perfect matching
 K6 = complete_graph(6)

@@ -32,17 +32,13 @@ from .expansion import (
 )
 from .rotation import (
     Chord,
-    EndpointSet,
     ExtendAt,
     HamiltonResult,
     RotationConstraints,
     RotationError,
-    RotationState,
     Stuck,
     absorb_external_vertex,
-    endpoint_set,
     find_hamilton_cycle,
-    rotate,
     rotate_until_extendable,
 )
 from .families import (

@@ -156,13 +156,16 @@ class CoverCertificate:
 class CoverOutcome:
     """A certificate or the phase and cause of a failure.
 
-    ``losses`` sums the covering phase's counters over its rounds (see
-    ``OnceOutcome``, with forest edges in place of matching edges):
-    ``merge_lost``, ``soft_breaks`` and ``soft_lost``; on a covering
-    failure ``uncovered`` lists every residual edge left uncovered, in
-    lexicographic order. A failed validation carries the counters of the
-    covering phase it checked. ``timings_ms`` holds the ``packing`` and
-    ``covering`` phase times.
+    ``losses`` sums the covering phase's counters over its rounds.
+    ``merge_lost`` counts the forest edges that a round's merge left off
+    its seed path. ``soft_lost`` counts the forest edges on a seed path
+    that a found cycle dropped. ``soft_breaks`` counts the soft-edge
+    rotations and absorptions of the searches that found a cycle,
+    exploration included: it counts moves, not edges lost, and bounds
+    ``soft_lost``. On a covering failure ``uncovered`` lists every
+    residual edge left uncovered, in lexicographic order. A failed
+    validation carries the counters of the covering phase it checked.
+    ``timings_ms`` holds the ``packing`` and ``covering`` phase times.
     """
 
     certificate: CoverCertificate | None

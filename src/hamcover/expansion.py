@@ -74,8 +74,10 @@ def small_expansion_witness_search(G: Graph, s: float, g: float,
     uniform random sets, BFS balls around low-degree vertices, and unions of
     low-degree vertices (the usual worst offenders). With g < 2 the
     singleton sweep is exhaustive, so "holds" can be claimed; otherwise a
-    clean search ends "inconclusive".
+    clean search ends "inconclusive". Raises ValueError unless g is finite.
     """
+    if not -math.inf < g < math.inf:  # False for nan
+        raise ValueError(f"boundary g must be finite, got {g}")
     n = G.n
     if trials is None:
         trials = DEFAULT_TRIALS_PER_VERTEX * n
@@ -144,7 +146,10 @@ def small_expansion_witness_search(G: Graph, s: float, g: float,
 def large_expansion_witness_search(G: Graph, l: float,
                                    trials: int | None = None,
                                    seed: RngSeed = RngSeed(0)) -> ExpansionReport:
-    """Search for two disjoint ceil(l)-sets with no edge between them."""
+    """Search for two disjoint ceil(l)-sets with no edge between them.
+    Raises ValueError unless 0 < l < inf."""
+    if not 0 < l < math.inf:  # False for nan
+        raise ValueError(f"frame l must satisfy 0 < l < inf, got {l}")
     n = G.n
     if trials is None:
         trials = DEFAULT_TRIALS_PER_VERTEX * n

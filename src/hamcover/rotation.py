@@ -10,15 +10,15 @@ Constraints carry two edge sets: a locked set that no rotation or
 absorption may ever break, and a soft set that is broken only when no clean
 alternative exists, with every such break counted. One rotation walk,
 ``_rotation_walk``, explores the rotation tree breadth-first with pivots in
-ascending vertex order and hands each rotation to a callback; the endpoint
-sets and the two-level extension search are built on it, so every outcome
-is deterministic for a given graph and seed path.
+ascending vertex order and hands each rotation to a callback. Its one
+client is the two-level extension search, ``rotate_until_extendable``,
+which ``find_hamilton_cycle`` runs once per pass, so every outcome is
+deterministic for a given graph and seed path.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .families import ExtensionBudget, FamilyError, PathFamily, reduce_family
 from .graph import (
@@ -37,7 +37,8 @@ SEARCH_NODE_CAP = 6000
 
 
 class RotationError(ValueError):
-    """Illegal rotation request (bad pivot, missing chord, locked edge)."""
+    """Illegal search request (a locked edge broken, a trivial path, an
+    absorption at a vertex or edge that is not there)."""
 
 
 def _canonical_edges(edges) -> frozenset[Edge]:
@@ -98,48 +99,6 @@ class RotationConstraints:
             self.soft_breaks += 1
 
 
-@dataclass
-class RotationState:
-    """A path under rotation with its audit trail."""
-
-    path: list[int]
-    fixed_endpoint: int
-    rotation_count: int = 0
-    history: list[tuple[int, Edge]] = field(default_factory=list)  # (pivot, broken edge)
-
-
-def rotate(G: Graph, state: RotationState, pivot: int,
-           constraints: RotationConstraints | None = None) -> RotationState:
-    """One rotation of ``state`` around ``pivot``, returning a new state.
-
-    Requires the current endpoint to be adjacent to the pivot, the pivot to
-    sit strictly before the last two positions, and the broken edge to be
-    unlocked.
-    """
-    if constraints is None:
-        constraints = RotationConstraints()
-    path = state.path
-    q = len(path)
-    if path[0] != state.fixed_endpoint:
-        raise RotationError("state path does not start at its fixed endpoint")
-    try:
-        i = path.index(pivot)
-    except ValueError:
-        raise RotationError(f"pivot {pivot} not on the path") from None
-    if i > q - 3:
-        raise RotationError(f"pivot position {i} out of range (need <= {q - 3})")
-    if not G.has_edge(path[-1], pivot):
-        raise RotationError(f"pivot {pivot} not adjacent to endpoint {path[-1]}")
-    broken = edge_key(pivot, path[i + 1])
-    constraints.record(broken)
-    return RotationState(
-        path=_rotated(path, i),
-        fixed_endpoint=state.fixed_endpoint,
-        rotation_count=state.rotation_count + 1,
-        history=state.history + [(pivot, broken)],
-    )
-
-
 def _rotated(parent: list[int], i: int | None) -> list[int]:
     """The path a rotation walk entry stands for: ``parent`` itself when i is
     None (the root), else ``parent`` rotated around the pivot at position i,
@@ -150,8 +109,7 @@ def _rotated(parent: list[int], i: int | None) -> list[int]:
 
 
 def _rotation_walk(G, root: list[int], constraints: RotationConstraints, visit,
-                   max_depth: float = math.inf, positions: list[int] | None = None,
-                   path_mask: int = -1):
+                   path_mask: int, positions: list[int] | None = None):
     """Breadth-first walk of the rotation tree with fixed endpoint root[0].
 
     Makes each rotation that breaks no locked edge and reaches an endpoint
@@ -164,30 +122,28 @@ def _rotation_walk(G, root: list[int], constraints: RotationConstraints, visit,
     held back until then. Distinct pivots give distinct endpoints, so a
     held-back rotation is never ruled out by the clean ones made after it.
 
-    The walk goes to depth ``max_depth``. It stops at the first value other
-    than None that ``visit`` returns and returns it, so rotations past that
-    point are never made or counted; it returns None once the tree is
-    exhausted. A rotated path is built as a list only to be expanded.
+    The walk stops at the first value other than None that ``visit``
+    returns and returns it, so rotations past that point are never made or
+    counted; it returns None once the tree is exhausted. A rotated path is
+    built as a list only to be expanded.
 
     Pivots are the endpoint's neighbours in ``path_mask``, the root's vertex
-    mask, which every rotated path shares (by default all of them). The
-    root's expansion looks each up in ``positions`` (vertex -> position in
-    root) when it is given; deeper expansions scan their path.
+    mask, so every pivot lies on every rotated path. The root's expansion
+    looks each up in ``positions`` (vertex -> position in root) when it is
+    given; deeper expansions scan their path.
 
     The queue is a plain list that the loop iterates while appending to it,
     so it keeps every entry until the walk returns; the root's entry has no
     pivot position and is expanded as ``root`` itself.
     """
     q = len(root)
-    if q < 3 or max_depth <= 0:
+    if q < 3:
         return None
     rows = G.rows
     locked, soft = constraints.locked, constraints.soft
     seen = {root[-1]}
-    queue = [(root, None, 0)]
-    for parent, at, depth in queue:
-        if depth >= max_depth:
-            continue
+    queue = [(root, None)]
+    for parent, at in queue:
         if at is None:
             path, known = root, positions
         else:
@@ -198,10 +154,7 @@ def _rotation_walk(G, root: list[int], constraints: RotationConstraints, visit,
             low = nb & -nb
             nb ^= low
             w = low.bit_length() - 1
-            try:
-                i = path.index(w) if known is None else known[w]
-            except ValueError:
-                continue
+            i = path.index(w) if known is None else known[w]
             if i > q - 3:
                 continue
             end = path[i + 1]
@@ -219,7 +172,7 @@ def _rotation_walk(G, root: list[int], constraints: RotationConstraints, visit,
             found = visit(path, i, end)
             if found is not None:
                 return found
-            queue.append((path, i, depth + 1))
+            queue.append((path, i))
         for i in held:
             end = path[i + 1]
             seen.add(end)
@@ -227,70 +180,8 @@ def _rotation_walk(G, root: list[int], constraints: RotationConstraints, visit,
             found = visit(path, i, end)
             if found is not None:
                 return found
-            queue.append((path, i, depth + 1))
+            queue.append((path, i))
     return None
-
-
-@dataclass
-class EndpointSet:
-    """Endpoints reachable by locked-respecting rotations with one end fixed.
-
-    ``pivots`` maps each endpoint to the pivot sequence that reaches it;
-    replaying those pivots through rotate() reproduces ``paths[endpoint]``.
-    Each endpoint is reached once, so its sequence is that of the path it
-    was rotated from, plus one pivot.
-    """
-
-    fixed: int
-    endpoints: set[int]
-    pivots: dict[int, tuple[int, ...]]
-    paths: dict[int, tuple[int, ...]]
-    external: int | None = None    # endpoint with a neighbor off the path, if found
-
-
-def endpoint_set(G: Graph, path: list[int] | tuple[int, ...], fixed: int,
-                 constraints: RotationConstraints | None = None,
-                 max_depth: int | None = None,
-                 endpoint_cap: int | None = None) -> EndpointSet:
-    """All endpoints reachable from ``path`` by at most ``max_depth``
-    rotations fixing ``fixed``, deduplicated.
-
-    Stops early once an endpoint has a neighbor outside the path's vertex
-    set (flagged in ``external``) or once ``endpoint_cap`` endpoints are
-    known (default ceil(n/3), the scale the expansion guarantees; pass
-    G.n for exhaustive enumeration). Only the rotations up to that point
-    are made and counted in ``constraints``.
-    """
-    if constraints is None:
-        constraints = RotationConstraints()
-    p = list(path)
-    if p and p[-1] == fixed:
-        p = p[::-1]
-    if not p or p[0] != fixed:
-        raise RotationError(f"{fixed} is not an endpoint of the path")
-    if max_depth is None:
-        max_depth = G.n
-    cap = endpoint_cap if endpoint_cap is not None else max(1, math.ceil(G.n / 3))
-    outside = G.full_mask() & ~mask_of(p)
-    out = EndpointSet(fixed=fixed, endpoints=set(), pivots={}, paths={})
-
-    def reach(e: int, pivots: tuple[int, ...], walked: list[int]) -> bool | None:
-        """Record endpoint e; True when the walk should stop there."""
-        out.endpoints.add(e)
-        out.pivots[e] = pivots
-        out.paths[e] = tuple(walked)
-        if G.rows[e] & outside:
-            out.external = e
-            return True
-        return True if len(out.endpoints) >= cap else None
-
-    def visit(parent: list[int], i: int, e: int) -> bool | None:
-        # parent's endpoint was reached once, with parent's own pivots
-        return reach(e, out.pivots[parent[-1]] + (parent[i],), _rotated(parent, i))
-
-    if reach(p[-1], (), p) is None:
-        _rotation_walk(G, p, constraints, visit, max_depth)
-    return out
 
 
 # the outcome records are built once per search pass, by position: plain
@@ -415,13 +306,11 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                                   "node budget exhausted")
         return None
 
-    found = _rotation_walk(G, p0, constraints, visit, positions=positions,
-                           path_mask=path_mask)
+    found = _rotation_walk(G, p0, constraints, visit, path_mask, positions)
     for first, at, fixed in level_one:
         if found is not None:
             break
-        found = _rotation_walk(G, _rotated(first, at)[::-1], constraints, visit,
-                               path_mask=path_mask)
+        found = _rotation_walk(G, _rotated(first, at)[::-1], constraints, visit, path_mask)
     return found or chord or Stuck(len(level_one), explored - len(level_one), explored,
                                    "no extension, no chord")
 

@@ -89,7 +89,7 @@ def test_criterion_2_locked_edge_preservation():
                 F.add((u, v))
                 touched.update((u, v))
         cons = RotationConstraints(locked=frozenset(F), soft=frozenset(F))
-        # rotate()/record() raise on any locked break, so completing the
+        # record() raises on any locked break, so completing the
         # search at all certifies zero locked edges were ever broken
         res = find_hamilton_cycle(G, cons)
         if res.ok:

@@ -270,20 +270,26 @@ def test_bad_inputs_exit_2_with_an_error_line(tmp_path, capsys):
     words.write_text("0 1 two 3 4\n")
     forbid = tmp_path / "k6.txt"
     write_edge_list(complete_graph(6), str(forbid))
-    cases = {
-        "cover file not found": ("verify", "--graph", str(gpath),
-                                 "--cover", str(tmp_path / "missing.txt")),
-        "malformed cover file": ("verify", "--graph", str(gpath), "--cover", str(words)),
-        "forbid file is on 6 vertices, graph on 5": ("hamilton", "--graph", str(gpath),
-                                                     "--forbid", str(forbid)),
-        "--s must exceed 1 unless --g and --l are given": ("check", "--graph", str(gpath),
-                                                           "--s", "1"),
-    }
-    for message, argv in cases.items():
+    cases = [
+        ("cover file not found", ("verify", "--graph", str(gpath),
+                                  "--cover", str(tmp_path / "missing.txt"))),
+        ("malformed cover file", ("verify", "--graph", str(gpath), "--cover", str(words))),
+        ("forbid file is on 6 vertices, graph on 5", ("hamilton", "--graph", str(gpath),
+                                                      "--forbid", str(forbid))),
+        ("--s must exceed 1 unless --g and --l are given", ("check", "--graph", str(gpath),
+                                                            "--s", "1")),
+    ]
+    # exit 1 would mean a violation was found, so a bad boundary or frame
+    # must exit 2 too
+    check = ("check", "--graph", str(gpath), "--s", "2")
+    cases += [("boundary g must be finite", (*check, "--g", g)) for g in ("inf", "nan")]
+    cases += [("frame l must satisfy 0 < l < inf", (*check, "--l", l))
+              for l in ("inf", "nan", "-3", "0")]
+    for message, argv in cases:
         code = main(list(argv))
         out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {message}")
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: {message}"), (argv, err)
 
 
 def test_readme_command_lines_parse():

@@ -1,6 +1,8 @@
 import math
 import random
 
+import pytest
+
 from hamcover.expansion import (
     diameter_bound_check,
     large_expansion_witness_search,
@@ -60,6 +62,21 @@ def test_large_search_disconnected():
 
 def test_large_search_vacuous():
     assert large_expansion_witness_search(cycle_graph(5), 3).verdict == "holds"
+
+
+def test_searches_refuse_a_non_finite_boundary_or_a_bad_frame():
+    G = cycle_graph(6)
+    for g in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="boundary g must be finite"):
+            small_expansion_witness_search(G, 2, g)
+    # a finite g < 1 leaves no nonempty set to check
+    for g in (0, -3, 0.5):
+        r = small_expansion_witness_search(G, 2, g)
+        assert (r.verdict, r.note) == ("holds", "no nonempty candidate sets")
+    for l in (0, -3, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="frame l must satisfy 0 < l < inf"):
+            large_expansion_witness_search(G, l)
+    assert large_expansion_witness_search(G, 0.5).params["set_size"] == 1
 
 
 def test_diameter_bound_cases():

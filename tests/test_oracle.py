@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import tracemalloc
 
@@ -110,6 +111,20 @@ def test_exhaustive_vacuous_frame():
 def test_exhaustive_refuses_large_n():
     with pytest.raises(ValueError):
         exhaustive_expansion_check(complete_graph(17), 2, 2, 2)
+
+
+def test_exhaustive_refuses_a_non_finite_boundary_or_a_bad_frame():
+    # l = 0 used to pass: the pair search appended to B before comparing
+    # its size with c = 0, and so returned every vertex as B
+    G = cycle_graph(6)
+    for g in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="boundary g must be finite"):
+            exhaustive_expansion_check(G, 2, g, 2)
+    for l in (0, -3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="frame l must satisfy 0 < l < inf"):
+            exhaustive_expansion_check(G, 2, 2, l)
+    small, _ = exhaustive_expansion_check(G, 2, 0, 2)
+    assert small.holds
 
 
 def test_validate_cover_walecki():

@@ -29,12 +29,10 @@ from hamcover.oracle import held_karp_hamiltonian
 from hamcover.rotation import (
     SEARCH_NODE_CAP,
     Chord,
-    EndpointSet,
     ExtendAt,
     HamiltonResult,
     RotationConstraints,
     RotationError,
-    RotationState,
     Stuck,
     _external_neighbor,
     _greedy_extend,
@@ -42,36 +40,20 @@ from hamcover.rotation import (
     _rotation_walk,
     _start_vertex,
     absorb_external_vertex,
-    endpoint_set,
     find_hamilton_cycle,
-    rotate,
     rotate_until_extendable,
 )
 
 
-def c5_with_chord():
-    return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 1)])
-
-
-def test_rotate_basic():
-    st = RotationState(path=[0, 1, 2, 3, 4], fixed_endpoint=0)
-    out = rotate(c5_with_chord(), st, pivot=1)
-    assert out.path == [0, 1, 4, 3, 2]
-    assert out.history == [(1, (1, 2))]
-    assert out.rotation_count == 1
-    # original state untouched
-    assert st.path == [0, 1, 2, 3, 4]
-
-
-def test_rotate_respects_locked_edge():
-    st = RotationState(path=[0, 1, 2, 3, 4], fixed_endpoint=0)
+def _refuses_to_break_1_2(locked):
     with pytest.raises(RotationError, match="locked"):
-        rotate(c5_with_chord(), st, pivot=1,
-               constraints=RotationConstraints(locked={(1, 2)}))
+        RotationConstraints(locked=locked).record((1, 2))
+
+
+def test_constraints_canonicalise_and_refuse_locked_breaks():
+    _refuses_to_break_1_2({(1, 2)})
     # a reversed, repeated locked edge with no soft set is the same edge
-    with pytest.raises(RotationError, match="locked"):
-        rotate(c5_with_chord(), st, pivot=1,
-               constraints=RotationConstraints(locked=[(2, 1), [1, 2], (2, 1)]))
+    _refuses_to_break_1_2([(2, 1), [1, 2], (2, 1)])
     # the constraints canonicalise their edges as edge_key does: edges
     # reversed, repeated, given as lists, locked with no soft set, in lists,
     # sets and frozensets
@@ -94,203 +76,16 @@ def test_rotate_respects_locked_edge():
     # a one-shot iterator is read once, and canonicalised the same way
     cons = RotationConstraints(locked=iter([(2, 1), (2, 1)]), soft=iter([(4, 3), (1, 2)]))
     assert cons.locked == {(1, 2)} and cons.soft == {(1, 2), (3, 4)}
-    with pytest.raises(RotationError, match="locked"):
-        rotate(c5_with_chord(), st, pivot=1,
-               constraints=RotationConstraints(locked=iter([(2, 1)])))
+    _refuses_to_break_1_2(iter([(2, 1)]))
     # numpy-int vertices, reversed in a frozenset or already (min, max)
     pairs = [tuple(e) for e in np.array([[2, 1], [4, 3], [1, 2]])]
     cons = RotationConstraints(locked=pairs[:1], soft=frozenset(pairs))
     assert cons.locked == {(1, 2)} and cons.soft == {(1, 2), (3, 4)}
     for locked in (pairs[:1], frozenset(pairs[2:])):
-        with pytest.raises(RotationError, match="locked"):
-            rotate(c5_with_chord(), st, pivot=1,
-                   constraints=RotationConstraints(locked=locked))
+        _refuses_to_break_1_2(locked)
     # a frozenset of (min, max) pairs is kept as it is, not rebuilt
     soft = frozenset({(1, 2), (3, 4)})
     assert RotationConstraints(soft=soft).soft is soft
-
-
-def test_rotate_around_fixed_endpoint():
-    st = RotationState(path=[0, 1, 2, 3, 4], fixed_endpoint=0)
-    out = rotate(cycle_graph(5), st, pivot=0)
-    assert out.path == [0, 4, 3, 2, 1]
-    assert out.history == [(0, (0, 1))]
-
-
-def test_rotate_rejects_bad_pivots():
-    G = c5_with_chord()
-    st = RotationState(path=[0, 1, 2, 3, 4], fixed_endpoint=0)
-    with pytest.raises(RotationError, match="adjacent"):
-        rotate(G, st, pivot=2)  # (4,2) is no edge
-    with pytest.raises(RotationError, match="position"):
-        rotate(G, st, pivot=3)  # position q-2 breaks nothing
-    with pytest.raises(RotationError, match="pivot 4 not on the path"):
-        rotate(G, RotationState(path=[0, 1, 2, 3], fixed_endpoint=0), pivot=4)
-    with pytest.raises(RotationError, match="does not start at its fixed endpoint"):
-        rotate(G, RotationState(path=[1, 2, 3, 4, 0], fixed_endpoint=0), pivot=1)
-
-
-def test_rotation_preserves_vertex_set_and_length():
-    rnd = random.Random(44044)
-    for trial in range(50):
-        G = sample_gnp(12, 0.5, RngSeed(17, trial))
-        verts = list(range(12))
-        rnd.shuffle(verts)
-        # grow a random path
-        path = [verts[0]]
-        for v in verts[1:]:
-            if G.has_edge(path[-1], v):
-                path.append(v)
-        if len(path) < 4:
-            continue
-        st = RotationState(path=list(path), fixed_endpoint=path[0])
-        cons = RotationConstraints()
-        for _ in range(10):
-            end = st.path[-1]
-            pivots = [w for w in G.neighbors(end)
-                      if w in st.path and st.path.index(w) <= len(st.path) - 3]
-            if not pivots:
-                break
-            st = rotate(G, st, rnd.choice(pivots), cons)
-            assert sorted(st.path) == sorted(path)
-            assert len(st.path) == len(path)
-        # every broken edge was a path edge and is gone afterwards
-        for pivot, broken in st.history:
-            assert broken not in cons.locked
-
-
-def test_endpoint_set_c5():
-    es = endpoint_set(cycle_graph(5), [0, 1, 2, 3, 4], fixed=0)
-    assert es.endpoints == {4, 1}
-    # witness pivots replay to the found paths
-    assert es.paths[1] == (0, 4, 3, 2, 1)
-    assert es.pivots[1] == (0,)
-
-
-def test_endpoint_set_with_locked_edge():
-    cons = RotationConstraints(locked={(0, 1)})
-    es = endpoint_set(cycle_graph(5), [0, 1, 2, 3, 4], fixed=0, constraints=cons)
-    assert es.endpoints == {4}
-
-
-def test_endpoint_set_witness_replay():
-    G = sample_gnp(14, 0.5, RngSeed(23, 1))
-    res = find_hamilton_cycle(G)
-    if not res.ok:
-        pytest.skip("sample not solvable; replay exercised elsewhere")
-    path = list(res.cycle)[:-1]
-    cons = RotationConstraints()
-    es = endpoint_set(G, path, fixed=path[0], constraints=cons)
-    for e in es.endpoints:
-        st = RotationState(path=list(path) if path[0] == es.fixed else list(path)[::-1],
-                           fixed_endpoint=es.fixed)
-        for pivot in es.pivots[e]:
-            st = rotate(G, st, pivot)
-        assert tuple(st.path) == es.paths[e]
-        assert st.path[-1] == e
-        assert sorted(st.path) == sorted(path)
-
-
-def test_endpoint_set_k5_exhaustive():
-    # oracle: enumerate every path reachable by <= 2 rotations by brute force
-    G = complete_graph(5)
-    start = (0, 1, 2, 3, 4)
-
-    def rotations(p):
-        out = []
-        q = len(p)
-        for i, w in enumerate(p[:-2]):
-            if G.has_edge(p[-1], w):
-                out.append(p[: i + 1] + p[i + 1 :][::-1])
-        return out
-
-    expect = {start[-1]}
-    frontier = [start]
-    for _ in range(2):
-        frontier = [r for p in frontier for r in rotations(p)]
-        expect |= {p[-1] for p in frontier}
-
-    es = endpoint_set(G, list(start), fixed=0, max_depth=2, endpoint_cap=5)
-    assert es.endpoints == expect == {1, 2, 3, 4}
-
-
-def test_endpoint_set_default_cap_is_a_third():
-    es = endpoint_set(complete_graph(9), list(range(9)), fixed=0)
-    assert len(es.endpoints) >= 3  # ceil(9/3)
-
-
-def test_endpoint_set_counts_only_the_rotations_it_made():
-    # a spanning path has no outside neighbor, so only the cap stops the walk;
-    # every endpoint past the seed's own is one rotation, and no other is made
-    G = sample_gnp(30, 0.4, RngSeed(31, 0))
-    res = find_hamilton_cycle(G)
-    assert res.ok
-    path = list(res.cycle)
-    for cap in (1, 2):
-        cons = RotationConstraints()
-        es = endpoint_set(G, path, fixed=path[0], constraints=cons, endpoint_cap=cap)
-        assert len(es.endpoints) == cap
-        assert cons.rotations == sum(1 for e in es.endpoints if es.pivots[e]) == cap - 1
-
-
-def _endpoint_set_ref(G, path, fixed, constraints, max_depth, endpoint_cap):
-    """endpoint_set on the reference walk, which carries each path's pivot
-    sequence and builds every rotated path."""
-    p = list(path)
-    if p[-1] == fixed:
-        p = p[::-1]
-    cap = endpoint_cap if endpoint_cap is not None else max(1, math.ceil(G.n / 3))
-    outside = G.full_mask() & ~mask_of(p)
-    out = EndpointSet(fixed=fixed, endpoints=set(), pivots={}, paths={})
-    for walked, pivots in _rotation_bfs_ref(G, p, constraints,
-                                            G.n if max_depth is None else max_depth):
-        e = walked[-1]
-        out.endpoints.add(e)
-        out.pivots[e] = pivots
-        out.paths[e] = tuple(walked)
-        if G.adjacency_bits(e) & outside:
-            out.external = e
-            break
-        if len(out.endpoints) >= cap:
-            break
-    return out
-
-
-def test_endpoint_set_matches_eager_reference():
-    rnd = random.Random(6262)
-    stops = Counter()
-    soft_breaks = deep = 0
-    for trial in range(240):
-        n = rnd.randint(6, 30)
-        G = sample_gnp(n, rnd.choice((0.15, 0.3, 0.5, 0.8)), RngSeed(6262, trial))
-        if trial % 2 == 0:
-            # a spanning path: nothing outside, so only the cap or depth stops it
-            res = find_hamilton_cycle(G)
-            path = list(res.cycle) if res.ok else _random_walk_path(G, rnd)
-        else:
-            path = _random_walk_path(G, rnd)
-        if len(path) < 2:
-            continue
-        edges = sorted(path_edges(path))
-        soft = frozenset(rnd.sample(edges, rnd.randint(0, len(edges))))
-        locked = frozenset(rnd.sample(sorted(soft), rnd.randint(0, len(soft) // 2)))
-        fixed = path[rnd.choice((0, -1))]
-        depth = rnd.choice((None, None, 0, 1, 2, 3))
-        cap = rnd.choice((None, 1, 2, 5, n, n))
-        got_cons = RotationConstraints(locked=locked, soft=soft)
-        want_cons = RotationConstraints(locked=locked, soft=soft)
-        got = endpoint_set(G, path, fixed, got_cons, max_depth=depth, endpoint_cap=cap)
-        want = _endpoint_set_ref(G, path, fixed, want_cons, depth, cap)
-        # dataclass equality compares endpoints, pivots, paths and external
-        assert got == want, (G, path, fixed, locked, soft, depth, cap)
-        assert (got_cons.rotations, got_cons.soft_breaks) == \
-            (want_cons.rotations, want_cons.soft_breaks)
-        full = len(got.endpoints) >= (cap or max(1, math.ceil(n / 3)))
-        stops["external" if got.external is not None else "cap" if full else "exhausted"] += 1
-        soft_breaks += got_cons.soft_breaks
-        deep += max(map(len, got.pivots.values())) >= 2
-    assert sum(stops.values()) >= 200 and min(stops.values()) >= 20, stops
-    assert soft_breaks > 0 and deep >= 20, (soft_breaks, deep)
 
 
 def _eager_rotation_bfs(G, path0, constraints, max_depth):
@@ -344,7 +139,6 @@ def test_rotation_bfs_matches_eager_reference():
         edges = sorted(path_edges(path))
         soft = frozenset(rnd.sample(edges, len(edges) // 2))
         locked = frozenset(rnd.sample(sorted(soft), len(soft) // 3))
-        depth = rnd.choice((1, 2, n))
         lazy_cons = RotationConstraints(locked=locked, soft=soft)
         eager_cons = RotationConstraints(locked=locked, soft=soft)
         # the walk never visits its root, the seed path itself
@@ -359,13 +153,14 @@ def test_rotation_bfs_matches_eager_reference():
             pivots[end] = pivots[parent[-1]] + (parent[i],)
             lazy.append((walked, pivots[end]))
 
-        # the seed's own expansion reads positions and skips off-mask pivots
+        # pivots come from the path's vertex mask; the seed's own expansion
+        # reads positions when it is given them
+        mask = mask_of(path)
         pos = {v: i for i, v in enumerate(path)} if rnd.random() < 0.5 else None
-        mask = mask_of(path) if pos is not None or rnd.random() < 0.5 else -1
         if pos is not None:
             pos = [pos.get(v, 0) for v in range(n)]
-        assert _rotation_walk(G, list(path), lazy_cons, visit, depth, pos, mask) is None
-        eager = _eager_rotation_bfs(G, path, eager_cons, depth)
+        assert _rotation_walk(G, list(path), lazy_cons, visit, mask, pos) is None
+        eager = _eager_rotation_bfs(G, path, eager_cons, n)
         assert lazy == eager
         # fully walked, the lazy walk makes every rotation the eager one does
         assert lazy_cons.rotations == eager_cons.rotations
@@ -382,7 +177,7 @@ def test_rotation_bfs_matches_eager_reference():
                 visited.append(tuple(_rotated(parent, i)))
                 return len(visited) if len(visited) == k else None
 
-            assert _rotation_walk(G, list(path), stop_cons, stop_at_k, depth) == k
+            assert _rotation_walk(G, list(path), stop_cons, stop_at_k, mask) == k
             assert visited == [walked for walked, _ in eager[1:k + 1]]
             assert stop_cons.rotations == k
             stops += 1
@@ -753,6 +548,20 @@ def test_rotate_until_extendable_extends_at_level_two():
     assert out == ExtendAt(path=(4, 3, 2, 0, 1), endpoint=1, external=5)
 
 
+def test_rotate_until_extendable_rotates_around_a_chord():
+    # C5 with the chord (4, 1) and the edge (2, 5): one rotation around the
+    # chord makes 2 the endpoint, unless it would break the locked (1, 2)
+    G = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 1), (2, 5)])
+    path = [0, 1, 2, 3, 4]
+    out = rotate_until_extendable(G, path)
+    assert out == ExtendAt(path=None, endpoint=2, external=5, at=1)
+    assert _rotated(path, out.at) == [0, 1, 4, 3, 2]
+    cons = RotationConstraints(locked={(1, 2)})
+    out = rotate_until_extendable(G, path, cons)
+    assert out == ExtendAt(path=(3, 4, 0, 1, 2), endpoint=2, external=5)
+    assert cons.soft_breaks == 0
+
+
 def test_rotate_until_extendable_keeps_locked_edges():
     G = sample_gnp(16, 0.4, RngSeed(29, 0))
     res = find_hamilton_cycle(G)
@@ -899,8 +708,6 @@ def test_find_hamilton_input_failures_name_their_cause():
 
 def test_path_inputs_must_be_paths_with_the_given_end():
     C5 = cycle_graph(5)
-    with pytest.raises(RotationError, match="2 is not an endpoint of the path"):
-        endpoint_set(C5, [0, 1, 2, 3, 4], fixed=2)
     with pytest.raises(RotationError, match="non-trivial"):
         rotate_until_extendable(C5, [0])
 
@@ -1079,15 +886,6 @@ def test_never_fabricates_on_non_hamiltonian():
             count_no += 1
             assert not res.ok
     assert count_no > 10
-
-
-def test_endpoint_set_flags_external_neighbor():
-    # a path that rotations can open toward an off-path vertex gets flagged
-    G = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    es = endpoint_set(G, [1, 2, 3, 0], fixed=1)
-    assert es.external == 0  # endpoint 0 sees off-path vertex 4
-    es2 = endpoint_set(G, [4, 0, 1, 2, 3], fixed=4)
-    assert es2.external is None  # spanning path, nothing outside
 
 
 def test_structured_fixtures_against_oracle():
