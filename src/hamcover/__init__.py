@@ -37,7 +37,6 @@ from .rotation import (
     RotationConstraints,
     RotationError,
     Stuck,
-    absorb_external_vertex,
     find_hamilton_cycle,
     rotate_until_extendable,
 )

@@ -74,8 +74,11 @@ def small_expansion_witness_search(G: Graph, s: float, g: float,
     uniform random sets, BFS balls around low-degree vertices, and unions of
     low-degree vertices (the usual worst offenders). With g < 2 the
     singleton sweep is exhaustive, so "holds" can be claimed; otherwise a
-    clean search ends "inconclusive". Raises ValueError unless g is finite.
+    clean search ends "inconclusive". Raises ValueError unless s and g are
+    finite.
     """
+    if not -math.inf < s < math.inf:  # False for nan
+        raise ValueError(f"expansion factor s must be finite, got {s}")
     if not -math.inf < g < math.inf:  # False for nan
         raise ValueError(f"boundary g must be finite, got {g}")
     n = G.n
@@ -209,9 +212,10 @@ class DiameterCheck:
 
 
 def diameter_bound_check(G: Graph, s: float) -> DiameterCheck:
-    """Exact diameter against the expander bound 2*ln(n)/ln(s) + 3."""
-    if s <= 1.0:
-        raise ValueError(f"expansion factor must exceed 1, got {s}")
+    """Exact diameter against the expander bound 2*ln(n)/ln(s) + 3.
+    Raises ValueError unless 1 < s < inf."""
+    if not 1.0 < s < math.inf:  # False for nan
+        raise ValueError(f"expansion factor s must satisfy 1 < s < inf, got {s}")
     bound = 2.0 * math.log(max(G.n, 1)) / math.log(s) + 3.0
     d = diameter(G)
     if d == INFINITE:
@@ -233,8 +237,11 @@ def peel_non_expanding(G: Graph, deleted: set[int], s: float) -> PeelResult:
     remainder into the peeled set Z, until the fixpoint, and reports whether
     |Z| <= 2|D|/s held (the guarantee available when the whole graph has the
     small expansion property with factor s and boundary g). Every remainder
-    vertex keeps >= s/2 neighbors inside the remainder.
+    vertex keeps >= s/2 neighbors inside the remainder. Raises ValueError
+    unless 0 < s < inf.
     """
+    if not 0.0 < s < math.inf:  # False for nan
+        raise ValueError(f"expansion factor s must satisfy 0 < s < inf, got {s}")
     full = G.full_mask()
     dmask = mask_of(deleted) & full
     umask = full & ~dmask

@@ -211,11 +211,12 @@ class ExpanderParams:
 
 
 def expander_params(n: int, s: float) -> ExpanderParams:
-    """Boundary/frame/alpha for expansion factor s on n vertices."""
+    """Boundary/frame/alpha for expansion factor s on n vertices.
+    Raises ValueError unless n >= 2 and 1 < s < inf."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if s <= 1.0:
-        raise ValueError(f"expansion factor must exceed 1, got {s}")
+    if not 1.0 < s < math.inf:  # False for nan
+        raise ValueError(f"expansion factor s must satisfy 1 < s < inf, got {s}")
     ln_n = math.log(n)
     ln_s = math.log(s)
     g = 4.0 * n * ln_s / (s * ln_n)

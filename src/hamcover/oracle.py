@@ -155,8 +155,10 @@ def exhaustive_expansion_check(G: Graph, s: float, g: float, l: float) -> tuple[
     Small property: every vertex set A with |A| <= g has external
     neighborhood of size >= s*|A|. Large property: any two disjoint sets of
     size >= l span an edge. Witnesses are size-then-lex minimal. Raises
-    ValueError unless g is finite and 0 < l < inf.
+    ValueError unless s and g are finite and 0 < l < inf.
     """
+    if not -math.inf < s < math.inf:  # False for nan
+        raise ValueError(f"expansion factor s must be finite, got {s}")
     if not -math.inf < g < math.inf:  # False for nan
         raise ValueError(f"boundary g must be finite, got {g}")
     if not 0 < l < math.inf:  # False for nan

@@ -37,8 +37,8 @@ SEARCH_NODE_CAP = 6000
 
 
 class RotationError(ValueError):
-    """Illegal search request (a locked edge broken, a trivial path, an
-    absorption at a vertex or edge that is not there)."""
+    """Illegal search request: a locked edge broken by a rotation or dropped
+    by an absorption, or a trivial path."""
 
 
 def _canonical_edges(edges) -> frozenset[Edge]:
@@ -219,13 +219,6 @@ class Stuck:
     message: str = ""
 
 
-def _external_neighbor(G: Graph, v: int, outside: int) -> int | None:
-    hit = G.rows[v] & outside
-    if hit:
-        return (hit & -hit).bit_length() - 1
-    return None
-
-
 def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                             constraints: RotationConstraints | None = None,
                             path_mask: int | None = None,
@@ -315,42 +308,24 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                                    "no extension, no chord")
 
 
-def absorb_external_vertex(G: Graph, cycle: list[int] | tuple[int, ...], w: int, a: int,
-                           constraints: RotationConstraints | None = None) -> list[int]:
-    """Open a cycle at ``w`` and append its outside neighbor ``a``.
+def _open_at(cycle: tuple[int, ...], w: int, constraints: RotationConstraints) -> list[int] | None:
+    """The cycle opened at ``w`` into a path that ends at w, or None when
+    both cycle edges at w are locked.
 
-    Removes one of the two cycle edges at w - never a locked one, a soft
-    one only if both are soft (counted) - and returns a path with the same
-    number of edges as the cycle, ending at a.
+    Drops the first of w's previous and next cycle edges that is clean, else
+    the first that is soft but not locked, and records the drop.
     """
-    if constraints is None:
-        constraints = RotationConstraints()
-    cyc = list(cycle)
-    q = len(cyc)
-    if not 0 <= a < G.n:
-        raise RotationError(f"vertex {a} is not a vertex of the graph")
-    if a in cyc:
-        raise RotationError(f"vertex {a} is on the cycle")
-    try:
-        i = cyc.index(w)
-    except ValueError:
-        raise RotationError(f"vertex {w} is not on the cycle") from None
-    if not G.has_edge(a, w):
-        raise RotationError(f"({a}, {w}) is not an edge")
-    prev_e = edge_key(cyc[i - 1], w)
-    next_e = edge_key(w, cyc[(i + 1) % q])
-    options = [e for e in (prev_e, next_e) if e not in constraints.locked]
+    i = cycle.index(w)
+    prev_e = edge_key(cycle[i - 1], w)
+    next_e = edge_key(w, cycle[(i + 1) % len(cycle)])
+    options = ([e for e in (prev_e, next_e) if e not in constraints.soft]
+               or [e for e in (prev_e, next_e) if e not in constraints.locked])
     if not options:
-        raise RotationError(f"both cycle edges at {w} are locked")
-    clean = [e for e in options if e not in constraints.soft]
-    drop = clean[0] if clean else options[0]
-    constraints.record_absorption(drop)
-    if drop == next_e:
-        opened = cyc[i + 1 :] + cyc[: i + 1]      # ends at w
-    else:
-        opened = (cyc[i:] + cyc[:i])[::-1]        # starts at prev, ends at w
-    opened.append(a)
-    return opened
+        return None
+    constraints.record_absorption(options[0])
+    if options[0] == next_e:
+        return list(cycle[i + 1:] + cycle[: i + 1])
+    return list((cycle[i:] + cycle[:i])[::-1])  # starts at the previous vertex
 
 
 @dataclass
@@ -520,21 +495,20 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
                                       rotations=constraints.rotations,
                                       soft_breaks=constraints.soft_breaks,
                                       path_len=n)
-            outside = G.full_mask() & ~used
-            hook = None
-            for w in sorted(cyc):
-                a = _external_neighbor(G, w, outside)
-                if a is not None:
-                    hook = (w, a)
-                    break
-            if hook is None:
+            # absorb: open the cycle at its lowest vertex with an outside
+            # neighbour, and step to that vertex's lowest outside neighbour
+            rows, outside = G.rows, G.full_mask() & ~used
+            w = min((v for v in cyc if rows[v] & outside), default=None)
+            if w is None:
                 return failed("cycle spans a whole component; graph disconnected", len(cyc))
-            try:
-                path = absorb_external_vertex(G, cyc, hook[0], hook[1], constraints)
-            except RotationError as exc:
-                return failed(f"absorption blocked: {exc}", len(cyc))
+            path = _open_at(cyc, w, constraints)
+            if path is None:
+                return failed(f"absorption blocked: both cycle edges at {w} are locked", len(cyc))
+            hit = rows[w] & outside
+            a = (hit & -hit).bit_length() - 1
+            path.append(a)
             _place(path, pos)
-            used |= 1 << hook[1]
+            used |= 1 << a
             continue
         return failed(f"stuck: {outcome.message} "
                       f"(level sizes {outcome.level_one}/{outcome.level_two})", len(path))

@@ -285,6 +285,13 @@ def test_bad_inputs_exit_2_with_an_error_line(tmp_path, capsys):
     cases += [("boundary g must be finite", (*check, "--g", g)) for g in ("inf", "nan")]
     cases += [("frame l must satisfy 0 < l < inf", (*check, "--l", l))
               for l in ("inf", "nan", "-3", "0")]
+    # s is refused as g and l are, under its own name, whether or not --g
+    # and --l are given
+    for s in ("inf", "nan"):
+        cases += [("expansion factor s must satisfy 1 < s < inf", (*check[:3], "--s", s, *gl))
+                  for gl in ((), ("--g", "2"), ("--l", "2"))]
+        cases += [("expansion factor s must be finite",
+                   (*check[:3], "--s", s, "--g", "2", "--l", "2"))]
     for message, argv in cases:
         code = main(list(argv))
         out, err = capsys.readouterr()

@@ -66,6 +66,10 @@ def test_large_search_vacuous():
 
 def test_searches_refuse_a_non_finite_boundary_or_a_bad_frame():
     G = cycle_graph(6)
+    # a NaN s fails every comparison, so no set could ever violate it
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="expansion factor s must be finite"):
+            small_expansion_witness_search(G, s, 2)
     for g in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="boundary g must be finite"):
             small_expansion_witness_search(G, 2, g)
@@ -77,6 +81,19 @@ def test_searches_refuse_a_non_finite_boundary_or_a_bad_frame():
         with pytest.raises(ValueError, match="frame l must satisfy 0 < l < inf"):
             large_expansion_witness_search(G, l)
     assert large_expansion_witness_search(G, 0.5).params["set_size"] == 1
+
+
+def test_diameter_bound_and_peel_refuse_a_bad_expansion_factor():
+    # s = inf put the diameter bound at 3.0, s = nan made it nan, and the
+    # peel divided by s = 0
+    G = cycle_graph(6)
+    for s in (1, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="expansion factor s must satisfy 1 < s < inf"):
+            diameter_bound_check(G, s)
+    for s in (0, -2, math.inf, math.nan):
+        with pytest.raises(ValueError, match="expansion factor s must satisfy 0 < s < inf"):
+            peel_non_expanding(G, {0}, s)
+    assert peel_non_expanding(G, {0}, 0.5).removed == set()
 
 
 def test_diameter_bound_cases():

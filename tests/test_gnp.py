@@ -220,6 +220,13 @@ def test_params_reject_trivial_density():
         expander_params_for_gnp(100, 0.005)
 
 
+def test_params_refuse_a_bad_expansion_factor():
+    # a NaN s used to pass the s <= 1 test and give a NaN boundary
+    for s in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="expansion factor s must satisfy 1 < s < inf"):
+            expander_params(64, s)
+
+
 def test_params_monotone_in_factor():
     # boundary shrinks and frame grows as s grows (for s at least e,
     # where ln(s)/s is decreasing)

@@ -117,6 +117,10 @@ def test_exhaustive_refuses_a_non_finite_boundary_or_a_bad_frame():
     # l = 0 used to pass: the pair search appended to B before comparing
     # its size with c = 0, and so returned every vertex as B
     G = cycle_graph(6)
+    # the oracle refuses exactly the s the sampled search refuses
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="expansion factor s must be finite"):
+            exhaustive_expansion_check(G, s, 2, 2)
     for g in (math.inf, math.nan):
         with pytest.raises(ValueError, match="boundary g must be finite"):
             exhaustive_expansion_check(G, 2, g, 2)

@@ -34,12 +34,10 @@ from hamcover.rotation import (
     RotationConstraints,
     RotationError,
     Stuck,
-    _external_neighbor,
     _greedy_extend,
     _rotated,
     _rotation_walk,
     _start_vertex,
-    absorb_external_vertex,
     find_hamilton_cycle,
     rotate_until_extendable,
 )
@@ -52,6 +50,11 @@ def _refuses_to_break_1_2(locked):
 
 def test_constraints_canonicalise_and_refuse_locked_breaks():
     _refuses_to_break_1_2({(1, 2)})
+    # an absorption may no more drop a locked edge than a rotation break it
+    cons = RotationConstraints(locked={(0, 1)})
+    with pytest.raises(RotationError, match=r"attempt to drop locked edge \(0, 1\)"):
+        cons.record_absorption((0, 1))
+    assert cons.absorptions == 0
     # a reversed, repeated locked edge with no soft set is the same edge
     _refuses_to_break_1_2([(2, 1), [1, 2], (2, 1)])
     # the constraints canonicalise their edges as edge_key does: edges
@@ -290,6 +293,13 @@ def _two_level_walk_ref(G: Graph, p0: list[int], constraints: RotationConstraint
         for walked, pivots in _rotation_bfs_ref(G, first[::-1], constraints):
             if pivots:
                 yield 2, walked
+
+
+def _external_neighbor(G: Graph, v: int, outside: int) -> int | None:
+    hit = G.rows[v] & outside
+    if hit:
+        return (hit & -hit).bit_length() - 1
+    return None
 
 
 def rotate_until_extendable_ref(G: Graph, path: list[int] | tuple[int, ...],
@@ -572,62 +582,6 @@ def test_rotate_until_extendable_keeps_locked_edges():
     out = _with_path(rotate_until_extendable(G, path, RotationConstraints(locked=locked)), path)
     if isinstance(out, (Chord, ExtendAt)):
         assert locked <= path_edges(out.path)
-
-
-def test_absorb_external_vertex():
-    K4 = complete_graph(4)
-    p = absorb_external_vertex(K4, [0, 1, 2], w=0, a=3)
-    assert p[-1] == 3 and p[-2] == 0
-    assert len(p) == 4 and len(set(p)) == 4
-
-    # soft edge forces the removal to the other side
-    cons = RotationConstraints(soft={(0, 1)})
-    p = absorb_external_vertex(K4, [0, 1, 2], w=0, a=3, constraints=cons)
-    assert cons.soft_breaks == 0
-    assert (0, 1) in path_edges(p)
-
-    # both cycle edges at w soft: one break gets counted
-    cons = RotationConstraints(soft={(0, 1), (0, 2)})
-    absorb_external_vertex(K4, [0, 1, 2], w=0, a=3, constraints=cons)
-    assert cons.soft_breaks == 1
-
-
-def test_absorb_drops_the_next_edge_when_the_previous_is_kept():
-    # the cycle 0-1-2-3 plus vertex 4 on 2: at w = 2 the previous edge is
-    # (1, 2) and the next is (2, 3), so keeping (1, 2) opens the cycle after 2
-    G = build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4)])
-    for cons in (RotationConstraints(locked={(1, 2)}),
-                 RotationConstraints(soft={(1, 2)})):
-        p = absorb_external_vertex(G, [0, 1, 2, 3], w=2, a=4, constraints=cons)
-        assert p == [3, 0, 1, 2, 4]
-        assert is_path(G, p)
-        assert cons.absorptions == 1 and cons.soft_breaks == 0
-
-
-def test_absorb_errors():
-    K4 = complete_graph(4)
-    with pytest.raises(RotationError):
-        absorb_external_vertex(K4, [0, 1, 2], w=0, a=2)  # a on the cycle
-    cons = RotationConstraints(locked={(0, 1), (0, 2)})
-    with pytest.raises(RotationError, match="locked"):
-        absorb_external_vertex(K4, [0, 1, 2], w=0, a=3, constraints=cons)
-    # a triangle with a pendant vertex 3 on 2: (3, 0) is no edge
-    G = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    with pytest.raises(RotationError, match=r"\(3, 0\) is not an edge"):
-        absorb_external_vertex(G, [0, 1, 2], w=0, a=3)
-    cons = RotationConstraints(locked={(0, 1)})
-    with pytest.raises(RotationError, match=r"attempt to drop locked edge \(0, 1\)"):
-        cons.record_absorption((0, 1))
-    assert cons.absorptions == 0
-
-
-def test_absorb_rejects_vertices_off_the_cycle_or_the_graph():
-    K5 = complete_graph(5)
-    with pytest.raises(RotationError, match="vertex 4 is not on the cycle"):
-        absorb_external_vertex(K5, [0, 1, 2], w=4, a=3)
-    for a in (-1, 5):
-        with pytest.raises(RotationError, match=f"vertex {a} is not a vertex of the graph"):
-            absorb_external_vertex(K5, [0, 1, 2], w=0, a=a)
 
 
 def test_find_hamilton_complete_graph():
@@ -1004,6 +958,49 @@ def _greedy_seed_ref(G: Graph, start_hint: int = 0) -> list[int]:
     return path
 
 
+# the public absorption helper the search called before absorption became
+# its own private step, argument checks included
+def absorb_external_vertex_ref(G: Graph, cycle: list[int] | tuple[int, ...], w: int, a: int,
+                               constraints: RotationConstraints | None = None) -> list[int]:
+    """Open a cycle at ``w`` and append its outside neighbor ``a``.
+
+    Removes one of the two cycle edges at w - never a locked one, a soft
+    one only if both are soft (counted) - and returns a path with the same
+    number of edges as the cycle, ending at a.
+    """
+    if constraints is None:
+        constraints = RotationConstraints()
+    cyc = list(cycle)
+    q = len(cyc)
+    if not 0 <= a < G.n:
+        raise RotationError(f"vertex {a} is not a vertex of the graph")
+    if a in cyc:
+        raise RotationError(f"vertex {a} is on the cycle")
+    try:
+        i = cyc.index(w)
+    except ValueError:
+        raise RotationError(f"vertex {w} is not on the cycle") from None
+    if not G.has_edge(a, w):
+        raise RotationError(f"({a}, {w}) is not an edge")
+    prev_e = edge_key(cyc[i - 1], w)
+    next_e = edge_key(w, cyc[(i + 1) % q])
+    options = [e for e in (prev_e, next_e) if e not in constraints.locked]
+    if not options:
+        _FIND_REF_HITS["absorb blocked"] += 1  # counted
+        raise RotationError(f"both cycle edges at {w} are locked")
+    clean = [e for e in options if e not in constraints.soft]
+    drop = clean[0] if clean else options[0]
+    _FIND_REF_HITS["absorb " + ("clean " if clean else "soft ")  # counted
+                   + ("next" if drop == next_e else "previous")] += 1  # counted
+    constraints.record_absorption(drop)
+    if drop == next_e:
+        opened = cyc[i + 1 :] + cyc[: i + 1]      # ends at w
+    else:
+        opened = (cyc[i:] + cyc[:i])[::-1]        # starts at prev, ends at w
+    opened.append(a)
+    return opened
+
+
 def find_hamilton_cycle_ref(G: Graph, constraints: RotationConstraints | None = None,
                             seed_path: list[int] | tuple[int, ...] | None = None,
                             start_hint: int = 0) -> HamiltonResult:
@@ -1093,8 +1090,10 @@ def find_hamilton_cycle_ref(G: Graph, constraints: RotationConstraints | None = 
                     break
             if hook is None:
                 return failed("cycle spans a whole component; graph disconnected", len(cyc))
+            _FIND_REF_HITS["hook with 2+ outside neighbours"] += (  # counted
+                G.rows[hook[0]] & outside).bit_count() > 1  # counted
             try:
-                path = absorb_external_vertex(G, cyc, hook[0], hook[1], constraints)
+                path = absorb_external_vertex_ref(G, cyc, hook[0], hook[1], constraints)
             except RotationError as exc:
                 return failed(f"absorption blocked: {exc}", len(cyc))
             _FIND_REF_HITS["absorption"] += 1  # counted
@@ -1168,6 +1167,22 @@ def test_find_hamilton_cycle_matches_copying_reference():
     for trial in range(12):
         G, path = _absorbing_instance(rnd)
         cases.append((G, (), (), path, 0))
+    # soft and locked edges on the hook's two cycle edges: the opening
+    # drops a clean edge, else a soft one (a counted break), and fails when
+    # both are locked
+    for trial in range(20):
+        G, path = _absorbing_instance(rnd)
+        i = path.index(min(v for v in path if G.degree(v) > 2))  # the hook
+        prev_e, next_e = edge_key(path[i - 1], path[i]), edge_key(path[i], path[i + 1])
+        locked, soft = [((), (prev_e,)), ((next_e,), ()), ((), (prev_e, next_e)),
+                        ((prev_e,), (next_e,)), ((prev_e, next_e), ())][trial % 5]
+        cases.append((G, locked, soft, path, 0))
+    # an edge from the hook to the far vertex of the other outside path:
+    # the search steps to the lower of the hook's two outside neighbours
+    for trial in range(6):
+        G, path = _absorbing_instance(rnd)
+        w = min(v for v in path if G.degree(v) > 2)
+        cases.append((build_graph(G.n, G.edge_set() | {(w, G.n - 1)}), (), (), path, 0))
     _FIND_REF_HITS.clear()
     outcomes = Counter()
     for G, locked, soft, seed, hint in cases:
@@ -1183,7 +1198,9 @@ def test_find_hamilton_cycle_matches_copying_reference():
     assert len(cases) >= 300 and min(outcomes[True], outcomes[False]) >= 30, outcomes
     minimum = {"rotated once": 100, "other extension": 30, "absorption": 10,
                "head growth after absorption": 10, "stuck": 20, "node cap": 2,
-               "seed path": 50, "locked seed": 30, "start hint >= 1": 50}
+               "seed path": 50, "locked seed": 30, "start hint >= 1": 50,
+               "absorb clean previous": 10, "absorb clean next": 3, "absorb soft previous": 3,
+               "absorb soft next": 3, "absorb blocked": 3, "hook with 2+ outside neighbours": 5}
     assert all(_FIND_REF_HITS[k] >= v for k, v in minimum.items()), sorted(_FIND_REF_HITS.items())
 
 
