@@ -69,6 +69,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials is not None and args.trials < 0:
+        return _usage_error(f"--trials must be at least 0, got {args.trials}")
     G = _load_graph(args.graph)
     s = args.s
     g, l = args.g, args.l
@@ -167,7 +169,11 @@ def cmd_cover(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    if args.seeds < 1:
+        return _usage_error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.jobs is not None and args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1 when given, got {args.jobs}")
+    jobs = args.jobs or os.cpu_count() or 1
     reports = cover_mod.run_gnp_experiment(
         args.n, args.p, list(range(args.seeds)), base_seed=args.seed, jobs=jobs)
     import csv

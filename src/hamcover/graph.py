@@ -362,6 +362,7 @@ def parse_edge_list(text: str) -> Graph:
     except ValueError as exc:
         raise GraphError(f"bad header {lines[0]!r}") from exc
     edges = []
+    first_line = {}  # (min, max) pair -> the line that gave it first
     for idx, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
         if len(parts) != 2:
@@ -370,6 +371,9 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphError(f"line {idx}: non-integer vertex in {ln!r}") from exc
+        seen_at = first_line.setdefault((u, v) if u < v else (v, u), idx)
+        if seen_at != idx:
+            raise GraphError(f"line {idx}: edge {ln.strip()!r} repeats the edge of line {seen_at}")
         edges.append((u, v))
     if len(edges) != m:
         raise GraphError(f"header promised {m} edges, file has {len(edges)}")

@@ -8,12 +8,12 @@ vertex set and the number of edges never change.
 
 Constraints carry two edge sets: a locked set that no rotation or
 absorption may ever break, and a soft set that is broken only when no clean
-alternative exists, with every such break counted. One rotation walk,
-``_rotation_walk``, explores the rotation tree breadth-first with pivots in
-ascending vertex order and hands each rotation to a callback. Its one
-client is the two-level extension search, ``rotate_until_extendable``,
-which ``find_hamilton_cycle`` runs once per pass, so every outcome is
-deterministic for a given graph and seed path.
+alternative exists, with every such break counted. The one BFS core is the
+two-level extension search, ``rotate_until_extendable``: a single loop
+that walks the rotation tree breadth-first with pivots in ascending vertex
+order and tests each rotation where it makes it. ``find_hamilton_cycle``
+runs it once per pass, so every outcome is deterministic for a given graph
+and seed path.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ class RotationConstraints:
     absorptions generated, not soft edges lost, since a rotation the search
     explores may never reach its result. ``rotations`` and ``absorptions``
     count every edge-breaking move made, exploration included, so
-    soft_breaks <= rotations + absorptions always holds. The rotation walk
-    counts each rotation as it makes it and stops at the first one its
-    callback accepts, so a search counts the rotations it visited, not
-    every child of every path it expanded. A rotation is counted whether
-    or not its path is ever built as a list: the walk builds one only to
-    expand it, and a callback only to return or record it.
+    soft_breaks <= rotations + absorptions always holds. The search counts
+    each rotation just before it tests it and stops at the first one that
+    settles the search, so it counts the rotations it tested, not every
+    child of every path it expanded. A rotation is counted whether or not
+    its path is ever built as a list: the search builds one only to expand,
+    reverse or return it.
     """
 
     locked: frozenset[Edge] = frozenset()
@@ -100,88 +100,12 @@ class RotationConstraints:
 
 
 def _rotated(parent: list[int], i: int | None) -> list[int]:
-    """The path a rotation walk entry stands for: ``parent`` itself when i is
-    None (the root), else ``parent`` rotated around the pivot at position i,
-    its suffix past i reversed. Rotated paths are fresh lists."""
+    """The path a search queue entry stands for: ``parent`` itself when i is
+    None (a walk's root), else ``parent`` rotated around the pivot at
+    position i, its suffix past i reversed. Rotated paths are fresh lists."""
     if i is None:
         return parent
     return parent[: i + 1] + parent[:i:-1]
-
-
-def _rotation_walk(G, root: list[int], constraints: RotationConstraints, visit,
-                   path_mask: int, positions: list[int] | None = None):
-    """Breadth-first walk of the rotation tree with fixed endpoint root[0].
-
-    Makes each rotation that breaks no locked edge and reaches an endpoint
-    not reached before, records it in ``constraints`` and calls
-    ``visit(parent, i, end)``: the rotated path is ``_rotated(parent, i)``,
-    ``parent`` rotated around the pivot at position i, whose endpoint is
-    ``end`` = parent[i + 1]. The root itself is not visited. Each
-    expansion scans its pivots in ascending vertex order and makes the
-    clean rotations as it finds them, then the ones that break a soft edge,
-    held back until then. Distinct pivots give distinct endpoints, so a
-    held-back rotation is never ruled out by the clean ones made after it.
-
-    The walk stops at the first value other than None that ``visit``
-    returns and returns it, so rotations past that point are never made or
-    counted; it returns None once the tree is exhausted. A rotated path is
-    built as a list only to be expanded.
-
-    Pivots are the endpoint's neighbours in ``path_mask``, the root's vertex
-    mask, so every pivot lies on every rotated path. The root's expansion
-    looks each up in ``positions`` (vertex -> position in root) when it is
-    given; deeper expansions scan their path.
-
-    The queue is a plain list that the loop iterates while appending to it,
-    so it keeps every entry until the walk returns; the root's entry has no
-    pivot position and is expanded as ``root`` itself.
-    """
-    q = len(root)
-    if q < 3:
-        return None
-    rows = G.rows
-    locked, soft = constraints.locked, constraints.soft
-    seen = {root[-1]}
-    queue = [(root, None)]
-    for parent, at in queue:
-        if at is None:
-            path, known = root, positions
-        else:
-            path, known = parent[: at + 1] + parent[:at:-1], None
-        held = []
-        nb = rows[path[-1]] & path_mask
-        while nb:
-            low = nb & -nb
-            nb ^= low
-            w = low.bit_length() - 1
-            i = path.index(w) if known is None else known[w]
-            if i > q - 3:
-                continue
-            end = path[i + 1]
-            if end in seen:
-                continue
-            if soft:  # a superset of locked
-                broken = (w, end) if w < end else (end, w)
-                if broken in locked:
-                    continue
-                if broken in soft:
-                    held.append(i)
-                    continue
-            seen.add(end)
-            constraints.rotations += 1  # a clean rotation, so not a soft break
-            found = visit(path, i, end)
-            if found is not None:
-                return found
-            queue.append((path, i))
-        for i in held:
-            end = path[i + 1]
-            seen.add(end)
-            constraints.record(edge_key(path[i], end))
-            found = visit(path, i, end)
-            if found is not None:
-                return found
-            queue.append((path, i))
-    return None
 
 
 # the outcome records are built once per search pass, by position: plain
@@ -232,13 +156,21 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     seed survive into whichever path is returned. The seed is never
     mutated, and a list seed is not copied.
 
-    Level one is the rotation walk of the seed with its first vertex fixed.
-    Once it is exhausted, level two reverses each level-one path, fixing
-    its endpoint, and walks the rotations of the old fixed end; the walk
-    never visits its root, the unrotated path that level one already
-    checked. One ``visit`` callback checks every path of both levels.
-    Level one keeps its paths as (parent, i, end) entries, and a path is
-    built only to be reversed or returned.
+    Level one walks the rotation tree of the seed breadth-first with its
+    first vertex fixed. Once it is exhausted, level two reverses each
+    level-one path, the seed first, fixing its endpoint, and walks the
+    rotations of the old fixed end; a walk never tests its root, a path
+    that level one already tested. Each expansion scans its pivots in
+    ascending vertex order and makes the clean rotations as it finds them,
+    then the ones that break a soft edge, held back until then; distinct
+    pivots give distinct endpoints, so the clean ones never rule a held one
+    out. Every rotation is counted in ``constraints`` just before one shared
+    block tests it for an extension, a chord and the node cap. Pivots are
+    the endpoint's neighbours in ``path_mask``, so every pivot lies on every
+    rotated path. A walk's queue is a plain list of (parent, i) entries,
+    each standing for ``_rotated(parent, i)``; level one's queue is also its
+    list of paths, and a path is built only to be expanded, reversed or
+    returned.
 
     ``path_mask`` is the bitmask of the path's vertices and ``positions``
     maps each of its vertices to its position, for callers that already
@@ -275,37 +207,70 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
         if not outside:
             return chord
 
-    level_one = [(p0, None, tail)]  # (parent, i, end) per level-one path
-    explored = 1                    # the seed, checked above
-    fixed = head                    # the fixed end of the current walk
-
-    def visit(parent, i, e):
-        nonlocal chord, explored
-        if fixed == head:
-            level_one.append((parent, i, e))
-        explored += 1
-        hit = rows[e] & outside
-        if hit:
-            ext = (hit & -hit).bit_length() - 1
-            if parent is p0:
-                return ExtendAt(None, e, ext, i)
-            return ExtendAt(tuple(_rotated(parent, i)), e, ext)
-        if chord is None and rows[fixed] >> e & 1:
-            chord = Chord(tuple(_rotated(parent, i)), (fixed, e))
-            if not outside:
-                return chord
-        if explored >= SEARCH_NODE_CAP:
-            return chord or Stuck(len(level_one), explored - len(level_one), explored,
-                                  "node budget exhausted")
-        return None
-
-    found = _rotation_walk(G, p0, constraints, visit, path_mask, positions)
-    for first, at, fixed in level_one:
-        if found is not None:
-            break
-        found = _rotation_walk(G, _rotated(first, at)[::-1], constraints, visit, path_mask)
-    return found or chord or Stuck(len(level_one), explored - len(level_one), explored,
-                                   "no extension, no chord")
+    q = len(p0)
+    locked, soft = constraints.locked, constraints.soft
+    level_one = queue = [(p0, None)]  # the seed's own entry first
+    root, known, fixed = p0, positions, head  # the current walk
+    explored = 1                              # the seed, tested above
+    turned = 0                                # level-one entries reversed and walked so far
+    while True:
+        seen = {root[-1]}
+        for parent, at in queue:
+            if at is None:
+                path, index = root, known
+            else:
+                path, index = parent[: at + 1] + parent[:at:-1], None
+            held = []
+            nb = rows[path[-1]] & path_mask
+            while True:
+                if nb:
+                    low = nb & -nb
+                    nb ^= low
+                    w = low.bit_length() - 1
+                    i = path.index(w) if index is None else index[w]
+                    if i > q - 3:
+                        continue
+                    end = path[i + 1]
+                    if end in seen:
+                        continue
+                    if soft:  # a superset of locked
+                        broken = (w, end) if w < end else (end, w)
+                        if broken in locked:
+                            continue
+                        if broken in soft:
+                            held.append(i)
+                            continue
+                    constraints.rotations += 1  # a clean rotation, so not a soft break
+                elif held:
+                    i = held.pop(0)
+                    end = path[i + 1]
+                    constraints.record(edge_key(path[i], end))
+                else:
+                    break
+                # test the rotation of path around position i, ending at end
+                seen.add(end)
+                queue.append((path, i))
+                explored += 1
+                hit = rows[end] & outside
+                if hit:
+                    ext = (hit & -hit).bit_length() - 1
+                    if path is p0:
+                        return ExtendAt(None, end, ext, i)
+                    return ExtendAt(tuple(_rotated(path, i)), end, ext)
+                if chord is None and rows[fixed] >> end & 1:
+                    chord = Chord(tuple(_rotated(path, i)), (fixed, end))
+                    if not outside:
+                        return chord
+                if explored >= SEARCH_NODE_CAP:
+                    ones = len(level_one)
+                    return chord or Stuck(ones, explored - ones, explored, "node budget exhausted")
+        if turned == len(level_one):
+            ones = len(level_one)
+            return chord or Stuck(ones, explored - ones, explored, "no extension, no chord")
+        first, at = level_one[turned]
+        turned += 1
+        root = _rotated(first, at)[::-1]
+        queue, known, fixed = [(root, None)], None, root[0]
 
 
 def _open_at(cycle: tuple[int, ...], w: int, constraints: RotationConstraints) -> list[int] | None:

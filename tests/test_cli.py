@@ -292,11 +292,18 @@ def test_bad_inputs_exit_2_with_an_error_line(tmp_path, capsys):
                   for gl in ((), ("--g", "2"), ("--l", "2"))]
         cases += [("expansion factor s must be finite",
                    (*check[:3], "--s", s, "--g", "2", "--l", "2"))]
+    # counts below their floor: none may run, nor write a header-only CSV
+    cases += [("--trials must be at least 0, got -3", (*check, "--trials", "-3"))]
+    experiment = ("experiment", "--n", "8", "--p", "0.5", "--out", str(tmp_path / "x.csv"))
+    cases += [("--seeds must be at least 1, got -2", (*experiment, "--seeds", "-2"))]
+    cases += [(f"--jobs must be at least 1 when given, got {jobs}",
+               (*experiment, "--seeds", "1", "--jobs", jobs)) for jobs in ("0", "-4")]
     for message, argv in cases:
         code = main(list(argv))
         out, err = capsys.readouterr()
         assert code == 2 and out == "", argv
         assert err.startswith(f"error: {message}"), (argv, err)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_readme_command_lines_parse():

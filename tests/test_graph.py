@@ -125,6 +125,12 @@ def test_parse_rejects_garbage():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(GraphError):
         parse_edge_list("3 1\n0 x\n")
+    # a repeated edge, in either order, would let the header's count pass
+    # with fewer edges than it promised
+    with pytest.raises(GraphError, match="line 3: edge '1 0' repeats the edge of line 2"):
+        parse_edge_list("4 3\n0 1\n1 0\n2 3\n")
+    with pytest.raises(GraphError, match="line 4: edge '0 2' repeats the edge of line 3"):
+        parse_edge_list("3 4\n0 1\n0 2\n0 2\n1 2\n")
 
 
 def is_path_ref(G, seq) -> bool:

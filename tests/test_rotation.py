@@ -36,7 +36,6 @@ from hamcover.rotation import (
     Stuck,
     _greedy_extend,
     _rotated,
-    _rotation_walk,
     _start_vertex,
     find_hamilton_cycle,
     rotate_until_extendable,
@@ -89,103 +88,6 @@ def test_constraints_canonicalise_and_refuse_locked_breaks():
     # a frozenset of (min, max) pairs is kept as it is, not rebuilt
     soft = frozenset({(1, 2), (3, 4)})
     assert RotationConstraints(soft=soft).soft is soft
-
-
-def _eager_rotation_bfs(G, path0, constraints, max_depth):
-    """Reference walk: every child of an expanded path is made and counted
-    before the first of them is yielded."""
-    q = len(path0)
-    out = [(tuple(path0), ())]
-    if q < 3 or max_depth <= 0:
-        return out
-    seen = {path0[-1]}
-    queue = deque([(list(path0), (), 0)])
-    while queue:
-        path, pivots, depth = queue.popleft()
-        if depth >= max_depth:
-            continue
-        pos = {v: i for i, v in enumerate(path)}
-        fresh = []
-        for soft_pass in (False, True):
-            for w in G.neighbors(path[-1]):
-                i = pos.get(w)
-                if i is None or i > q - 3:
-                    continue
-                nxt = path[i + 1]
-                if nxt in seen:
-                    continue
-                broken = edge_key(w, nxt)
-                if broken in constraints.locked or (broken in constraints.soft) != soft_pass:
-                    continue
-                seen.add(nxt)
-                constraints.record(broken)
-                fresh.append((path[: i + 1] + path[i + 1 :][::-1], pivots + (w,)))
-        for new_path, new_pivots in fresh:
-            out.append((tuple(new_path), new_pivots))
-            queue.append((new_path, new_pivots, depth + 1))
-    return out
-
-
-def test_rotation_bfs_matches_eager_reference():
-    rnd = random.Random(5150)
-    soft_breaks = stops = 0
-    for trial in range(80):
-        n = rnd.randint(8, 18)
-        G = sample_gnp(n, rnd.choice((0.3, 0.5, 0.7)), RngSeed(131, trial))
-        # a random path, often not spanning, so some neighbors lie off it
-        verts = list(range(n))
-        rnd.shuffle(verts)
-        path = [verts[0]]
-        for v in verts[1:]:
-            if G.has_edge(path[-1], v):
-                path.append(v)
-        edges = sorted(path_edges(path))
-        soft = frozenset(rnd.sample(edges, len(edges) // 2))
-        locked = frozenset(rnd.sample(sorted(soft), len(soft) // 3))
-        lazy_cons = RotationConstraints(locked=locked, soft=soft)
-        eager_cons = RotationConstraints(locked=locked, soft=soft)
-        # the walk never visits its root, the seed path itself
-        lazy = [(tuple(path), ())]
-        pivots = {path[-1]: ()}
-
-        def visit(parent, i, end):
-            # the visit stands for parent rotated around position i
-            walked = tuple(parent[: i + 1]) + tuple(parent[i + 1:][::-1])
-            assert tuple(_rotated(parent, i)) == walked
-            assert end == walked[-1] and end not in pivots
-            pivots[end] = pivots[parent[-1]] + (parent[i],)
-            lazy.append((walked, pivots[end]))
-
-        # pivots come from the path's vertex mask; the seed's own expansion
-        # reads positions when it is given them
-        mask = mask_of(path)
-        pos = {v: i for i, v in enumerate(path)} if rnd.random() < 0.5 else None
-        if pos is not None:
-            pos = [pos.get(v, 0) for v in range(n)]
-        assert _rotation_walk(G, list(path), lazy_cons, visit, mask, pos) is None
-        eager = _eager_rotation_bfs(G, path, eager_cons, n)
-        assert lazy == eager
-        # fully walked, the lazy walk makes every rotation the eager one does
-        assert lazy_cons.rotations == eager_cons.rotations
-        assert lazy_cons.soft_breaks == eager_cons.soft_breaks
-        soft_breaks += lazy_cons.soft_breaks
-        # stopped at its k-th visit, the walk returns what visit returned and
-        # has made and counted k rotations, no more
-        if len(eager) > 1:
-            k = rnd.randint(1, len(eager) - 1)
-            stop_cons = RotationConstraints(locked=locked, soft=soft)
-            visited = []
-
-            def stop_at_k(parent, i, end):
-                visited.append(tuple(_rotated(parent, i)))
-                return len(visited) if len(visited) == k else None
-
-            assert _rotation_walk(G, list(path), stop_cons, stop_at_k, mask) == k
-            assert visited == [walked for walked, _ in eager[1:k + 1]]
-            assert stop_cons.rotations == k
-            stops += 1
-    assert soft_breaks > 0  # soft rotations, queued after clean ones, were made
-    assert stops >= 40
 
 
 # The two-level search as it was when every rotation built its path
