@@ -123,7 +123,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff (u, v) is an edge; False for a vertex outside 0..n-1."""
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.rows[u] >> v & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.rows[u] & one_hot(self.n)[v])
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1

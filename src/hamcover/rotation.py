@@ -14,10 +14,21 @@ that walks the rotation tree breadth-first with pivots in ascending vertex
 order and tests each rotation where it makes it. ``find_hamilton_cycle``
 runs it once per pass, so every outcome is deterministic for a given graph
 and seed path.
+
+The Hamilton search keeps its path's positions as raw values under a
+reflection map (s, t): v's position is t + s * raw[v]. A rotation reverses
+the path list's suffix in one slice but rewrites the positions of its
+shorter side only. When the suffix is the longer side, the map is
+reflected about the rotation, which moves every suffix position at once,
+and the prefix is rewritten under the new map. This is the array form of
+reversing the shorter side (Fredman, Johnson, McGeoch and Ostheimer, "Data
+structures for traveling salesmen", J. Algorithms 1995); a list cannot
+reverse its prefix in place of its suffix, so only the writes change side.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .families import ExtensionBudget, FamilyError, PathFamily, reduce_family
@@ -146,7 +157,8 @@ class Stuck:
 def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                             constraints: RotationConstraints | None = None,
                             path_mask: int | None = None,
-                            positions: list[int] | None = None):
+                            positions: list[int] | None = None,
+                            position_map: tuple[int, int] = (1, 0)):
     """Two-level rotation search respecting locked edges.
 
     Rotates the seed path from one endpoint and then, for each resulting
@@ -173,10 +185,14 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     returned.
 
     ``path_mask`` is the bitmask of the path's vertices and ``positions``
-    maps each of its vertices to its position, for callers that already
-    keep them; with ``positions`` the seed's own rotations look their
-    pivots up in O(1). An ExtendAt whose path is the seed rotated once
-    carries the pivot position in ``at`` and no path.
+    holds each of its vertices' raw position under ``position_map`` (s, t):
+    v's position is t + s * positions[v]. Callers that already keep them
+    pass them; otherwise a dict of the seed's positions is built. Every
+    pivot is looked up in O(1): the seed's through the map, the reversed
+    seed's through the reflected map (-s, q - 1 - t), and every other path
+    the search expands through a dict built when it is expanded. An
+    ExtendAt whose path is the seed rotated once carries the pivot position
+    in ``at`` and no path.
 
     find_hamilton_cycle calls this once per pass, and most passes make a
     single rotation, so the fixed cost per call is kept low: the two seed
@@ -209,17 +225,23 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
 
     q = len(p0)
     locked, soft = constraints.locked, constraints.soft
+    if positions is None:
+        positions, position_map = dict(zip(p0, range(q))), (1, 0)
+    sign, offset = position_map
     level_one = queue = [(p0, None)]  # the seed's own entry first
-    root, known, fixed = p0, positions, head  # the current walk
-    explored = 1                              # the seed, tested above
-    turned = 0                                # level-one entries reversed and walked so far
+    root, fixed = p0, head            # the current walk
+    # v's position on the path being expanded is off + sgn * index[v]
+    index, sgn, off = positions, sign, offset
+    explored = 1                      # the seed, tested above
+    turned = 0                        # level-one entries reversed and walked so far
     while True:
         seen = {root[-1]}
         for parent, at in queue:
             if at is None:
-                path, index = root, known
+                path = root  # its positions were set with it
             else:
-                path, index = parent[: at + 1] + parent[:at:-1], None
+                path = parent[: at + 1] + parent[:at:-1]
+                index, sgn, off = dict(zip(path, range(q))), 1, 0
             held = []
             nb = rows[path[-1]] & path_mask
             while True:
@@ -227,7 +249,7 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                     low = nb & -nb
                     nb ^= low
                     w = low.bit_length() - 1
-                    i = path.index(w) if index is None else index[w]
+                    i = off + sgn * index[w]
                     if i > q - 3:
                         continue
                     end = path[i + 1]
@@ -269,8 +291,13 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
             return chord or Stuck(ones, explored - ones, explored, "no extension, no chord")
         first, at = level_one[turned]
         turned += 1
-        root = _rotated(first, at)[::-1]
-        queue, known, fixed = [(root, None)], None, root[0]
+        if at is None:  # the seed reversed: its positions under the reflected map
+            root = p0[::-1]
+            index, sgn, off = positions, -sign, q - 1 - offset
+        else:
+            root = _rotated(first, at)[::-1]
+            index, sgn, off = dict(zip(root, range(q))), 1, 0
+        queue, fixed = [(root, None)], root[0]
 
 
 def _open_at(cycle: tuple[int, ...], w: int, constraints: RotationConstraints) -> list[int] | None:
@@ -309,26 +336,33 @@ class HamiltonResult:
         return self.cycle is not None
 
 
-def _place(path: list[int], positions: list[int], start: int = 0) -> None:
-    """Write the position of each vertex of ``path[start:]`` into ``positions``."""
-    for i in range(start, len(path)):
-        positions[path[i]] = i
+def _place(path: list[int], raw: list[int], s: int, t: int, start: int, stop: int) -> None:
+    """Write the raw position of each vertex of ``path[start:stop]`` under
+    the map (s, t): raw[v] = s * (j - t) for the vertex v at position j, so
+    that t + s * raw[v] == j."""
+    if s > 0:
+        for j in range(start, stop):
+            raw[path[j]] = j - t
+    else:
+        for j in range(start, stop):
+            raw[path[j]] = t - j
 
 
-def _greedy_extend(G: Graph, path: list[int], used: int, positions: list[int]) -> int:
+def _greedy_extend(G: Graph, path: list[int], free: int, raw: list[int], s: int, t: int) -> int:
     """Extend a path in place at both ends, always stepping to the lowest
-    new vertex. ``used`` is the mask of the path's vertices; returns the
-    mask of the extended path. ``positions`` is kept up to date.
+    new vertex. ``free`` is the mask of the vertices off the path, which
+    the search carries from pass to pass; returns the mask of those still
+    off the extended path. The raw positions of the path's vertices are
+    kept up to date under the map (s, t).
 
     The tail is extended first until it is stuck, then the head: a stuck
-    tail stays stuck, because the path only gains vertices. The steps
-    carry one mask, of the vertices off the path. The new positions are
-    written once at the end: from the old tail on, or from 0 when the head
-    grew and every vertex moved.
+    tail stays stuck, because the path only gains vertices. The new
+    positions are written once at the end: from the old tail on, or from 0
+    when the head grew and every vertex moved. A rotation in place keeps
+    the stuck head, so the head grows only where the map is (1, 0): on a
+    search's first pass, or after a pass that rewrote every position.
     """
     rows = G.rows
-    full = G.full_mask()
-    free = full & ~used
     start = len(path)
     step = rows[path[-1]] & free
     while step:
@@ -349,8 +383,8 @@ def _greedy_extend(G: Graph, path: list[int], used: int, positions: list[int]) -
         path[:0] = head[::-1]
         start = 0
     if start < len(path):  # most passes add no vertex
-        _place(path, positions, start)
-    return full ^ free
+        _place(path, raw, s, t, start, len(path))
+    return free
 
 
 def _start_vertex(degs: list[int], start_hint: int) -> int:
@@ -378,9 +412,17 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
     locked edge of the seed and validates against the graph; getting stuck
     returns a failure report, never an exception.
 
-    The search keeps one path list with its vertex mask and a vertex ->
-    position list. An extension found by one rotation of that path rotates
-    it in place and rewrites the positions of the reversed suffix only.
+    The search keeps one path list, the mask of the vertices off it, and a
+    vertex -> raw position list under a map (s, t): v's position is
+    t + s * raw[v]. An extension found by one rotation of that path, around
+    position at, reverses the list's suffix past at in place and rewrites
+    the positions of the shorter side only: the suffix under the same map
+    when it is no longer than the prefix, else the prefix after the map is
+    reflected about the rotation, (s, t) <- (-s, at + q - t) for a path of
+    q vertices, which moves every suffix position at once. So an extension
+    writes min(at + 1, q - at - 1) positions, plus the new endpoint's. An
+    extension that returns another path, and an absorption, rewrite every
+    position and reset the map to (1, 0).
 
     A returned cycle is built from the shared ``vertex_ints(n)`` table, so
     the cycles of a packing or cover all hold the same n int objects. Only
@@ -397,6 +439,14 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
 
     if seed_path is not None:
         path = list(seed_path)
+        # a sum stays a Python int only over Python ints, so numpy and other
+        # integer vertices are converted without a call per vertex on the
+        # covering searches, which hand over Python ints
+        try:
+            if type(sum(path)) is not int:
+                path = list(map(operator.index, path))
+        except TypeError:  # a vertex that is not an integer
+            return HamiltonResult(None, failure="seed is not a path of this graph")
         if len(path) < 2 or not is_path(G, path):
             return HamiltonResult(None, failure="seed is not a path of this graph")
         if constraints.locked:
@@ -410,7 +460,8 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
         # a vertex on 3+ locked edges, or a locked cycle, rules out every
         # Hamilton cycle through them, bar the locked cycle itself
         try:
-            family = PathFamily.from_edges(constraints.locked)
+            family = PathFamily.from_edges([(operator.index(u), operator.index(v))
+                                            for u, v in constraints.locked])
         except FamilyError:
             return HamiltonResult(None, failure="locked edges admit no spanning path through them")
         # at k = 1 a splice joins path ends only, on end pointers, so it
@@ -429,25 +480,37 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
                               soft_breaks=constraints.soft_breaks, path_len=path_len)
 
     # the path's vertex set changes only on extension and absorption
-    used = mask_of(path)
-    pos = [0] * n  # pos[v] is v's position on the path; stale for off-path v
-    _place(path, pos)
+    full = G.full_mask()
+    free = full & ~mask_of(path)  # the vertices off the path
+    # t + s * raw[v] is v's position on the path; stale for off-path v
+    raw, s, t = [0] * n, 1, 0
+    _place(path, raw, s, t, 0, len(path))
     for iterations in range(1, n + 1):
-        used = _greedy_extend(G, path, used, pos)
+        free = _greedy_extend(G, path, free, raw, s, t)
         # looked up by module name on every pass, so a wrapper set on the
         # module sees every call
-        outcome = rotate_until_extendable(G, path, constraints, path_mask=used, positions=pos)
+        outcome = rotate_until_extendable(G, path, constraints, path_mask=full ^ free,
+                                          positions=raw, position_map=(s, t))
         if isinstance(outcome, ExtendAt):
-            at = outcome.at
+            at, q = outcome.at, len(path)
             if at is None:
                 path = list(outcome.path)
-                _place(path, pos)
+                s, t = 1, 0
+                _place(path, raw, s, t, 0, q)
             else:
+                # the list reverses its suffix in one slice; the positions
+                # are rewritten on the shorter side only
                 path[at + 1:] = path[:at:-1]
-                _place(path, pos, at + 1)
-            pos[outcome.external] = len(path)
+                if q - at - 1 <= at + 1:
+                    _place(path, raw, s, t, at + 1, q)
+                else:
+                    # reflect the map about the rotation, which moves the
+                    # suffix's positions, and rewrite the prefix under it
+                    s, t = -s, at + q - t
+                    _place(path, raw, s, t, 0, at + 1)
+            raw[outcome.external] = s * (q - t)
             path.append(outcome.external)
-            used |= 1 << outcome.external
+            free ^= 1 << outcome.external
             continue
         if isinstance(outcome, Chord):
             cyc = outcome.path
@@ -462,18 +525,19 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
                                       path_len=n)
             # absorb: open the cycle at its lowest vertex with an outside
             # neighbour, and step to that vertex's lowest outside neighbour
-            rows, outside = G.rows, G.full_mask() & ~used
-            w = min((v for v in cyc if rows[v] & outside), default=None)
+            rows = G.rows
+            w = min((v for v in cyc if rows[v] & free), default=None)
             if w is None:
                 return failed("cycle spans a whole component; graph disconnected", len(cyc))
             path = _open_at(cyc, w, constraints)
             if path is None:
                 return failed(f"absorption blocked: both cycle edges at {w} are locked", len(cyc))
-            hit = rows[w] & outside
+            hit = rows[w] & free
             a = (hit & -hit).bit_length() - 1
             path.append(a)
-            _place(path, pos)
-            used |= 1 << a
+            s, t = 1, 0
+            _place(path, raw, s, t, 0, len(path))
+            free ^= 1 << a
             continue
         return failed(f"stuck: {outcome.message} "
                       f"(level sizes {outcome.level_one}/{outcome.level_two})", len(path))

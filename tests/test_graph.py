@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -287,6 +288,15 @@ def test_has_edge_is_false_outside_the_vertex_range():
     for u, v in [(-1, 3), (3, -1), (2, -1), (-6, 0), (7, 9), (9, 7), (0, 6), (6, 0),
                  (1, 10**30), (10**30, 1), (3, 3)]:
         assert K6.has_edge(u, v) is False
+
+
+def test_has_edge_takes_numpy_integer_vertices():
+    # above 63 vertices a row is wider than any numpy integer
+    G = sample_gnp(100, 0.3, RngSeed(4242, 0))
+    pairs = [(3, 4), (0, 99), (99, 0), (64, 70), (5, 5), (-1, 3), (3, 100)]
+    for dt in (np.int32, np.int64):
+        assert [G.has_edge(dt(u), dt(v)) for u, v in pairs] == [G.has_edge(u, v) for u, v in pairs]
+    assert complete_graph(100).has_edge(np.int64(3), np.int64(4))
 
 
 def test_remove_edges():

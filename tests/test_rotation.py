@@ -387,28 +387,53 @@ def test_extend_at_names_the_seed_rotated_once():
 
 
 def test_positions_do_not_change_the_search():
-    # stale entries for off-path vertices must never be read: fill them with
-    # positions that exist on the path, or that do not
+    # the seed's pivots are read from raw positions through the map (s, t),
+    # raw[v] = s * (i - t), and the reversed seed's through the reflected
+    # map; stale entries for off-path vertices must never be read: fill them
+    # with values that stand for positions on the path, or that do not
     rnd = random.Random(7182)
     kinds = Counter()
-    for G, path in _search_cases(rnd, 200):
+    cases = _search_cases(rnd, 200)
+    # bipartite instances that exhaust both levels, and ones whose search
+    # walks up to the node cap
+    for trial in range(12):
+        a = rnd.randint(2, 20)
+        cases.append(_bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 4),
+                                               rnd.choice((0.2, 0.5, 1.0))))
+    for trial in range(3):
+        a = rnd.randint(84, 90)
+        cases.append(_bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 6), 0.3))
+    for G, path in cases:
         edges = sorted(path_edges(path))
         soft = frozenset(rnd.sample(edges, rnd.randint(0, len(edges))))
         locked = frozenset(rnd.sample(sorted(soft), rnd.randint(0, len(soft) // 2)))
-        pos = [rnd.choice((0, len(path) - 1, len(path) + 5)) for _ in range(G.n)]
+        q = len(path)
+        s, t = (1, 0) if rnd.random() < 0.25 else (rnd.choice((1, -1)), rnd.randint(-3 * q, 3 * q))
+        raw = [s * (rnd.choice((0, q - 1, q + 5)) - t) for _ in range(G.n)]
         for i, v in enumerate(path):
-            pos[v] = i
+            raw[v] = s * (i - t)
         mask = mask_of(path) if rnd.random() < 0.5 else None
         got_cons = RotationConstraints(locked=locked, soft=soft)
         want_cons = RotationConstraints(locked=locked, soft=soft)
-        got = rotate_until_extendable(G, path, got_cons, path_mask=mask, positions=pos)
+        got = rotate_until_extendable(G, path, got_cons, path_mask=mask, positions=raw,
+                                      position_map=(s, t))
         want = rotate_until_extendable(G, path, want_cons, path_mask=mask)
-        assert got == want
+        # dataclass equality compares the type and every field, Stuck's
+        # level sizes included
+        assert got == want, (G, path, locked, soft, s, t)
         assert getattr(got, "at", None) == getattr(want, "at", None)
         assert (got_cons.rotations, got_cons.soft_breaks, got_cons.absorptions) == \
             (want_cons.rotations, want_cons.soft_breaks, want_cons.absorptions)
         kinds[type(got).__name__] += 1
+        kinds["map", s, t == 0] += 1
+        # a level-two path starts at a level-one path's end, never at the seed's head
+        kinds["level two"] += (isinstance(got, Stuck) and got.level_two > 0
+                               or isinstance(got, ExtendAt) and got.at is None
+                               and got.path[0] != path[0])
+        kinds["node cap"] += isinstance(got, Stuck) and "node budget exhausted" in got.message
     assert min(kinds[k] for k in ("ExtendAt", "Chord", "Stuck")) >= 5, kinds
+    assert min(kinds["map", -1, False], kinds["map", 1, False], kinds["map", 1, True]) >= 30, kinds
+    assert kinds["level two"] >= 20 and kinds["node cap"] >= 2, kinds
 
 
 @settings(max_examples=300, deadline=None)
@@ -556,10 +581,35 @@ def test_find_hamilton_input_failures_name_their_cause():
     for seed in ([0, 0], [0, 2]):  # a repeated vertex; a non-edge
         res = find_hamilton_cycle(C5, seed_path=seed)
         assert res.failure == "seed is not a path of this graph"
+    for seed in ([0.0, 1.0, 2.0], [0, 1, 2.5], [0, 1, "2"]):  # not all integers
+        res = find_hamilton_cycle(C5, seed_path=seed)
+        assert res.failure == "seed is not a path of this graph"
     # the search closes one triangle, and no vertex outside it is adjacent
     res = find_hamilton_cycle(disjoint_union(complete_graph(3), complete_graph(3)))
     assert res.failure == "cycle spans a whole component; graph disconnected"
     assert not res.ok and res.path_len == 3
+
+
+def test_numpy_integer_vertices_search_as_python_ints():
+    # numpy integers in a seed path or in locked edges must not reach the
+    # search's vertex masks, where they would overflow or lack bit_length
+    for n in (40, 100):
+        G = sample_gnp(n, 0.3, RngSeed(4243, n))
+        cycle = find_hamilton_cycle(G).cycle
+        locked = [(cycle[i], cycle[i + 1]) for i in (0, 1, 5, 20)]
+        seed = list(cycle[: n // 2])
+        want = [find_hamilton_cycle(G, RotationConstraints(locked=locked)),
+                find_hamilton_cycle(G, RotationConstraints(locked=locked[:2]), seed_path=seed),
+                find_hamilton_cycle(G, seed_path=seed[::-1])]
+        assert all(res.ok for res in want), want
+        for dt in (np.int32, np.int64):
+            typed = [(dt(u), dt(v)) for u, v in locked]
+            got = [find_hamilton_cycle(G, RotationConstraints(locked=typed)),
+                   find_hamilton_cycle(G, RotationConstraints(locked=typed[:2]),
+                                       seed_path=np.array(seed, dtype=dt)),
+                   find_hamilton_cycle(G, seed_path=[dt(v) for v in seed[::-1]])]
+            assert got == want
+            assert all(type(v) is int for res in got for v in res.cycle)
 
 
 def test_path_inputs_must_be_paths_with_the_given_end():
@@ -828,9 +878,9 @@ def _greedy_extend_ref(G: Graph, path: list[int], used: int) -> int:
 
 
 def test_greedy_extend_keeps_every_position_exact():
-    # positions are written once per call, from the old tail on or from 0
-    # after a head extension; stale entries of off-path vertices must not
-    # leak into the path's positions
+    # positions are written once per call, under the caller's map (s, t),
+    # from the old tail on or from 0 after a head extension; stale entries
+    # of off-path vertices must not leak into the path's positions
     rnd = random.Random(1077)
     grew = Counter()
     for trial in range(300):
@@ -839,17 +889,21 @@ def test_greedy_extend_keeps_every_position_exact():
             path = [rnd.randrange(G.n)]
         else:
             path = _random_walk_path(G, rnd)
-        pos = [rnd.randint(-5, 2 * G.n) for _ in range(G.n)]  # stale values
+        # the identity, and maps like the ones reflections leave behind
+        s, t = (1, 0) if trial % 4 == 0 else (rnd.choice((1, -1)), rnd.randint(-2 * G.n, 3 * G.n))
+        raw = [rnd.randint(-5, 2 * G.n) for _ in range(G.n)]  # stale values
         for i, v in enumerate(path):
-            pos[v] = i
+            raw[v] = s * (i - t)
         want = list(path)
         want_used = _greedy_extend_ref(G, want, mask_of(want))
         head, length = path[0], len(path)
-        used = _greedy_extend(G, path, mask_of(path), pos)
-        assert path == want and used == want_used == mask_of(path)
-        assert all(pos[v] == i for i, v in enumerate(path)), (path, pos)
+        free = _greedy_extend(G, path, G.full_mask() & ~mask_of(path), raw, s, t)
+        assert path == want and G.full_mask() ^ free == want_used == mask_of(path)
+        assert all(t + s * raw[v] == i for i, v in enumerate(path)), (path, raw, s, t)
         grew["head" if path[0] != head else "tail" if len(path) > length else "none"] += 1
+        grew["map", s, t == 0] += 1
     assert min(grew["head"], grew["tail"], grew["none"]) >= 20, grew
+    assert min(grew["map", -1, False], grew["map", 1, False]) >= 50, grew
 
 
 def _greedy_seed_ref(G: Graph, start_hint: int = 0) -> list[int]:
@@ -1114,17 +1168,33 @@ def test_search_hands_its_own_path_positions_and_mask_over(monkeypatch):
 
     inner = rotation.rotate_until_extendable
     calls = Counter()
+    after = {}  # the map the next pass must hand over, after a rotation in place
 
-    def checked(G, path, constraints, path_mask, positions):
+    def checked(G, path, constraints, path_mask, positions, position_map):
+        s, t = position_map
+        assert s in (1, -1)
         assert path_mask == mask_of(path)
-        assert all(positions[v] == i for i, v in enumerate(path))
-        out = inner(G, path, constraints, path_mask=path_mask, positions=positions)
+        assert all(t + s * positions[v] == i for i, v in enumerate(path))
+        if "map" in after:
+            side, expected = after.pop("map")
+            assert position_map == expected, (side, position_map, expected)
+            calls[side] += 1
+        out = inner(G, path, constraints, path_mask=path_mask, positions=positions,
+                    position_map=position_map)
         calls[type(out).__name__, getattr(out, "at", None) is None] += 1
         calls["all"] += 1
+        if isinstance(out, ExtendAt) and out.at is not None:
+            # the shorter side of the rotation is rewritten: a suffix no
+            # longer than the prefix under the same map, else the prefix
+            # under the map reflected about the rotation
+            q, at = len(path), out.at
+            after["map"] = (("suffix", (s, t)) if q - at - 1 <= at + 1
+                            else ("prefix", (-s, at + q - t)))
         return out
 
     def search(G, *args, **kwargs):
         # the bench reads one rotate_until_extendable call per search pass
+        after.clear()
         before = calls["all"]
         res = find_hamilton_cycle(G, *args, **kwargs)
         assert calls["all"] - before == res.iterations, res
@@ -1146,6 +1216,8 @@ def test_search_hands_its_own_path_positions_and_mask_over(monkeypatch):
     # ExtendAt with at set, and with at None; Chords, spanning or absorbed
     assert calls["ExtendAt", False] >= 50 and calls["ExtendAt", True] >= 10, calls
     assert calls["Chord", True] >= 10, calls
+    # passes that rewrote the suffix, and passes that rewrote the prefix
+    assert calls["suffix"] >= 50 and calls["prefix"] >= 50, calls
     # searches that succeed, and ones that fail after some passes
     assert sum(r.ok for r in results) >= 20, results
     assert any(not r.ok and r.iterations for r in results), results
