@@ -187,12 +187,13 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     ``path_mask`` is the bitmask of the path's vertices and ``positions``
     holds each of its vertices' raw position under ``position_map`` (s, t):
     v's position is t + s * positions[v]. Callers that already keep them
-    pass them; otherwise a dict of the seed's positions is built. Every
+    pass them; otherwise the seed's positions are written first. Every
     pivot is looked up in O(1): the seed's through the map, the reversed
     seed's through the reflected map (-s, q - 1 - t), and every other path
-    the search expands through a dict built when it is expanded. An
-    ExtendAt whose path is the seed rotated once carries the pivot position
-    in ``at`` and no path.
+    the search expands through its positions, written when it is expanded
+    into one list that the call makes on first use. An ExtendAt whose path
+    is the seed rotated once carries the pivot position in ``at`` and no
+    path.
 
     find_hamilton_cycle calls this once per pass, and most passes make a
     single rotation, so the fixed cost per call is kept low: the two seed
@@ -226,12 +227,16 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     q = len(p0)
     locked, soft = constraints.locked, constraints.soft
     if positions is None:
-        positions, position_map = dict(zip(p0, range(q))), (1, 0)
+        positions, position_map = [0] * G.n, (1, 0)
+        _place(p0, positions, 1, 0, 0, q)
     sign, offset = position_map
     level_one = queue = [(p0, None)]  # the seed's own entry first
     root, fixed = p0, head            # the current walk
     # v's position on the path being expanded is off + sgn * index[v]
     index, sgn, off = positions, sign, offset
+    # every other expanded path has the seed's vertex set, so one list,
+    # made on first use, holds the positions of each in turn
+    scratch = None
     explored = 1                      # the seed, tested above
     turned = 0                        # level-one entries reversed and walked so far
     while True:
@@ -241,7 +246,10 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                 path = root  # its positions were set with it
             else:
                 path = parent[: at + 1] + parent[:at:-1]
-                index, sgn, off = dict(zip(path, range(q))), 1, 0
+                if scratch is None:
+                    scratch = [0] * G.n
+                _place(path, scratch, 1, 0, 0, q)
+                index, sgn, off = scratch, 1, 0
             held = []
             nb = rows[path[-1]] & path_mask
             while True:
@@ -296,7 +304,10 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
             index, sgn, off = positions, -sign, q - 1 - offset
         else:
             root = _rotated(first, at)[::-1]
-            index, sgn, off = dict(zip(root, range(q))), 1, 0
+            if scratch is None:
+                scratch = [0] * G.n
+            _place(root, scratch, 1, 0, 0, q)
+            index, sgn, off = scratch, 1, 0
         queue, fixed = [(root, None)], root[0]
 
 
