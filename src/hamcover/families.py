@@ -46,6 +46,7 @@ locked-edge join's, and those that callers such as acceptance criterion
 from __future__ import annotations
 
 import math
+import operator
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -92,6 +93,15 @@ def _canonical(path) -> tuple[int, ...]:
     return p if p[0] <= p[-1] else p[::-1]
 
 
+def _int_path(path) -> tuple[int, ...]:
+    """``path`` as a tuple of Python ints. A sum stays a Python int only
+    over Python ints, so the cover's paths pass with no call per vertex;
+    numpy and other integer vertices are converted, whose bitmasks would
+    overflow."""
+    p = tuple(path)
+    return p if type(sum(p)) is int else tuple(map(operator.index, p))
+
+
 @dataclass
 class PathFamily:
     """Vertex-disjoint non-trivial paths of graph vertices (ints >= 0),
@@ -102,7 +112,7 @@ class PathFamily:
     mask: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.paths = sorted(_canonical(p) for p in self.paths)
+        self.paths = sorted(_canonical(_int_path(p)) for p in self.paths)
         seen = 0
         for p in self.paths:
             if len(p) < 2:

@@ -122,8 +122,12 @@ class Graph:
         return min(map(int.bit_count, self.rows), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        """True iff (u, v) is an edge; False for a vertex outside 0..n-1."""
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.rows[u] & one_hot(self.n)[v])
+        """True iff (u, v) is an edge; False for a vertex outside 0..n-1,
+        a non-integer one included."""
+        try:
+            return 0 <= u < self.n and 0 <= v < self.n and bool(self.rows[u] & one_hot(self.n)[v])
+        except TypeError:  # a vertex that is not an integer
+            return False
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -279,38 +283,52 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
 
 
 def is_path(G: Graph, seq: Iterable[int]) -> bool:
-    """True iff seq is a sequence of distinct vertices joined by edges."""
+    """True iff seq is a sequence of distinct vertices joined by edges;
+    False for a non-integer vertex."""
     vs = seq if isinstance(seq, (list, tuple)) else list(seq)
     if len(vs) != len(set(vs)):
         return False
     if not vs:
         return True
-    if min(vs) < 0 or max(vs) >= G.n:
-        return False
     rows = G.rows
     bit = one_hot(G.n)
-    u = vs[0]
-    for v in vs[1:]:
-        if not rows[u] & bit[v]:
+    # every vertex is compared with ints and indexes a list, which raise
+    # TypeError for a vertex that is not an integer
+    try:
+        if min(vs) < 0 or max(vs) >= G.n:
             return False
-        u = v
+        row = rows[vs[0]]
+        for v in vs[1:]:
+            if not row & bit[v]:
+                return False
+            row = rows[v]
+    except TypeError:
+        return False
     return True
 
 
 def is_hamilton_cycle(G: Graph, seq: Iterable[int]) -> bool:
-    """True iff seq visits every vertex exactly once and closes into a cycle."""
+    """True iff seq visits every vertex exactly once and closes into a
+    cycle; False for a non-integer vertex."""
     n = G.n
     vs = seq if isinstance(seq, (list, tuple)) else list(seq)
-    # n distinct vertices in 0..n-1 are all of them
-    if n < 3 or len(vs) != n or len(set(vs)) != n or min(vs) < 0 or max(vs) >= n:
+    if n < 3 or len(vs) != n or len(set(vs)) != n:
         return False
     rows = G.rows
     bit = one_hot(n)
-    u = vs[-1]  # the closing pair first
-    for v in vs:
-        if not rows[u] & bit[v]:
+    # every vertex is compared with ints and indexes a list, which raise
+    # TypeError for a vertex that is not an integer
+    try:
+        # n distinct vertices in 0..n-1 are all of them
+        if min(vs) < 0 or max(vs) >= n:
             return False
-        u = v
+        u = vs[-1]  # the closing pair first
+        for v in vs:
+            if not rows[u] & bit[v]:
+                return False
+            u = v
+    except TypeError:
+        return False
     return True
 
 

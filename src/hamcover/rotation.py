@@ -10,10 +10,13 @@ Constraints carry two edge sets: a locked set that no rotation or
 absorption may ever break, and a soft set that is broken only when no clean
 alternative exists, with every such break counted. The one BFS core is the
 two-level extension search, ``rotate_until_extendable``: a single loop
-that walks the rotation tree breadth-first with pivots in ascending vertex
-order and tests each rotation where it makes it. ``find_hamilton_cycle``
-runs it once per pass, so every outcome is deterministic for a given graph
-and seed path.
+that walks the rotation tree breadth-first and expands every path with one
+scan, ``_expand``, which takes the pivots in ascending vertex order, the
+soft ones last, and tests each rotation where it makes it.
+``find_hamilton_cycle`` runs it once per pass, so every outcome is
+deterministic for a given graph and seed path. Most passes extend at a
+rotation of the seed itself, so the search scans the seed's own pivots
+first and builds the walk only when none of them extends.
 
 The Hamilton search keeps its path's positions as raw values under a
 reflection map (s, t): v's position is t + s * raw[v]. A rotation reverses
@@ -76,12 +79,14 @@ class RotationConstraints:
     absorptions generated, not soft edges lost, since a rotation the search
     explores may never reach its result. ``rotations`` and ``absorptions``
     count every edge-breaking move made, exploration included, so
-    soft_breaks <= rotations + absorptions always holds. The search counts
-    each rotation just before it tests it and stops at the first one that
-    settles the search, so it counts the rotations it tested, not every
-    child of every path it expanded. A rotation is counted whether or not
-    its path is ever built as a list: the search builds one only to expand,
-    reverse or return it.
+    soft_breaks <= rotations + absorptions always holds. The search tests
+    each rotation as it makes it and stops at the first one that settles
+    the search, so it counts the rotations it tested, not every child of
+    every path it expanded. Each expansion adds its rotations and soft
+    breaks once, when it ends, so the counts land when the pass returns,
+    with the same totals as a count per rotation. A rotation is counted
+    whether or not its path is ever built as a list: the search builds one
+    only to expand, reverse or return it.
     """
 
     locked: frozenset[Edge] = frozenset()
@@ -154,6 +159,65 @@ class Stuck:
     message: str = ""
 
 
+def _expand(rows, path: list[int], index: list[int], sgn: int, off: int, path_mask: int,
+            seen, constraints: RotationConstraints, target: int, room: int,
+            made: list[int]) -> int | None:
+    """Rotate ``path`` about its end's pivots, in the search's one pivot
+    order, until a rotation settles the pass.
+
+    Pivots are the end's neighbours in ``path_mask``; pivot w sits at
+    position off + sgn * index[w]. The clean rotations come in ascending
+    pivot order as the scan finds them, then the ones that break a soft
+    edge, held back until then; distinct pivots give distinct new ends, so
+    the clean ones never rule a held one out, and ``seen`` is only read. A
+    rotation that breaks a locked edge, or whose new end is in ``seen``, is
+    not made. Appends the pivot position of each rotation made to ``made``
+    and returns the first whose new end has a neighbour in ``target``;
+    returns None once every rotation is made, or ``room`` of them. Adds
+    the rotations and soft breaks made to ``constraints`` once, on return.
+    """
+    last = len(path) - 3  # the last pivot position whose rotation moves the end
+    locked, soft = constraints.locked, constraints.soft
+    held = []
+    softs = 0
+    nb = rows[path[-1]] & path_mask
+    while True:
+        if nb:
+            low = nb & -nb
+            nb ^= low
+            w = low.bit_length() - 1
+            i = off + sgn * index[w]
+            if i > last:
+                continue
+            end = path[i + 1]
+            if end in seen:
+                continue
+            if soft:  # a superset of locked
+                broken = (w, end) if w < end else (end, w)
+                if broken in locked:
+                    continue
+                if broken in soft:
+                    held.append(i)
+                    continue
+        elif held:
+            i = held.pop(0)
+            end = path[i + 1]
+            softs += 1
+        else:
+            i = None
+            break
+        made.append(i)
+        if rows[end] & target:
+            break
+        if len(made) >= room:
+            i = None
+            break
+    constraints.rotations += len(made)
+    if softs:
+        constraints.soft_breaks += softs
+    return i
+
+
 def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                             constraints: RotationConstraints | None = None,
                             path_mask: int | None = None,
@@ -172,17 +236,22 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     first vertex fixed. Once it is exhausted, level two reverses each
     level-one path, the seed first, fixing its endpoint, and walks the
     rotations of the old fixed end; a walk never tests its root, a path
-    that level one already tested. Each expansion scans its pivots in
-    ascending vertex order and makes the clean rotations as it finds them,
-    then the ones that break a soft edge, held back until then; distinct
-    pivots give distinct endpoints, so the clean ones never rule a held one
-    out. Every rotation is counted in ``constraints`` just before one shared
-    block tests it for an extension, a chord and the node cap. Pivots are
-    the endpoint's neighbours in ``path_mask``, so every pivot lies on every
-    rotated path. A walk's queue is a plain list of (parent, i) entries,
-    each standing for ``_rotated(parent, i)``; level one's queue is also its
-    list of paths, and a path is built only to be expanded, reversed or
-    returned.
+    that level one already tested. Every expansion, the seed's included, is
+    one ``_expand`` scan: clean rotations in ascending pivot order, then
+    the held ones that break a soft edge, each tested for an extension as
+    it is made. Pivots are the endpoint's neighbours in ``path_mask``, so
+    every pivot lies on every rotated path.
+
+    Most passes end at a rotation of the seed itself, so when vertices lie
+    off the path the seed's own expansion runs first, before any walk
+    state is built, and its first extension is returned at once. Only when
+    it finds none is the walk built, and it continues from the seed's
+    rotations without making them again: their queue entries, their ends,
+    the first chord among them and the node cap carry over. With no vertex
+    off the path the walk starts at the seed and stops at the first chord.
+    A walk's queue is a plain list of (parent, i) entries, each standing
+    for ``_rotated(parent, i)``; level one's queue is also its list of
+    paths, and a path is built only to be expanded, reversed or returned.
 
     ``path_mask`` is the bitmask of the path's vertices and ``positions``
     holds each of its vertices' raw position under ``position_map`` (s, t):
@@ -194,11 +263,6 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     into one list that the call makes on first use. An ExtendAt whose path
     is the seed rotated once carries the pivot position in ``at`` and no
     path.
-
-    find_hamilton_cycle calls this once per pass, and most passes make a
-    single rotation, so the fixed cost per call is kept low: the two seed
-    ends are tested inline on ``G.rows`` and the outcomes are built by
-    position.
     """
     if constraints is None:
         constraints = RotationConstraints()
@@ -208,7 +272,7 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     if path_mask is None:
         path_mask = mask_of(p0)
     rows = G.rows
-    outside = G.full_mask() & ~path_mask
+    outside = G.full_mask() ^ path_mask
     head, tail = p0[0], p0[-1]
 
     hit = rows[tail] & outside
@@ -218,20 +282,31 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     if hit:
         return ExtendAt(tuple(p0[::-1]), head, (hit & -hit).bit_length() - 1)
 
+    q = len(p0)
+    if positions is None:
+        positions, position_map = [0] * G.n, (1, 0)
+        _place(p0, positions, 1, 0, 0, q)
+    sign, offset = position_map
+    made: list[int] = []  # the rotations of the last path expanded
+    if outside:
+        i = _expand(rows, p0, positions, sign, offset, path_mask, (), constraints,
+                    outside, SEARCH_NODE_CAP - 1, made)
+        if i is not None:
+            end = p0[i + 1]
+            hit = rows[end] & outside
+            return ExtendAt(None, end, (hit & -hit).bit_length() - 1, i)
+
+    # the two-level walk; with vertices off the path, its first entry, the
+    # seed, is already expanded, and the rotations in made join it below
     chord: Chord | None = None
     if rows[head] >> tail & 1:
         chord = Chord(tuple(p0), (head, tail))
         if not outside:
             return chord
-
-    q = len(p0)
-    locked, soft = constraints.locked, constraints.soft
-    if positions is None:
-        positions, position_map = [0] * G.n, (1, 0)
-        _place(p0, positions, 1, 0, 0, q)
-    sign, offset = position_map
-    level_one = queue = [(p0, None)]  # the seed's own entry first
-    root, fixed = p0, head            # the current walk
+    level_one = queue = [(p0, None)]
+    k = 1 if outside else 0           # the walk's next entry to expand
+    path = root = p0                  # the path expanded last, the walk's root
+    fixed, seen = head, {tail}
     # v's position on the path being expanded is off + sgn * index[v]
     index, sgn, off = positions, sign, offset
     # every other expanded path has the seed's vertex set, so one list,
@@ -240,8 +315,18 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
     explored = 1                      # the seed, tested above
     turned = 0                        # level-one entries reversed and walked so far
     while True:
-        seen = {root[-1]}
-        for parent, at in queue:
+        # with a vertex off the path a chord does not end the search, so
+        # only extensions are tested as they are made; with none, chords
+        target = outside or 1 << fixed
+        while True:
+            if made:
+                queue += [(path, j) for j in made]
+                seen.update([path[j + 1] for j in made])
+                explored += len(made)
+            if k == len(queue) or explored >= SEARCH_NODE_CAP:
+                break
+            parent, at = queue[k]
+            k += 1
             if at is None:
                 path = root  # its positions were set with it
             else:
@@ -250,52 +335,27 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                     scratch = [0] * G.n
                 _place(path, scratch, 1, 0, 0, q)
                 index, sgn, off = scratch, 1, 0
-            held = []
-            nb = rows[path[-1]] & path_mask
-            while True:
-                if nb:
-                    low = nb & -nb
-                    nb ^= low
-                    w = low.bit_length() - 1
-                    i = off + sgn * index[w]
-                    if i > q - 3:
-                        continue
-                    end = path[i + 1]
-                    if end in seen:
-                        continue
-                    if soft:  # a superset of locked
-                        broken = (w, end) if w < end else (end, w)
-                        if broken in locked:
-                            continue
-                        if broken in soft:
-                            held.append(i)
-                            continue
-                    constraints.rotations += 1  # a clean rotation, so not a soft break
-                elif held:
-                    i = held.pop(0)
-                    end = path[i + 1]
-                    constraints.record(edge_key(path[i], end))
-                else:
-                    break
-                # test the rotation of path around position i, ending at end
-                seen.add(end)
-                queue.append((path, i))
-                explored += 1
+            made = []
+            i = _expand(rows, path, index, sgn, off, path_mask, seen, constraints,
+                        target, SEARCH_NODE_CAP - explored, made)
+            if i is not None:
+                end = path[i + 1]
+                if not outside:
+                    return Chord(tuple(_rotated(path, i)), (fixed, end))
                 hit = rows[end] & outside
-                if hit:
-                    ext = (hit & -hit).bit_length() - 1
-                    if path is p0:
-                        return ExtendAt(None, end, ext, i)
-                    return ExtendAt(tuple(_rotated(path, i)), end, ext)
-                if chord is None and rows[fixed] >> end & 1:
-                    chord = Chord(tuple(_rotated(path, i)), (fixed, end))
-                    if not outside:
-                        return chord
-                if explored >= SEARCH_NODE_CAP:
-                    ones = len(level_one)
-                    return chord or Stuck(ones, explored - ones, explored, "node budget exhausted")
-        if turned == len(level_one):
-            ones = len(level_one)
+                return ExtendAt(tuple(_rotated(path, i)), end, (hit & -hit).bit_length() - 1)
+        if chord is None and outside:
+            # the first chord among the walk's rotations, in the order made
+            near = rows[fixed]
+            for parent, at in queue[1:]:
+                end = parent[at + 1]
+                if near >> end & 1:
+                    chord = Chord(tuple(_rotated(parent, at)), (fixed, end))
+                    break
+        ones = len(level_one)
+        if explored >= SEARCH_NODE_CAP:
+            return chord or Stuck(ones, explored - ones, explored, "node budget exhausted")
+        if turned == ones:
             return chord or Stuck(ones, explored - ones, explored, "no extension, no chord")
         first, at = level_one[turned]
         turned += 1
@@ -308,7 +368,7 @@ def rotate_until_extendable(G: Graph, path: list[int] | tuple[int, ...],
                 scratch = [0] * G.n
             _place(root, scratch, 1, 0, 0, q)
             index, sgn, off = scratch, 1, 0
-        queue, fixed = [(root, None)], root[0]
+        queue, k, fixed, seen, made = [(root, None)], 0, root[0], {root[-1]}, []
 
 
 def _open_at(cycle: tuple[int, ...], w: int, constraints: RotationConstraints) -> list[int] | None:
@@ -500,8 +560,7 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
         free = _greedy_extend(G, path, free, raw, s, t)
         # looked up by module name on every pass, so a wrapper set on the
         # module sees every call
-        outcome = rotate_until_extendable(G, path, constraints, path_mask=full ^ free,
-                                          positions=raw, position_map=(s, t))
+        outcome = rotate_until_extendable(G, path, constraints, full ^ free, raw, (s, t))
         if isinstance(outcome, ExtendAt):
             at, q = outcome.at, len(path)
             if at is None:

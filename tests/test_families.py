@@ -3,6 +3,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,23 @@ def test_from_edges_multi_edge_paths():
 def test_from_edges_canonicalises_reversed_and_duplicated_edges():
     fam = PathFamily.from_edges([(1, 0), (0, 1), (1, 2), (2, 1), (5, 4)])
     assert fam.paths == [(0, 1, 2), (4, 5)]
+
+
+def test_numpy_integer_vertices_enter_as_python_ints():
+    # above 63 a numpy vertex's bitmask overflows, which read as a repeated
+    # vertex; the vertices are converted where they enter
+    cases = [(PathFamily([np.array([3, 70, 5])]), [(3, 70, 5)]),
+             (PathFamily([(np.int32(64), 2), [1, np.int64(99)]]), [(1, 99), (2, 64)]),
+             (PathFamily.from_edges([(np.int64(3), np.int64(70))]), [(3, 70)]),
+             (PathFamily.from_edges(np.array([[5, 70], [70, 64], [1, 0]])), [(0, 1), (5, 70, 64)])]
+    for fam, paths in cases:
+        assert fam == PathFamily(paths) and fam.paths == paths
+        assert all(type(v) is int for p in fam.paths for v in p)
+        assert fam.mask == mask_of(v for p in paths for v in p)
+    with pytest.raises(FamilyError, match="repeated vertex"):
+        PathFamily([np.array([70, 3, 70])])
+    with pytest.raises(FamilyError, match="shares vertices"):
+        PathFamily([np.array([3, 70]), (70, 5)])
 
 
 def test_from_edges_empty():

@@ -299,6 +299,20 @@ def test_has_edge_takes_numpy_integer_vertices():
     assert complete_graph(100).has_edge(np.int64(3), np.int64(4))
 
 
+def test_non_integer_vertices_are_not_vertices():
+    # a float inside 0..n-1 is no vertex: the checks say False, not TypeError
+    K6 = complete_graph(6)
+    for u, v in [(0.5, 1), (1, 0.5), (1.0, 2), (2, 1.0), (np.float64(1), 2), ("1", 2), (None, 1)]:
+        assert K6.has_edge(u, v) is False
+    for seq in ([0.0, 1.0], [0.5], [0, 1, 2.0], [np.float64(0), 1], ["a", "b"], [0, None]):
+        assert is_path(K6, seq) is False
+        assert is_path(K6, iter(seq)) is False
+    for seq in ([0.0, 1.0, 2.0], [0, 1, 2.5], [0, 1, "2"]):
+        assert is_hamilton_cycle(complete_graph(3), seq) is False
+    assert is_path(K6, [0, 1]) and is_path(K6, [np.int64(5)])
+    assert is_hamilton_cycle(complete_graph(3), [np.int64(0), 1, 2])
+
+
 def test_remove_edges():
     K4 = complete_graph(4)
     H = K4.remove_edges([(0, 1), (1, 0), (2, 3)])

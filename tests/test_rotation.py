@@ -293,9 +293,42 @@ def _bipartite_stuck_instance(rnd, a, b, p):
     return build_graph(a + b, edges), path
 
 
+def _hand_over_cases(G, path, got, soft) -> list[str]:
+    """The ways ``got`` shows that the search went past the seed's own
+    expansion, or settled inside it on a held rotation."""
+    cases = []
+    if (isinstance(got, Chord) and G.full_mask() != mask_of(path)
+            and got.ends[0] == path[0] and _one_rotation_of(path, got.path)):
+        # no extension anywhere, so the chord the seed's rotations found
+        # was kept through the walk
+        cases.append("seed chord kept while vertices lie outside")
+    if (isinstance(got, ExtendAt) and got.at is None and got.path[0] == path[0]
+            and list(got.path) != list(path)):
+        # level one keeps the seed's head fixed; the seed rotated once is
+        # returned with at set, so this path lies deeper
+        cases.append("level-one extension past the seed")
+    if isinstance(got, ExtendAt) and got.at is not None and \
+            edge_key(path[got.at], path[got.at + 1]) in soft:
+        cases.append("held soft rotation of the seed extends")
+    return cases
+
+
+def _chorded_absorbing_instance(rnd):
+    """``_absorbing_instance``'s graph with the extra edge (l0, l2), for its
+    cycle l0 l1 ... l(m-1), and the seed l1 l0 l2 ... l(m-1), whose ends
+    are not adjacent. The seed's rotation around l0 ends at l2, a
+    neighbour of its head: a chord among the seed's own rotations. The
+    outside paths hang off inner vertices, which the rotations reach only
+    now and then."""
+    G, labels = _absorbing_instance(rnd)
+    G = build_graph(G.n, G.edge_set() | {edge_key(labels[0], labels[2])})
+    return G, [labels[1], labels[0], *labels[2:]]
+
+
 def test_rotate_until_extendable_matches_eager_reference():
     rnd = random.Random(7171)
     kinds = {"ExtendAt": 0, "Chord": 0, "Stuck": 0}
+    hand_over = Counter()
     cap_hits = soft_breaks = 0
     cases = []
     for trial in range(240):
@@ -318,6 +351,13 @@ def test_rotate_until_extendable_matches_eager_reference():
         a = rnd.randint(84, 90)
         cases.append(_bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 6),
                                                rnd.choice((0.2, 0.4))))
+    # paths that must rotate, and ones whose chord lies among the seed's
+    # own rotations while vertices lie off the path: the walk takes over
+    # the rotations the seed's expansion made before it found no extension
+    # (drawn from their own stream, so the cases above keep their inputs)
+    extra = random.Random(7173)
+    cases += _search_cases(extra, 150)
+    cases += [_chorded_absorbing_instance(extra) for _ in range(30)]
     for G, path in cases:
         if len(path) < 2:
             continue
@@ -340,9 +380,64 @@ def test_rotate_until_extendable_matches_eager_reference():
         kinds[type(got).__name__] += 1
         cap_hits += isinstance(got, Stuck) and "node budget exhausted" in got.message
         soft_breaks += got_cons.soft_breaks
+        for case in _hand_over_cases(G, path, got, soft):
+            hand_over[case] += 1
     assert sum(kinds.values()) >= 200
     assert min(kinds.values()) >= 20 and cap_hits >= 4 and soft_breaks > 0, \
         (kinds, cap_hits, soft_breaks)
+    assert len(hand_over) == 3 and min(hand_over.values()) >= 5, hand_over
+
+
+def test_node_cap_inside_the_seeds_own_expansion(monkeypatch):
+    # the seed counts as explored, so a cap of c ends the search inside the
+    # seed's own expansion when that makes c - 1 rotations with no
+    # extension: it returns the first chord among them, else Stuck(c, 0, c).
+    # The reference reads the cap from this module, so both are lowered.
+    import hamcover.rotation as rotation
+
+    rnd = random.Random(7174)
+    cases = _search_cases(rnd, 200) + [_chorded_absorbing_instance(rnd) for _ in range(40)]
+    # spanning paths: no outside vertex, so only chords and Stuck
+    for trial in range(40):
+        G = sample_gnp(rnd.randint(8, 30), 0.5, RngSeed(7174, trial))
+        res = find_hamilton_cycle(G)
+        if res.ok:
+            cases.append((G, list(res.cycle)[rnd.randrange(2):]))
+    hits = Counter()
+    for G, path in cases:
+        edges = sorted(path_edges(path))
+        soft = frozenset(rnd.sample(edges, rnd.randint(0, len(edges))))
+        locked = frozenset(rnd.sample(sorted(soft), rnd.randint(0, len(soft) // 2)))
+        cap = rnd.randint(2, 6)
+        monkeypatch.setattr(rotation, "SEARCH_NODE_CAP", cap)
+        monkeypatch.setitem(globals(), "SEARCH_NODE_CAP", cap)
+        got_cons = RotationConstraints(locked=locked, soft=soft)
+        want_cons = RotationConstraints(locked=locked, soft=soft)
+        got = rotate_until_extendable(G, list(path), got_cons)
+        want = rotate_until_extendable_ref(G, list(path), want_cons)
+        # dataclass equality compares the type and every field, Stuck's
+        # level sizes included
+        assert _with_path(got, path) == want, (G, path, locked, soft, cap)
+        assert (got_cons.rotations, got_cons.soft_breaks, got_cons.absorptions) == \
+            (want_cons.rotations, want_cons.soft_breaks, want_cons.absorptions)
+        # the seed's own rotations: pivots on the path short of its last
+        # two positions, breaking no locked edge, the soft ones last
+        at = {v: i for i, v in enumerate(path)}
+        broken = [edge_key(w, path[at[w] + 1]) for w in G.neighbors(path[-1])
+                  if w in at and at[w] <= len(path) - 3]
+        clean = sum(e not in soft for e in broken)
+        held = sum(e in soft and e not in locked for e in broken)
+        if isinstance(got, ExtendAt) or clean + held < cap - 1:
+            continue
+        # no rotation of the seed extends, and the cap falls among them
+        outside = G.full_mask() != mask_of(path)
+        hits[type(got).__name__, "outside" if outside else "spanning"] += 1
+        hits["on a held rotation"] += clean < cap - 1
+        if isinstance(got, Stuck):
+            assert (got.level_one, got.level_two, got.explored) == (cap, 0, cap), got
+            assert got.message == "node budget exhausted"
+    assert min(hits["Stuck", "outside"], hits["Chord", "outside"], hits["Stuck", "spanning"],
+               hits["on a held rotation"]) >= 5, hits
 
 
 def _search_cases(rnd, count):
