@@ -46,9 +46,6 @@ from .rotation import RotationConstraints, find_hamilton_cycle
 
 log = logging.getLogger(__name__)
 
-# give up on a phase after this many consecutive fruitless searches
-STALL_LIMIT = 3
-
 
 def greedy_maximal_matching(G: Graph) -> frozenset[Edge]:
     """First-fit maximal matching over lexicographically sorted edges."""
@@ -96,14 +93,13 @@ def extract_packing(G: Graph, target: int) -> PackingResult:
     """Greedily extract up to ``target`` edge-disjoint Hamilton cycles.
 
     Each found cycle is removed before the next search. Stops at the
-    target, when the residual minimum degree drops below 2, or after
-    three consecutive search failures (retried from different greedy
-    starts). Shortfall is reported, not raised.
+    target, when the residual minimum degree drops below 2, or at the
+    first search that finds no cycle (``failures`` is then 1). Shortfall
+    is reported, not raised.
     """
     residual = G
     cycles: list[tuple[int, ...]] = []
     failures = 0
-    attempt = 0
     stopped = "target reached"
     # a Hamilton cycle takes exactly two edges off every vertex
     delta = G.min_degree()
@@ -111,19 +107,15 @@ def extract_packing(G: Graph, target: int) -> PackingResult:
         if delta < 2:
             stopped = "residual minimum degree below 2"
             break
-        res = find_hamilton_cycle(residual, start_hint=attempt)
-        if res.ok:
-            c = res.cycle
-            cycles.append(c)
-            residual = residual.remove_edges(zip(c, c[1:] + c[:1]))
-            delta -= 2
-            attempt = 0
-        else:
-            failures += 1
-            attempt += 1
-            if attempt >= STALL_LIMIT:
-                stopped = f"search stalled: {res.failure}"
-                break
+        res = find_hamilton_cycle(residual)
+        if not res.ok:
+            failures = 1
+            stopped = f"search stalled: {res.failure}"
+            break
+        c = res.cycle
+        cycles.append(c)
+        residual = residual.remove_edges(zip(c, c[1:] + c[:1]))
+        delta -= 2
     return PackingResult(cycles=cycles, residual=residual, stopped=stopped,
                          failures=failures)
 

@@ -458,30 +458,20 @@ def _greedy_extend(G: Graph, path: list[int], free: int, raw: list[int], s: int,
     return free
 
 
-def _start_vertex(degs: list[int], start_hint: int) -> int:
-    """The vertex at position start_hint % n of the vertices in descending
-    degree order, ties in ascending vertex order."""
-    k = start_hint % len(degs)
-    if k == 0:
-        return degs.index(max(degs))  # the order's first vertex, unsorted
-    # the sort is stable, so tied vertices keep their ascending order
-    return sorted(range(len(degs)), key=degs.__getitem__, reverse=True)[k]
-
-
 def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None,
-                        seed_path: list[int] | tuple[int, ...] | None = None,
-                        start_hint: int = 0) -> HamiltonResult:
+                        seed_path: list[int] | tuple[int, ...] | None = None) -> HamiltonResult:
     """Heuristic Hamilton cycle search by rotation and extension.
 
     Starts from ``seed_path``; without one, from the locked edges' paths
     joined end to end by one ``reduce_family`` round at k = 1, which trims
-    no edge; with no locked edges either, from a greedy longest path. Then
-    it alternates: extend greedily, rotate until extendable, extend; when a
-    chord closes a non-spanning cycle, absorb an outside vertex and
-    continue. Every pass that does not return adds a vertex to the path, so
-    the search makes at most n passes. Any returned cycle contains every
-    locked edge of the seed and validates against the graph; getting stuck
-    returns a failure report, never an exception.
+    no edge; with no locked edges either, from the lowest vertex of top
+    degree, grown greedily into a path. Then it alternates: extend
+    greedily, rotate until extendable, extend; when a chord closes a
+    non-spanning cycle, absorb an outside vertex and continue. Every pass
+    that does not return adds a vertex to the path, so the search makes at
+    most n passes. Any returned cycle contains every locked edge of the
+    seed and validates against the graph; getting stuck returns a failure
+    report, never an exception.
 
     The search keeps one path list, the mask of the vertices off it, and a
     vertex -> raw position list under a map (s, t): v's position is
@@ -542,8 +532,8 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             return HamiltonResult(None, failure="could not chain locked edges into one path")
         path = list(family.paths[0])
     else:
-        # the first pass's greedy extension grows the start vertex into a path
-        path = [_start_vertex(degs, start_hint)]
+        # the first pass grows the lowest vertex of top degree into a path
+        path = [degs.index(max(degs))]
 
     def failed(reason: str, path_len: int) -> HamiltonResult:
         return HamiltonResult(None, failure=reason, iterations=iterations,

@@ -10,7 +10,6 @@ import pytest
 
 from hamcover import cover as cover_mod
 from hamcover.cover import (
-    STALL_LIMIT,
     PackingResult,
     cover_graph,
     cover_matching,
@@ -117,38 +116,34 @@ def test_packed_cycles_share_one_int_per_vertex():
 
 
 # The packing loop as it was when it rescanned the residual's minimum degree
-# before every search, verbatim apart from the _ref suffix on its name and
-# the unread target field that PackingResult no longer has.
+# before every search, verbatim apart from the _ref suffix on its name, the
+# unread target field that PackingResult no longer has, and the restarts
+# from other start vertices after a failed search, which it no longer makes.
 
 def extract_packing_ref(G: Graph, target: int) -> PackingResult:
     """Greedily extract up to ``target`` edge-disjoint Hamilton cycles.
 
     Each found cycle is removed before the next search. Stops at the
-    target, when the residual minimum degree drops below 2, or after
-    three consecutive search failures (retried from different greedy
-    starts). Shortfall is reported, not raised.
+    target, when the residual minimum degree drops below 2, or at the
+    first search failure. Shortfall is reported, not raised.
     """
     residual = G
     cycles: list[tuple[int, ...]] = []
     failures = 0
-    attempt = 0
     stopped = "target reached"
     while len(cycles) < target:
         if residual.min_degree() < 2:
             stopped = "residual minimum degree below 2"
             break
-        res = find_hamilton_cycle(residual, start_hint=attempt)
+        res = find_hamilton_cycle(residual)
         if res.ok:
             c = res.cycle
             cycles.append(c)
             residual = residual.remove_edges(zip(c, c[1:] + c[:1]))
-            attempt = 0
         else:
             failures += 1
-            attempt += 1
-            if attempt >= STALL_LIMIT:
-                stopped = f"search stalled: {res.failure}"
-                break
+            stopped = f"search stalled: {res.failure}"
+            break
     return PackingResult(cycles=cycles, residual=residual, stopped=stopped,
                          failures=failures)
 
@@ -357,6 +352,7 @@ MATCHING_PIPELINE_FAILURES = {
 def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
     graphs = failed = 0
     losses: Counter = Counter()
+    excess = at_bound = 0  # cover size over ceil(max degree / 2), summed
     for n, p, base in SPARSE_CORPUS:
         alpha = expander_params_for_gnp(n, p).alpha
         for s in range(40):
@@ -371,6 +367,10 @@ def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
                 failed += 1
                 assert (n, s) in MATCHING_PIPELINE_FAILURES
                 assert out.failure_phase == "covering" and out.losses["uncovered"]
+            else:
+                over = out.certificate.cover_size - math.ceil(G.max_degree() / 2)
+                excess += over
+                at_bound += over == 0
             if (n, s) == (96, 20):
                 # the forest rounds stall with two edges left; the retries
                 # seeded from one uncovered edge each cover them
@@ -383,6 +383,42 @@ def test_sparse_covers_fail_no_more_than_the_matching_pipeline():
     # the corpus's summed loss counters, pinned so that the soft set and the
     # soft_lost count cannot drift silently
     assert losses == {"merge_lost": 3608, "soft_breaks": 15354, "soft_lost": 5144}
+    # cover quality: a change that makes covers larger fails here
+    assert (excess, at_bound) == (265, 10)
+
+
+def test_sweep_covers_of_g_512_16_keep_their_summed_excess():
+    # the 12 G(512, 16/512) graphs of the cover-quality sweep, inside the
+    # paper's regime (p = n^(a - 1) with a about 0.44), where the theorem
+    # promises (1 + o(1)) max degree / 2 cycles
+    n, p = 512, 16 / 512
+    alpha = expander_params_for_gnp(n, p).alpha
+    graphs = excess = 0
+    for s in range(12):
+        G = sample_gnp(n, p, RngSeed(7000, s))
+        if not is_connected(G) or G.min_degree() < 2:
+            continue
+        graphs += 1
+        out = cover_graph(G, alpha)
+        assert out.ok, (s, out.failure_phase, out.failure_detail)
+        excess += out.certificate.cover_size - math.ceil(G.max_degree() / 2)
+    assert (graphs, excess) == (12, 26)
+
+
+def test_packing_stops_at_its_first_failed_search():
+    # the sparse-corpus graph whose packing falls short: its third search
+    # finds no cycle, and the packing stops there after that one search
+    G = sample_gnp(48, 0.2, RngSeed(11, 8))
+    packing = extract_packing(G, G.min_degree() // 2)
+    assert (G.min_degree() // 2, packing.achieved, packing.failures) == (3, 2, 1)
+    assert packing.stopped.startswith("search stalled")
+    # the forest cover makes up the shortfall from the packing's residual,
+    # pinned so that a change to where the packing stops shows here
+    out = cover_graph(G, expander_params_for_gnp(48, 0.2).alpha)
+    assert out.ok and out.certificate.h == 2 and out.certificate.cover_size == 11
+    assert out.packing_stopped == packing.stopped
+    assert _cycles_sha256(out.certificate.cycles) == (
+        "819691dc465e5de3601b39bdbbddb7ff81853570056e3199146b0af3b614362e")
 
 
 def test_cover_small_batch_shape_is_pinned():

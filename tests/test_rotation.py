@@ -5,8 +5,6 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hamcover.families import ExtensionBudget, FamilyError, PathFamily, reduce_family
 from hamcover.gnp import RngSeed, sample_gnp
@@ -36,7 +34,6 @@ from hamcover.rotation import (
     Stuck,
     _greedy_extend,
     _rotated,
-    _start_vertex,
     find_hamilton_cycle,
     rotate_until_extendable,
 )
@@ -531,13 +528,6 @@ def test_positions_do_not_change_the_search():
     assert kinds["level two"] >= 20 and kinds["node cap"] >= 2, kinds
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 5), min_size=1, max_size=40), st.integers(0, 200))
-def test_start_vertex_is_the_descending_degree_order_pick(degs, hint):
-    order = sorted(range(len(degs)), key=lambda v: (-degs[v], v))
-    assert _start_vertex(degs, hint) == order[hint % len(degs)]
-
-
 def test_rotate_until_extendable_chord():
     out = rotate_until_extendable(cycle_graph(5), [0, 1, 2, 3, 4])
     assert isinstance(out, Chord)
@@ -1001,10 +991,10 @@ def test_greedy_extend_keeps_every_position_exact():
     assert min(grew["map", -1, False], grew["map", 1, False]) >= 50, grew
 
 
-def _greedy_seed_ref(G: Graph, start_hint: int = 0) -> list[int]:
+def _greedy_seed_ref(G: Graph) -> list[int]:
     # descending degree, ties in ascending vertex order (the sort is stable)
     order = sorted(range(G.n), key=G.degrees().__getitem__, reverse=True)
-    path = [order[start_hint % G.n]]
+    path = [order[0]]
     _greedy_extend_ref(G, path, 1 << path[0])
     return path
 
@@ -1053,8 +1043,8 @@ def absorb_external_vertex_ref(G: Graph, cycle: list[int] | tuple[int, ...], w: 
 
 
 def find_hamilton_cycle_ref(G: Graph, constraints: RotationConstraints | None = None,
-                            seed_path: list[int] | tuple[int, ...] | None = None,
-                            start_hint: int = 0) -> HamiltonResult:
+                            seed_path: list[int] | tuple[int, ...] | None = None
+                            ) -> HamiltonResult:
     """Heuristic Hamilton cycle search by rotation and extension.
 
     Starts from ``seed_path``; without one, from the locked edges' paths
@@ -1101,8 +1091,7 @@ def find_hamilton_cycle_ref(G: Graph, constraints: RotationConstraints | None = 
             return HamiltonResult(None, failure="could not chain locked edges into one path")
         path = list(family.paths[0])
     else:
-        _FIND_REF_HITS["start hint >= 1"] += start_hint % n != 0  # counted
-        path = _greedy_seed_ref(G, start_hint)
+        path = _greedy_seed_ref(G)
 
     def failed(reason: str, path_len: int) -> HamiltonResult:
         return HamiltonResult(None, failure=reason, iterations=iterations,
@@ -1185,13 +1174,13 @@ def _absorbing_instance(rnd):
 
 def test_find_hamilton_cycle_matches_copying_reference():
     rnd = random.Random(8181)
-    cases = []  # (G, locked, soft, seed_path, start_hint)
+    cases = []  # (G, locked, soft, seed_path)
     # unconstrained searches from greedy starts, sparse ones absorbing,
     # getting stuck or finding the graph disconnected
     for trial in range(180):
         G = sample_gnp(rnd.randint(5, 45), rnd.choice((0.1, 0.15, 0.25, 0.4, 0.7)),
                        RngSeed(8181, trial))
-        cases.append((G, (), (), None, rnd.choice((0, 0, 1, 2, 7))))
+        cases.append((G, (), (), None))
     # seed paths with soft and locked edges on them
     for trial in range(90):
         G = sample_gnp(rnd.randint(6, 40), rnd.choice((0.15, 0.3, 0.5)), RngSeed(8182, trial))
@@ -1199,25 +1188,25 @@ def test_find_hamilton_cycle_matches_copying_reference():
         edges = sorted(path_edges(path))
         soft = rnd.sample(edges, rnd.randint(0, len(edges)))
         locked = rnd.sample(soft, rnd.randint(0, len(soft) // 3))
-        cases.append((G, locked, soft, path, 0))
+        cases.append((G, locked, soft, path))
     # locked linear forests joined into the seed
     for trial in range(50):
         G = sample_gnp(rnd.randint(8, 30), rnd.choice((0.3, 0.5)), RngSeed(8183, trial))
         locked = _linear_forest(G, rnd, rnd.randint(1, 6))
-        cases.append((G, locked, locked, None, 0))
+        cases.append((G, locked, locked, None))
     # bipartite graphs with one side larger, which the search cannot close:
     # small ones exhaust both levels, large ones walk up to the node cap
     for trial in range(10):
         a = rnd.randint(3, 20)
         G, _ = _bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 3), rnd.choice((0.3, 0.6)))
-        cases.append((G, (), (), None, rnd.randrange(3)))
+        cases.append((G, (), (), None))
     for trial in range(3):
         a = rnd.randint(84, 90)
         G, path = _bipartite_stuck_instance(rnd, a, a + rnd.randint(1, 4), 0.3)
-        cases.append((G, (), (), path, 0))
+        cases.append((G, (), (), path))
     for trial in range(12):
         G, path = _absorbing_instance(rnd)
-        cases.append((G, (), (), path, 0))
+        cases.append((G, (), (), path))
     # soft and locked edges on the hook's two cycle edges: the opening
     # drops a clean edge, else a soft one (a counted break), and fails when
     # both are locked
@@ -1227,29 +1216,29 @@ def test_find_hamilton_cycle_matches_copying_reference():
         prev_e, next_e = edge_key(path[i - 1], path[i]), edge_key(path[i], path[i + 1])
         locked, soft = [((), (prev_e,)), ((next_e,), ()), ((), (prev_e, next_e)),
                         ((prev_e,), (next_e,)), ((prev_e, next_e), ())][trial % 5]
-        cases.append((G, locked, soft, path, 0))
+        cases.append((G, locked, soft, path))
     # an edge from the hook to the far vertex of the other outside path:
     # the search steps to the lower of the hook's two outside neighbours
     for trial in range(6):
         G, path = _absorbing_instance(rnd)
         w = min(v for v in path if G.degree(v) > 2)
-        cases.append((build_graph(G.n, G.edge_set() | {(w, G.n - 1)}), (), (), path, 0))
+        cases.append((build_graph(G.n, G.edge_set() | {(w, G.n - 1)}), (), (), path))
     _FIND_REF_HITS.clear()
     outcomes = Counter()
-    for G, locked, soft, seed, hint in cases:
+    for G, locked, soft, seed in cases:
         got_cons = RotationConstraints(locked=locked, soft=soft)
         want_cons = RotationConstraints(locked=locked, soft=soft)
-        got = find_hamilton_cycle(G, got_cons, seed_path=seed, start_hint=hint)
-        want = find_hamilton_cycle_ref(G, want_cons, seed_path=seed, start_hint=hint)
+        got = find_hamilton_cycle(G, got_cons, seed_path=seed)
+        want = find_hamilton_cycle_ref(G, want_cons, seed_path=seed)
         # dataclass equality compares every HamiltonResult field
-        assert got == want, (G, locked, soft, seed, hint)
+        assert got == want, (G, locked, soft, seed)
         assert (got_cons.rotations, got_cons.soft_breaks, got_cons.absorptions) == \
             (want_cons.rotations, want_cons.soft_breaks, want_cons.absorptions)
         outcomes[got.ok] += 1
     assert len(cases) >= 300 and min(outcomes[True], outcomes[False]) >= 30, outcomes
     minimum = {"rotated once": 100, "other extension": 30, "absorption": 10,
                "head growth after absorption": 10, "stuck": 20, "node cap": 2,
-               "seed path": 50, "locked seed": 30, "start hint >= 1": 50,
+               "seed path": 50, "locked seed": 30,
                "absorb clean previous": 10, "absorb clean next": 3, "absorb soft previous": 3,
                "absorb soft next": 3, "absorb blocked": 3, "hook with 2+ outside neighbours": 5}
     assert all(_FIND_REF_HITS[k] >= v for k, v in minimum.items()), sorted(_FIND_REF_HITS.items())
@@ -1300,7 +1289,7 @@ def test_search_hands_its_own_path_positions_and_mask_over(monkeypatch):
     results = []
     for trial in range(40):
         G = sample_gnp(rnd.randint(40, 120), rnd.choice((0.15, 0.3, 0.6)), RngSeed(9191, trial))
-        results.append(search(G, start_hint=trial % 3))
+        results.append(search(G))
     for trial in range(40):
         G = sample_gnp(rnd.randint(10, 40), 0.3, RngSeed(9192, trial))
         locked = _linear_forest(G, rnd, G.n // 3)
@@ -1308,6 +1297,12 @@ def test_search_hands_its_own_path_positions_and_mask_over(monkeypatch):
     for trial in range(10):
         G, path = _absorbing_instance(rnd)
         results.append(search(G, seed_path=path))
+    # more searches from greedy starts, drawn from their own generator so
+    # that the cases above keep their inputs
+    more = random.Random(9193)
+    for trial in range(20):
+        G = sample_gnp(more.randint(40, 120), more.choice((0.15, 0.3, 0.6)), RngSeed(9193, trial))
+        results.append(search(G))
     # ExtendAt with at set, and with at None; Chords, spanning or absorbed
     assert calls["ExtendAt", False] >= 50 and calls["ExtendAt", True] >= 10, calls
     assert calls["Chord", True] >= 10, calls
