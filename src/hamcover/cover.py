@@ -7,13 +7,19 @@ builds one forest over the still uncovered edges, highest residual degree
 first, merges it into a single seed path and searches for a Hamilton cycle
 of the original graph from that seed, protecting the forest edges on it
 during rotations; one cycle can carry a whole forest, so about half the
-residual's maximum degree in cycles covers it. If both searches of a round
-(from the seed and from its reverse) cover nothing new, the next round
-seeds from one uncovered edge alone; if that stalls too, the cover fails
-and names the edges left. The matching covers (cover_matching and
-cover_matching_once) run the same covering loop, and one round of it, on
-a matching's edges; they and the first-fit edge coloring are kept as
-standalone tools that the pipeline calls none of. A certificate records
+residual's maximum degree in cycles covers it. Call a vertex tight when
+its uncovered degree d has ceil(d/2) = ceil(D/2), D the largest uncovered
+degree: a cover that meets that bound must take min(2, d) of a tight
+vertex's uncovered edges in every round. So the round's first two
+searches (from the seed and from its reverse) lock the forest edges at
+tight vertices and keep the rest soft; only if both get stuck do two
+searches with every forest edge soft follow. If no search of a round
+covers anything new, the next round seeds from one uncovered edge alone;
+if that stalls too, the cover fails and names the edges left. The
+matching covers (cover_matching and cover_matching_once) run the same
+covering loop, and one round of it, on a matching's edges; they and the
+first-fit edge coloring are kept as standalone tools that the pipeline
+calls none of. A certificate records
 the cycles and per-edge coverage counts; it is validated against the
 independent oracle before being returned, and it keeps the oracle's
 counts as they come, in numpy arrays behind a read-only edge mapping
@@ -246,16 +252,23 @@ def _cover_round(G: Graph, alpha: float, codes: np.ndarray, us: np.ndarray,
                  vs: np.ndarray, alive: np.ndarray, idx: np.ndarray,
                  losses: dict) -> tuple[int, ...] | None:
     """One covering round: a degree-first forest over the uncovered table
-    rows idx, merged into a seed path, and a Hamilton search of G with the
-    forest edges on the seed soft-protected, retried once from the
-    reversed seed if it covers no uncovered row (the search is
-    deterministic, so a third try would repeat the second). One
-    searchsorted of a found cycle's edge codes gives both the rows it
-    covers and the seed's forest edges it dropped (soft_lost). Adds the
-    counters to losses, clears the covered rows in alive and returns the
-    cycle, or None when both searches cover nothing new."""
+    rows idx, merged into a seed path, and Hamilton searches of G from that
+    seed and from its reverse. A vertex is tight when its uncovered degree
+    d has ceil(d/2) = ceil(D/2), D the largest uncovered degree: a cover
+    that meets the bound must take min(2, d) of its uncovered edges in
+    every round. The first two searches lock the seed's forest edges with
+    a tight end and soft-protect the others; a cycle they find holds those
+    uncovered edges. The last two, tried only when both locked searches
+    get stuck, or alone when the merge left no tight edge on the seed,
+    soft-protect them all. A search is deterministic, so a further try
+    from the same seed and constraints would repeat one. One searchsorted
+    of a found cycle's edge codes gives both the rows it covers and the
+    seed's forest edges it dropped (soft_lost). Adds the counters to
+    losses, clears the covered rows in alive and returns the cycle, or
+    None when no search covers anything new."""
     n = G.n
-    forest, taken, family = degree_first_forest(n, us[idx], vs[idx])
+    ru, rv = us[idx], vs[idx]
+    forest, taken, family = degree_first_forest(n, ru, rv)
     merged = merge_into_single_path(G, family, alpha)
     lost = merged.lost_matching
     losses["merge_lost"] += len(lost)
@@ -263,11 +276,21 @@ def _cover_round(G: Graph, alpha: float, codes: np.ndarray, us: np.ndarray,
     on_seed = frozenset(forest)
     seeded = np.zeros(len(codes), dtype=bool)
     seeded[idx[taken]] = True
+    # the forest takes its edges by falling degree of their larger end, so
+    # those with a tight end, d >= 2 * ceil(D/2) - 1, come first
+    deg = np.bincount(ru, minlength=n) + np.bincount(rv, minlength=n)
+    top = np.maximum(deg[ru[taken]], deg[rv[taken]])
+    locked = frozenset(forest[:np.count_nonzero(top >= top[0] - 1 + top[0] % 2)])
     if lost:
         on_seed -= lost
+        locked -= lost
         seeded[np.searchsorted(codes, [u * n + v for u, v in lost])] = False
-    for seed in (merged.path, merged.path[::-1]):
-        res = find_hamilton_cycle(G, RotationConstraints(soft=on_seed), seed_path=seed)
+    seeds = (merged.path, merged.path[::-1])
+    tries = [(locked, seed) for seed in seeds] if locked else []
+    tries += [(frozenset(), seed) for seed in seeds]
+    for lock, seed in tries:
+        res = find_hamilton_cycle(G, RotationConstraints(locked=lock, soft=on_seed),
+                                  seed_path=seed)
         if not res.ok:
             continue
         losses["soft_breaks"] += res.soft_breaks
@@ -321,7 +344,9 @@ def cover_graph(G: Graph, alpha: float) -> CoverOutcome:
     residual's edges, built once from the packed rows (_edge_table): while
     residual edges stay uncovered, each round builds one degree-first
     linear forest over them, merges it into a seed path and searches for a
-    Hamilton cycle with the forest edges on the seed soft-protected. A
+    Hamilton cycle with the forest edges on the seed at tight vertices
+    locked and the others soft-protected, then, if both locked searches get
+    stuck, with all of them soft-protected (_cover_round). A
     second stalled round in a row ends the cover with a "covering" failure
     that names the stalled edge. The assembled certificate is
     validated internally before being returned. Raises ValueError unless
@@ -400,11 +425,11 @@ class OnceOutcome:
 def cover_matching_once(G: Graph, matching, alpha: float) -> OnceOutcome:
     """One round of cover_graph's covering loop (_cover_round) on a
     matching. Its forest is the matching itself, so the round merges the
-    matching into a seed path and soft-protects the matching edges on it.
-    The paper also locks them when the matching has fewer than
+    matching into a seed path. Every matching vertex has degree 1 and so
+    is tight, and the round's first searches lock every matching edge on
+    the seed; the paper locks them only when the matching has fewer than
     alpha^3 * n^(alpha/2) / 136 edges, a cap below 1 for every n < 18496
-    at alpha <= 1, so this search locks nothing. An empty matching gives
-    no cycle and no failure."""
+    at alpha <= 1. An empty matching gives no cycle and no failure."""
     M = frozenset(edge_key(*e) for e in matching)
     failure = _matching_failure(G, M)
     if failure or not M:

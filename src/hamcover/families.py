@@ -4,43 +4,35 @@ PathFamily.from_edges is the one code that turns an edge set into paths:
 it walks the components of a linear forest, so a matching comes out as its
 one-edge paths, and it rejects a vertex on three or more edges or a cycle.
 
-A reduction step either deletes a path shorter than 2k-1 edges or splices
-two paths together through a short connector, trimming at most k-1 edges
-off each spliced end. Writing mu for the drop in the number of paths, the
-ledger invariants
+A reduction step either deletes a path shorter than 2k-1 edges or joins
+two path ends, directly or through a short connector, so it trims no edge.
+Writing mu for the drop in the number of paths, the ledger invariants
 
     lost   <= 2*(k-1)*mu        (edges of the old family no longer present)
     gained <= (d+2)*mu          (new edges introduced)
 
 hold after every single step and are asserted, not assumed. Connectors run
-from a vertex x within distance k-1 of one path's end to a vertex y near
-another's, either as the direct edge (x, y) or as x-a-...-b-y where the
-interior lives entirely outside the family's vertex set and a-...-b has at
-most d edges.
+from one path's end x to another's end y, either as the direct edge (x, y)
+or as x-a-...-b-y where the interior lives entirely outside the family's
+vertex set and a-...-b has at most d edges.
 
-A round at k = 1 only splices path ends, so it runs on end pointers: a
-splice repoints the two new ends at each other and links the joined ends
-through the connector, and the paths are built from the links at the end.
-It starts from the family's vertex mask, which PathFamily keeps from its
-own disjointness check.
+A join runs on end pointers: a splice repoints the two new ends at each
+other and links the joined ends through the connector, and the paths are
+built from the links at the end. It starts from the family's vertex mask,
+which PathFamily keeps from its own disjointness check.
 
-A lossy round (k >= 2) first deletes every path too short to keep, then
-makes each move from the current paths: their k-end vertices, those ends'
-masks and, only when no direct edge joins two paths, the family's vertex
-mask. Both kinds of round make their moves in one candidate order.
-
-reduce_family is the one code that joins paths, and it has two users. The
-driver merge_into_single_path feeds a linear forest (a matching, or the
-degree-first forests of the cover's residual) through one round at k = 1,
-where a splice uses path ends only and so trims nothing, then through
-lossy rounds with ends as deep as the longest path allows until a round
-makes no move. find_hamilton_cycle joins the paths of its locked edges
-into one seed with a single round at k = 1. merge_into_single_path takes
-a forest as a PathFamily or as an edge set: the cover's forest builder
-hands over the paths it walked, for the residual's forests and for the
-matching covers alike. PathFamily.from_edges serves the edge sets: the
-locked-edge join's, and those that callers such as acceptance criterion
-3 hand to merge_into_single_path.
+reduce_family is the one code that joins paths: it deletes the paths too
+short for its k, none at k = 1, and then joins ends to a fixpoint. It has
+two users. The driver merge_into_single_path feeds a linear forest (a
+matching, or the degree-first forests of the cover's residual) through one
+round at k = 1 and dissolves all but the longest path left.
+find_hamilton_cycle joins the paths of its locked edges into one seed with
+the same round. merge_into_single_path takes a forest as a PathFamily or
+as an edge set: the cover's forest builder hands over the paths it walked,
+for the residual's forests and for the matching covers alike.
+PathFamily.from_edges serves the edge sets: the locked-edge join's, and
+those that callers such as acceptance criterion 3 hand to
+merge_into_single_path.
 """
 
 from __future__ import annotations
@@ -68,9 +60,9 @@ class BudgetError(AssertionError):
 class ExtensionBudget:
     """Accounting for a sequence of (d, k) path-family reductions.
 
-    d bounds the connector interior (a merge gains at most d+2 edges), k the
-    end depth (a merge trims at most k-1 edges per side, a deletion removes
-    a path of fewer than 2k-1 edges). mu counts completed moves.
+    d bounds the connector interior (a join gains at most d+2 edges), k the
+    deletion depth (a deletion removes a path of fewer than 2k-1 edges; a
+    join trims nothing). mu counts completed moves.
     """
 
     d: int
@@ -159,33 +151,6 @@ class PathFamily:
         return cls(paths)
 
 
-def _split_at(path: tuple[int, ...], x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Keep the longer piece of ``path`` around ``x`` (oriented to end at x);
-    return it with the trimmed piece's vertices other than x, one per
-    trimmed edge."""
-    idx = path.index(x)
-    if idx >= len(path) - 1 - idx:
-        return path[: idx + 1], path[idx + 1:]
-    return path[idx:][::-1], path[:idx]
-
-
-def _end_candidates(path: tuple[int, ...], k: int) -> list[int]:
-    """Indices of the k-end vertices of ``path``, ordered by trim cost, then
-    by vertex. Only the first and last k positions are looked at: cost c
-    holds positions c and n-1-c, one position when they meet."""
-    n = len(path)
-    out = []
-    for c in range(min(k, (n + 1) // 2)):
-        i, j = c, n - 1 - c
-        if i == j:
-            out.append(i)
-        elif path[i] < path[j]:
-            out += (i, j)
-        else:
-            out += (j, i)
-    return out
-
-
 def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[int] | None:
     """Shortest x..y connector interior through vertices off the family.
 
@@ -226,57 +191,35 @@ def _find_connector(G: Graph, x: int, y: int, family_mask: int, d: int) -> list[
     return None
 
 
-def _find_merge(G: Graph, paths: list[tuple[int, ...]], k: int, d: int):
-    """First applicable merge under the deterministic candidate order,
-    computed from ``paths`` alone.
-
-    The order runs over (i, j, x, y): paths i and j in sorted order, x over
-    i's k-end vertices in candidate order (_end_candidates), then y over j's
-    (ascending vertex for a direct edge). Returns (path_i, path_j, x, y,
-    interior) or None; the interior is empty for a direct edge.
-    """
-    rows = G.rows
-    xss = [[p[i] for i in _end_candidates(p, k)] for p in paths]
-    masks = [mask_of(xs) for xs in xss]
-    # direct edges first: cheapest gain, no outside vertices consumed
-    for i, xs in enumerate(xss):
-        for j, mask in enumerate(masks):
-            if j == i:
-                continue
-            for x in xs:
-                ys = rows[x] & mask
-                if ys:
-                    return paths[i], paths[j], x, (ys & -ys).bit_length() - 1, []
-    return _first_connector(G, paths, xss, mask_of(v for p in paths for v in p), d)
-
-
-def _first_connector(G: Graph, paths: list, xss: list, family_mask: int, d: int):
-    """First outside connector in (pi, x, pj, y) order, with ``xss[i]`` the
-    usable ends of ``paths[i]`` in candidate order: (pi, pj, x, y, interior)
-    or None."""
+def _first_connector(G: Graph, ends: list[tuple[int, int]], family_mask: int, d: int):
+    """First outside connector in (pi, x, pj, y) order, with ``ends[i]``
+    path i's two ends in the order tried: (x, y, interior) or None."""
     rows = G.rows
     outside = G.full_mask() & ~family_mask
-    for i, xs in enumerate(xss):
+    for i, xs in enumerate(ends):
         xs = [x for x in xs if rows[x] & outside]
         if not xs:
             continue
-        for j, ys in enumerate(xss):
+        for j, ys in enumerate(ends):
             if j == i:
                 continue
             for x in xs:
                 for y in ys:
                     interior = _find_connector(G, x, y, family_mask, d)
                     if interior is not None:
-                        return paths[i], paths[j], x, y, interior
+                        return x, y, interior
     return None
 
 
 def _find_join(G: Graph, heads: list[int], other: dict[int, int], ends_mask: int,
                family_mask: int, d: int):
-    """First k = 1 move in _find_merge's order, on end pointers: ``heads``
-    holds the paths' smaller ends in ascending order, the order of the
-    sorted paths, and ``other`` maps each end to its path's other end.
-    Returns (x, y, interior) or None."""
+    """The first join, on end pointers: ``heads`` holds the paths' smaller
+    ends in ascending order, the order of the sorted paths, and ``other``
+    maps each end to its path's other end. Direct edges come first: the
+    first path, in that order, with an end adjacent to another path's end,
+    the first path j that its ends see, its smaller end x that sees j, and
+    the lower end y of j that x sees; then the first outside connector
+    (_first_connector). Returns (x, y, interior) or None."""
     rows = G.rows
     for h in heads:
         o = other[h]
@@ -290,13 +233,12 @@ def _find_join(G: Graph, heads: list[int], other: dict[int, int], ends_mask: int
             x = h if bh & ej else o
             ys = rows[x] & ej
             return x, (ys & -ys).bit_length() - 1, ()
-    found = _first_connector(G, heads, [(h, other[h]) for h in heads], family_mask, d)
-    return found and found[2:]
+    return _first_connector(G, [(h, other[h]) for h in heads], family_mask, d)
 
 
 def _join(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
-    """A k = 1 round of reduce_family: splice path ends to a fixpoint; each
-    path is built once, from the starting paths and the splices' links."""
+    """reduce_family's join: splice path ends to a fixpoint; each path is
+    built once, from the starting paths and the splices' links."""
     other: dict[int, int] = {}
     piece: dict[int, tuple[int, ...]] = {}  # each starting path, from each end
     for p in family.paths:
@@ -335,48 +277,26 @@ def _join(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
 
 
 def reduce_family(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
-    """Apply deletion and merge moves to a fixpoint, mutating ``budget``.
+    """Delete the short paths, then join path ends to a fixpoint, mutating
+    ``budget``.
 
-    Deletion drops any path of fewer than 2k-1 edges, which only an input
-    path can have, so all deletions come first, in path order; merging
-    then splices two paths whose k-ends connect directly or through at
-    most d outside edges, each move found from the current paths
-    (_find_merge). Budget invariants are asserted after every move. At
-    k = 1 no path is short enough to delete and a splice trims nothing, so
-    the round joins path ends on end pointers (_join); any linear forest
-    may be its input.
+    Deletion drops every path of fewer than 2k-1 edges, in path order; at
+    k = 1 none is that short. The join (_join) then splices path ends
+    together, directly or through at most d outside edges, on end
+    pointers, so it trims no edge and takes any linear forest. Budget
+    invariants are asserted after every move.
     """
-    k, d = budget.k, budget.d
-    if k == 1:
-        return _join(G, family, budget)
-    # whether a path may be deleted depends on the path alone, and after
-    # this pass none is: every path has at least 2k - 1 edges, a splice
-    # point lies within k - 1 of an end and _split_at keeps the longer side,
-    # so a merge keeps at least k edges of each parent and adds at least
-    # one, and a merged path has at least 2k + 1
     paths = []
     for p in family.paths:
-        if len(p) - 1 < 2 * k - 1:
+        if len(p) - 1 < 2 * budget.k - 1:
             budget.mu += 1
             budget.lost += len(p) - 1
             budget.check()
         else:
             paths.append(p)
-    while len(paths) >= 2:
-        found = _find_merge(G, paths, k, d)
-        if found is None:
-            break
-        pi, pj, x, y, interior = found
-        kept_i, cut_i = _split_at(pi, x)
-        kept_j, cut_j = _split_at(pj, y)
-        budget.mu += 1
-        budget.lost += len(cut_i) + len(cut_j)
-        budget.gained += len(interior) + 1
-        budget.check()
-        paths.remove(pi)
-        paths.remove(pj)
-        insort(paths, _canonical(kept_i + tuple(interior) + kept_j[::-1]))
-    return PathFamily(paths)
+    if len(paths) < len(family.paths):
+        family = PathFamily(paths)
+    return _join(G, family, budget)
 
 
 def check_alpha(alpha: float) -> None:
@@ -396,17 +316,12 @@ class MergeOutcome:
     path: tuple[int, ...]
     lost_matching: frozenset[Edge]
     budgets: list[ExtensionBudget] = field(default_factory=list)
-    k_schedule: list[int] = field(default_factory=list)
     dissolved: int = 0
     rounds: int = 0
 
     @property
     def mu(self) -> int:
         return sum(b.mu for b in self.budgets)
-
-    @property
-    def lost(self) -> int:
-        return sum(b.lost for b in self.budgets)
 
     @property
     def gained(self) -> int:
@@ -418,54 +333,31 @@ def merge_into_single_path(G: Graph, forest, alpha: float) -> MergeOutcome:
     paths) into a single path.
 
     ``forest`` is a PathFamily or an edge set; an edge set goes through
-    PathFamily.from_edges. Runs reduction rounds with connector cap
-    d = ceil(6/alpha): one round at k = 1, which splices path ends only and
-    so keeps every forest edge, then lossy rounds with ends as deep as the
-    longest path allows, until one path is left or a round makes no move.
-    If several paths survive, all but the largest are dissolved and their
-    forest edges reported as lost. Raises FamilyError if the edges are not
-    a linear forest, and ValueError unless alpha is a finite number > 0
-    (check_alpha).
-
-    No lossy round follows a k = 1 round that made no move. On a matching
-    every path is still one edge long, so that lossy round would be at
-    k = 1 too and repeat the round. On a forest with longer paths it could
-    trim and splice, but then no path end reaches another within d outside
-    edges, which the covering loop rarely meets, and the edges of the
-    dissolved paths stay uncovered for its next forest.
+    PathFamily.from_edges. Runs one reduction round at k = 1 with connector
+    cap d = ceil(6/alpha), which splices path ends only and so keeps every
+    forest edge. If several paths survive it, all but the largest are
+    dissolved and their forest edges reported as lost; the covering loop
+    leaves them uncovered for its next forest. Raises FamilyError if the
+    edges are not a linear forest, and ValueError unless alpha is a finite
+    number > 0 (check_alpha).
     """
     check_alpha(alpha)
     family = forest if isinstance(forest, PathFamily) else PathFamily.from_edges(forest)
     if not family.paths:
         raise ValueError("the forest must be non-empty")
-    start = family.paths
-    d = max(1, math.ceil(6.0 / alpha))
     out = MergeOutcome(path=(), lost_matching=frozenset())
-
-    def round_with(k: int) -> bool:
-        nonlocal family
-        out.rounds += 1
-        budget = ExtensionBudget(d=d, k=k)
-        family = reduce_family(G, family, budget)
-        out.budgets.append(budget)
-        out.k_schedule.append(k)
-        return budget.mu > 0
-
-    moved = len(family.paths) > 1 and round_with(1)
-    # lossy rounds, each after a round that moved: 2k-1 stays at most the
-    # longest path's edge count, so deletions can never empty the family;
-    # a round that moves lowers the path count
-    while moved and len(family.paths) > 1:
-        longest = max(len(p) - 1 for p in family.paths)
-        moved = round_with((longest + 1) // 2)
-
     paths = family.paths
+    if len(paths) > 1:
+        budget = ExtensionBudget(d=max(1, math.ceil(6.0 / alpha)), k=1)
+        paths = reduce_family(G, family, budget).paths
+        out.budgets.append(budget)
+        out.rounds = 1
     size = max(map(len, paths))
     keep = min(p for p in paths if len(p) == size)  # the smallest longest path
     out.dissolved = len(paths) - 1
     out.path = keep
-    # with no path dissolved and no edge lost by a move (k = 1 rounds trim
-    # nothing), the path keeps every forest edge
-    if out.dissolved or out.lost:
-        out.lost_matching = frozenset().union(*map(path_edges, start)) - path_edges(keep)
+    # the round trims nothing, so only the dissolved paths lose forest edges
+    if out.dissolved:
+        out.lost_matching = (frozenset().union(*map(path_edges, family.paths))
+                             - path_edges(keep))
     return out

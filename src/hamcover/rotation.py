@@ -42,7 +42,6 @@ from .graph import (
     is_hamilton_cycle,
     is_path,
     mask_of,
-    path_edges,
     vertex_ints,
 )
 
@@ -98,7 +97,7 @@ class RotationConstraints:
     def __post_init__(self) -> None:
         self.locked = _canonical_edges(self.locked)
         soft = _canonical_edges(self.soft)
-        self.soft = soft | self.locked if self.locked else soft
+        self.soft = soft if self.locked <= soft else soft | self.locked
 
     def record(self, broken: Edge) -> None:
         if broken in self.locked:
@@ -419,6 +418,20 @@ def _place(path: list[int], raw: list[int], s: int, t: int, start: int, stop: in
             raw[path[j]] = t - j
 
 
+def _on_path(path: list[int], raw: list[int], u, v) -> bool:
+    """Whether (u, v) is an edge of ``path``, whose vertices' positions
+    ``raw`` holds under the map (1, 0): both ends on it, at adjacent
+    positions. O(1); a vertex that is not an integer in range is on no
+    path, and a numpy integer is converted first."""
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
+        return False
+    n = len(raw)
+    return (0 <= u < n and 0 <= v < n and abs(raw[u] - raw[v]) == 1
+            and path[raw[u]] == u and path[raw[v]] == v)
+
+
 def _greedy_extend(G: Graph, path: list[int], free: int, raw: list[int], s: int, t: int) -> int:
     """Extend a path in place at both ends, always stepping to the lowest
     new vertex. ``free`` is the mask of the vertices off the path, which
@@ -510,10 +523,6 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
             return HamiltonResult(None, failure="seed is not a path of this graph")
         if len(path) < 2 or not is_path(G, path):
             return HamiltonResult(None, failure="seed is not a path of this graph")
-        if constraints.locked:
-            missing = sorted(constraints.locked - path_edges(path))
-            if missing:
-                return HamiltonResult(None, failure=f"seed path misses locked edges {missing}")
     elif constraints.locked:
         absent = [e for e in sorted(constraints.locked) if not G.has_edge(*e)]
         if absent:
@@ -546,6 +555,10 @@ def find_hamilton_cycle(G: Graph, constraints: RotationConstraints | None = None
     # t + s * raw[v] is v's position on the path; stale for off-path v
     raw, s, t = [0] * n, 1, 0
     _place(path, raw, s, t, 0, len(path))
+    if seed_path is not None and constraints.locked:
+        missing = sorted(e for e in constraints.locked if not _on_path(path, raw, *e))
+        if missing:
+            return HamiltonResult(None, failure=f"seed path misses locked edges {missing}")
     for iterations in range(1, n + 1):
         free = _greedy_extend(G, path, free, raw, s, t)
         # looked up by module name on every pass, so a wrapper set on the

@@ -240,7 +240,7 @@ def test_experiment_csv_bytes_are_pinned(tmp_path, capsys):
     # expansion parameters raise and alpha falls back to 0.3
     pinned = {
         ("32", "0.5", "3", "77"):
-            "deb50cc5ef93adf00db1682005b9a75893258c401f4edb8500e8c71fa6201e1f",
+            "4c62bff4da870d536b80a664a31f7891f7af04cc4bbbc5216f08b61007504b31",
         ("16", "0.05", "2", "9"):
             "e3368b2f9e457531c03e170f598fe0a64841718124f7edefa87a1a1126414b87",
     }

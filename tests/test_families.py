@@ -1,11 +1,10 @@
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcover import families
@@ -15,13 +14,11 @@ from hamcover.families import (
     FamilyError,
     PathFamily,
     _canonical,
-    _end_candidates,
     merge_into_single_path,
     reduce_family,
 )
 from hamcover.gnp import RngSeed, expander_params_for_gnp, sample_gnp
 from hamcover.graph import (
-    Edge,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -33,15 +30,7 @@ from hamcover.graph import (
 )
 from hamcover.oracle import validate_family
 from hamcover import cover
-from hamcover.cover import extract_packing, greedy_edge_coloring, greedy_maximal_matching
-
-
-def test_k_end_examples():
-    # _end_candidates gives positions, by trim cost and then by vertex
-    assert _end_candidates((0, 1, 2, 3, 4, 5), 1) == [0, 5]
-    assert _end_candidates((0, 1, 2, 3, 4, 5), 2) == [0, 5, 1, 4]
-    assert _end_candidates((0, 1), 3) == [0, 1]
-    assert _end_candidates((0, 1), 0) == []
+from hamcover.cover import greedy_maximal_matching
 
 
 def test_family_rejects_overlap_and_trivial():
@@ -223,14 +212,14 @@ def test_merge_across_components_loses_one_edge():
     out = merge_into_single_path(G, {(0, 1), (4, 5)}, alpha=0.5)
     assert len(out.lost_matching) == 1
     assert out.dissolved == 1
-    # the k = 1 round makes no move, and no lossy round repeats it at k = 1
-    assert out.rounds == 1 and out.k_schedule == [1] and out.mu == 0
+    # the one k = 1 round makes no move, and the other path is dissolved
+    assert out.rounds == 1 and out.mu == 0
 
 
 def test_merge_survives_even_length_survivor_with_straggler():
     # regression: the longest surviving path has an even edge count and a
-    # disconnected matching edge can never join it; the lossy rounds must
-    # drop the straggler without deleting the survivor
+    # disconnected matching edge can never join it; the merge must dissolve
+    # the straggler and keep the survivor
     G = build_graph(7, [(0, 1), (2, 3), (1, 4), (4, 2), (5, 6)])
     out = merge_into_single_path(G, {(0, 1), (2, 3), (5, 6)}, alpha=0.5)
     assert set(out.path) == {0, 1, 2, 3, 4}
@@ -327,25 +316,8 @@ def test_budget_error_raises_on_cooked_books():
 
 # The eager move search as it was before paths cached their end candidates
 # and the family mask was carried across moves: every move recomputes all
-# end candidates, end masks and the family mask, and splits each candidate
-# end it tries. The incremental search must make exactly its moves. The
-# reference keeps its own copy of the old _split_at, so a change to the
-# code under test cannot move both sides.
-
-def _split_at(path: tuple[int, ...], x: int) -> tuple[tuple[int, ...], frozenset[Edge]]:
-    """Keep the longer piece of ``path`` around ``x`` (oriented to end at x);
-    return it with the trimmed piece's edges."""
-    idx = path.index(x)
-    head_edges = idx
-    tail_edges = len(path) - 1 - idx
-    if head_edges >= tail_edges:
-        kept = path[: idx + 1]
-        trimmed = path_edges(path[idx:])
-    else:
-        kept = path[idx:][::-1]
-        trimmed = path_edges(path[: idx + 1])
-    return kept, trimmed
-
+# end candidates, end masks and the family mask. The join must make exactly
+# its moves at k = 1, where the end candidates are a path's two ends.
 
 def _ref_end_candidates(path, k):
     L = len(path) - 1
@@ -390,7 +362,12 @@ def _ref_find_connector(G, x, y, family_mask, d):
     return None
 
 
-def _ref_find_merge(G, paths, k, d, protect, spare_protected):
+def _ends_first(path, x):
+    """``path`` oriented to end at its end x."""
+    return path if path[-1] == x else path[::-1]
+
+
+def _ref_find_merge(G, paths, k, d):
     ends = [_ref_end_candidates(p, k) for p in paths]
     end_masks = [mask_of(e) for e in ends]
     fam_mask = 0
@@ -404,60 +381,32 @@ def _ref_find_merge(G, paths, k, d, protect, spare_protected):
                 hit = G.adjacency_bits(x) & end_masks[j]
                 if not hit:
                     continue
-                kept_i, trim_i = _split_at(paths[i], x)
-                if spare_protected and trim_i & protect:
-                    continue
-                for y in sorted(v for v in ends[j] if hit >> v & 1):
-                    kept_j, trim_j = _split_at(paths[j], y)
-                    if spare_protected and trim_j & protect:
-                        continue
-                    return (i, j, kept_i, kept_j[::-1], [],
-                            trim_i | trim_j, 1)
+                y = min(v for v in ends[j] if hit >> v & 1)
+                return i, j, _ends_first(paths[i], x), _ends_first(paths[j], y)[::-1], [], 1
     for i in range(len(paths)):
         for j in range(len(paths)):
             if i == j:
                 continue
             for x in ends[i]:
-                kept_i, trim_i = _split_at(paths[i], x)
-                if spare_protected and trim_i & protect:
-                    continue
                 for y in ends[j]:
-                    kept_j, trim_j = _split_at(paths[j], y)
-                    if spare_protected and trim_j & protect:
-                        continue
                     interior = _ref_find_connector(G, x, y, fam_mask, d)
                     if interior is not None:
-                        return (i, j, kept_i, kept_j[::-1], interior,
-                                trim_i | trim_j, len(interior) + 1)
+                        return (i, j, _ends_first(paths[i], x), _ends_first(paths[j], y)[::-1],
+                                interior, len(interior) + 1)
     return None
 
 
-def _ref_reduce_family(G, family, budget, protect=frozenset(), spare_protected=True):
-    k, d = budget.k, budget.d
+def _ref_reduce_family(G, family, budget):
+    assert budget.k == 1
+    d = budget.d
     paths = list(family.paths)
-    while True:
-        deleted = False
-        for idx, p in enumerate(paths):
-            if len(p) - 1 < 2 * k - 1:
-                if spare_protected and path_edges(p) & protect:
-                    continue
-                budget.mu += 1
-                budget.lost += len(p) - 1
-                budget.check()
-                paths.pop(idx)
-                deleted = True
-                break
-        if deleted:
-            continue
-        if len(paths) < 2:
-            break
-        found = _ref_find_merge(G, paths, k, d, protect, spare_protected)
+    while len(paths) >= 2:
+        found = _ref_find_merge(G, paths, 1, d)
         if found is None:
             break
-        i, j, kept_i, kept_j, interior, lost_edges, gained = found
+        i, j, kept_i, kept_j, interior, gained = found
         merged = _canonical(kept_i + tuple(interior) + kept_j)
         budget.mu += 1
-        budget.lost += len(lost_edges)
         budget.gained += gained
         budget.check()
         paths = sorted([p for idx, p in enumerate(paths) if idx not in (i, j)] + [merged])
@@ -465,7 +414,7 @@ def _ref_reduce_family(G, family, budget, protect=frozenset(), spare_protected=T
 
 
 def _merge_summary(out):
-    return (out.path, out.lost_matching, out.k_schedule, out.rounds, out.dissolved,
+    return (out.path, out.lost_matching, out.rounds, out.dissolved,
             [(b.k, b.mu, b.lost, b.gained) for b in out.budgets])
 
 
@@ -500,11 +449,11 @@ def test_merge_matches_eager_reference(monkeypatch):
             want = merge_into_single_path(G, M, alpha)
         assert _merge_summary(got) == _merge_summary(want), (n, p, alpha, trial)
 
-        # single lossy rounds at a fixed (d, k), from the matching and from
-        # the paths the merge left behind
-        d, k = rnd.randint(0, 4), rnd.randint(1, 4)
+        # single rounds at a fixed d, from the matching and from the path
+        # the merge left
+        d = rnd.randint(0, 4)
         for fam in (PathFamily(list(M)), PathFamily([got.path])):
-            budgets = ExtensionBudget(d=d, k=k), ExtensionBudget(d=d, k=k)
+            budgets = ExtensionBudget(d=d, k=1), ExtensionBudget(d=d, k=1)
             got_fam = reduce_family(G, fam, budgets[0])
             want_fam = _ref_reduce_family(G, fam, budgets[1])
             assert got_fam.paths == want_fam.paths
@@ -527,7 +476,7 @@ def test_merge_matches_eager_reference(monkeypatch):
 
 def test_merge_of_a_family_equals_merge_of_its_edges(monkeypatch):
     # every forest the cover loop merges over the sparse corpus of
-    # test_cover.py, which holds lossy rounds and dissolving merges
+    # test_cover.py, which holds dissolving merges
     seen = []
     real_merge = cover.merge_into_single_path
 
@@ -536,13 +485,15 @@ def test_merge_of_a_family_equals_merge_of_its_edges(monkeypatch):
         return real_merge(G, forest, alpha)
 
     monkeypatch.setattr(cover, "merge_into_single_path", record)
+    # and streams 40..47 of the same samples, so that at least 1000 forests
+    # are merged
     for n, p, base in ((64, 0.15, 5), (48, 0.2, 11), (96, 0.1, 12)):
         alpha = expander_params_for_gnp(n, p).alpha
-        for s in range(40):
+        for s in range(48):
             G = sample_gnp(n, p, RngSeed(base, s))
             if is_connected(G) and G.min_degree() >= 2:
                 cover.cover_graph(G, alpha)
-    merges = lossy = dissolving = 0
+    merges = dissolving = 0
     for G, forest, alpha in seen:
         if not isinstance(forest, PathFamily):
             continue  # a fallback matching
@@ -553,146 +504,8 @@ def test_merge_of_a_family_equals_merge_of_its_edges(monkeypatch):
         assert _merge_summary(got) == _merge_summary(want)
         assert got.mu == want.mu and got.budgets == want.budgets
         assert got.lost_matching == edges - path_edges(got.path)
-        lossy += max(got.k_schedule, default=1) > 1
         dissolving += got.dissolved > 0
-    assert merges >= 1000 and lossy >= 200 and dissolving >= 10, (merges, lossy, dissolving)
-
-
-# The driver as it was when it ran a growing end-depth schedule of rounds
-# that spared matching edges, then deep spare rounds, then lossy rounds,
-# under a round cap; verbatim apart from the _ref suffix on its name, its
-# docstring, its debug log line, and the eager reference reduction it calls.
-
-def merge_into_single_path_ref(G, matching, alpha):
-    M = frozenset(edge_key(*e) for e in matching)
-    if not M:
-        raise ValueError("matching must be non-empty")
-    family = PathFamily.from_edges(M)
-    if len(family.paths) != len(M):
-        raise FamilyError("edges sharing a vertex are not a matching")
-    d = max(1, math.ceil(6.0 / alpha))
-    out = families.MergeOutcome(path=(), lost_matching=frozenset())
-
-    def round_with(k: int, spare: bool) -> bool:
-        nonlocal family
-        out.rounds += 1
-        budget = ExtensionBudget(d=d, k=k)
-        family = _ref_reduce_family(G, family, budget, protect=M, spare_protected=spare)
-        out.budgets.append(budget)
-        out.k_schedule.append(k)
-        return budget.mu > 0
-
-    # the growing schedule, with k capped so deletions can never claim a
-    # shortest path (protected paths are skipped anyway; the cap keeps the
-    # schedule honest for unprotected members too)
-    i = 1
-    max_rounds = G.n + len(family.paths) + 8
-    while len(family.paths) > 1 and out.rounds < max_rounds:
-        k_target = 1 if i == 1 else math.ceil(G.n ** ((i - 1) * alpha / 2.0))
-        shortest = min(len(p) - 1 for p in family.paths)
-        k_cap = max(1, (shortest + 1) // 2)
-        k = min(k_target, k_cap)
-        progress = round_with(k, spare=True)
-        if not progress and k >= k_cap:
-            break
-        i += 1
-    # loss avoidance: before accepting any loss, retry with ends as deep as
-    # the longest path allows (splice targets anywhere; 2k-1 stays at most
-    # the longest edge length, so rule 1 can never empty the family), then
-    # as a last resort allow lossy trims
-    def deep_end() -> int:
-        return max(1, (max(len(p) - 1 for p in family.paths) + 1) // 2)
-
-    while len(family.paths) > 1 and out.rounds < max_rounds:
-        if not round_with(deep_end(), spare=True):
-            break
-    while len(family.paths) > 1 and out.rounds < max_rounds:
-        if not round_with(deep_end(), spare=False):
-            break
-
-    paths = family.paths
-    keep = max(paths, key=lambda p: (len(p), tuple(-v for v in p)))
-    out.dissolved = len(paths) - 1
-    out.path = keep
-    out.lost_matching = M - path_edges(keep)
-    return out
-
-
-def _moving_rounds(out):
-    return [(b.k, b.mu, b.lost, b.gained) for b in out.budgets if b.mu]
-
-
-def _scheduled_inputs():
-    """(G, matching, alpha) triples: residual colour classes of sparse
-    samples, which strand paths after the k = 1 round; then maximal
-    matchings of disjoint unions, where a lossy merge lengthens the longest
-    path and so deepens the next round's ends."""
-    for n, p, base in ((64, 0.15, 5), (96, 0.1, 12)):
-        for s in range(30):
-            G = sample_gnp(n, p, RngSeed(base, s))
-            if G.min_degree() < 2:
-                continue
-            packing = extract_packing(G, G.min_degree() // 2)
-            for cls in greedy_edge_coloring(packing.residual):
-                for alpha in (expander_params_for_gnp(n, p).alpha, 0.3):
-                    yield G, cls, alpha
-    rnd = random.Random(77)
-    for trial in range(200):
-        G = disjoint_union(*(sample_gnp(rnd.randint(6, 20), rnd.choice([0.1, 0.15, 0.2]),
-                                        RngSeed(77, 2 * trial + j)) for j in range(2)))
-        yield G, greedy_maximal_matching(G), rnd.choice([0.3, 0.6, 1.0])
-
-
-def test_merge_matches_scheduled_driver_with_protected_rounds():
-    # every path end is a matching edge until a lossy round trims it, so the
-    # protected rounds at k > 1 never moved: one k = 1 round and then lossy
-    # rounds at ends as deep as the longest path allows make the same path,
-    # losses and moves
-    multi = deep = 0
-    for G, M, alpha in _scheduled_inputs():
-        if not M:
-            continue
-        got = merge_into_single_path(G, M, alpha)
-        if got.rounds <= 1:
-            continue  # both drivers start with the same k = 1 round
-        multi += 1
-        want = merge_into_single_path_ref(G, M, alpha)
-        assert (got.path, got.lost_matching, got.dissolved) == \
-            (want.path, want.lost_matching, want.dissolved), (G.n, sorted(M), alpha)
-        assert _moving_rounds(got) == _moving_rounds(want), (G.n, sorted(M), alpha)
-        deep += len(_moving_rounds(got)) >= 3
-    assert multi >= 400 and deep >= 5, (multi, deep)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=24, unique=True),
-       st.integers(min_value=1, max_value=14))
-@example([4, 2], 1)
-@example([5, 3, 9, 1, 7], 1)
-@example([5, 3, 9, 1, 7], 2)
-@example([8, 1, 6, 0, 3, 2], 3)
-@example([8, 1, 6, 0, 3, 2, 7], 2)
-@settings(max_examples=300, deadline=None)
-def test_end_candidates_match_keyed_sort(path, k):
-    path = tuple(path)
-    n = len(path)
-    positions = range(n) if n <= 2 * k else [*range(k), *range(n - k, n)]
-    want = sorted(positions, key=lambda i: (min(i, n - 1 - i), path[i]))
-    assert _end_candidates(path, k) == want
-
-
-def test_find_merge_scans_paths_before_ends():
-    # p0's first end candidate 0 sees only p2, its second, 4, sees p1: the
-    # first move takes the first other path that any end of p0 sees, and
-    # the lowest y there
-    p0, p1, p2 = (0, 1, 2, 3, 4), (10, 11, 12, 13), (20, 21, 22, 23)
-    edges = [*path_edges(p0), *path_edges(p1), *path_edges(p2), (0, 20), (4, 13), (4, 10)]
-    G = build_graph(24, edges)
-    assert families._find_merge(G, [p0, p1, p2], 2, 0) == (p0, p1, 4, 10, [])
-    # no direct edge left: the connector 4-5-13 to p1 comes before 1-6-22
-    # to p2, and both run outside the family
-    G = build_graph(24, [*path_edges(p0), *path_edges(p1), *path_edges(p2),
-                         (4, 5), (5, 13), (1, 6), (6, 22)])
-    assert families._find_merge(G, [p0, p1, p2], 2, 1) == (p0, p1, 4, 13, [5])
+    assert merges >= 1000 and dissolving >= 10, (merges, dissolving)
 
 
 def _walk_paths(G, rnd, max_edges):
@@ -730,25 +543,21 @@ def _splice(paths, x, y, interior):
 
 
 def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
-    # every k = 1 join sees the family mask and end state that a
-    # from-scratch computation over the current paths would give: the
-    # other-end map, the sorted smaller ends and the ends mask; lossy
-    # rounds find each move from their current paths, and their moves,
-    # connectors and trims are counted
-    real_reduce, real_find = families.reduce_family, families._find_merge
-    real_join = families._find_join
+    # every join sees the family mask and end state that a from-scratch
+    # computation over the current paths would give: the other-end map, the
+    # sorted smaller ends and the ends mask; its moves and connectors are
+    # counted
+    real_reduce, real_join = families.reduce_family, families._find_join
     ctx = {}
-    seen = {"families": 0, "moves": 0, "connectors": 0, "cuts": 0, "k": set()}
+    seen = {"families": 0, "moves": 0, "connectors": 0}
 
     def reduce_spy(G, family, budget):
         ctx["paths"] = list(family.paths)
         seen["families"] += 1
-        seen["k"].add(budget.k)
         out = real_reduce(G, family, budget)
-        if budget.k == 1:
-            # the join builds its paths from its links; replayed splices
-            # must give the same paths
-            assert out.paths == ctx["paths"]
+        # the join builds its paths from its links; replayed splices must
+        # give the same paths
+        assert out.paths == ctx["paths"]
         return out
 
     def join_spy(G, heads, other, ends_mask, family_mask, d):
@@ -768,17 +577,7 @@ def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
             seen["connectors"] += bool(interior)
         return found
 
-    def find_spy(G, paths, k, d):
-        found = real_find(G, paths, k, d)
-        if found is not None:
-            pi, pj, x, y, interior = found
-            seen["moves"] += 1
-            seen["connectors"] += bool(interior)
-            seen["cuts"] += x not in (pi[0], pi[-1]) or y not in (pj[0], pj[-1])
-        return found
-
     monkeypatch.setattr(families, "reduce_family", reduce_spy)
-    monkeypatch.setattr(families, "_find_merge", find_spy)
     monkeypatch.setattr(families, "_find_join", join_spy)
     rnd = random.Random(5005)
     for trial in range(60):
@@ -788,18 +587,13 @@ def test_carried_masks_and_ends_match_fresh_state(monkeypatch):
         if not M:
             continue
         merge_into_single_path(G, M, rnd.choice([0.2, 0.4, 0.8]))
-        # single lossy rounds at k = 2..4 on longer paths, so splices trim;
-        # and rounds with connectors of up to d outside edges from part of
-        # the matching, which leaves vertices outside the family
-        k = 2 + trial % 3
-        walks = _walk_paths(G, rnd, 4 * k)
+        # single rounds on longer paths, and rounds with connectors of up to
+        # d outside edges from part of the matching, which leaves vertices
+        # outside the family
+        walks = _walk_paths(G, rnd, 4 * (2 + trial % 3))
         part = frozenset(sorted(M)[: max(1, len(M) // 3)])
-        for fam, d, k in (
-                (walks, 0, k),
-                (walks, 1 + trial % 3, k),
-                (PathFamily(list(part)), 1 + trial % 3, 1),
-                (PathFamily(list(part)), 2, 2)):
-            families.reduce_family(G, fam, ExtensionBudget(d=d, k=k))
+        for fam, d in ((walks, 0), (walks, 1 + trial % 3),
+                       (PathFamily(list(part)), 1 + trial % 3)):
+            families.reduce_family(G, fam, ExtensionBudget(d=d, k=1))
     assert seen["families"] >= 100
-    assert {2, 3, 4} <= seen["k"]
-    assert seen["moves"] >= 1000 and seen["connectors"] >= 50 and seen["cuts"] >= 100, seen
+    assert seen["moves"] >= 1000 and seen["connectors"] >= 50, seen

@@ -631,6 +631,17 @@ def test_find_hamilton_names_every_locked_edge_the_seed_misses():
     assert not res.ok
     assert res.failure == "seed path misses locked edges [(0, 5), (6, 7)]"
     assert res.iterations == 0
+    # the check reads the seed's positions: ends on the seed but not next
+    # to each other, an end off it (0 sits next to position 0's vertex),
+    # and an end out of range or negative all miss, as the seed's edge set
+    # says
+    seed = [1, 2, 3, 4]
+    for locked in ({(1, 3)}, {(0, 2)}, {(0, 1)}, {(4, 5)}, {(4, 8)}, {(-1, 1)},
+                   {(2, 3), (1, 4)}, {(3, 4), (1, 2)}, {(np.int32(2), np.int32(1))}):
+        res = find_hamilton_cycle(K8, RotationConstraints(locked=locked), seed_path=seed)
+        missing = sorted(RotationConstraints(locked=locked).locked - path_edges(seed))
+        assert res.failure == (f"seed path misses locked edges {missing}" if missing
+                               else None), locked
 
 
 def test_find_hamilton_impossible_required_shape():
