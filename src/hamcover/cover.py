@@ -179,10 +179,12 @@ class CoverOutcome:
 
 
 def degree_first_forest(n: int, us: np.ndarray, vs: np.ndarray
-                        ) -> tuple[list[Edge], np.ndarray, PathFamily]:
+                        ) -> tuple[list[Edge], np.ndarray, PathFamily, int]:
     """One linear forest, first-fit over the edges (us[i], vs[i]): its
     accepted edges, in the order accepted, their positions i in the input
-    in the same order, and its paths.
+    in the same order, its paths, and how many of the accepted edges come
+    first with a tight end, one of degree d >= 2 * ceil(D/2) - 1, D the
+    largest degree.
 
     The edges must be canonical (u < v) and in lexicographic order. Each
     vertex's degree is counted over these edges, and the edges are taken in
@@ -229,7 +231,14 @@ def degree_first_forest(n: int, us: np.ndarray, vs: np.ndarray
             prev, cur = cur, b if a == prev else a
             path.append(cur)
         paths.append(path)
-    return forest, np.array(taken, dtype=np.intp), PathFamily(paths)
+    # the first edge taken has the largest end degree, D; an edge's larger
+    # end degree is key // (n + 1), so key >= thr * (n + 1) marks a tight end
+    tight = 0
+    if forest:
+        big = int(key[order[0]]) // (n + 1)
+        thr = big - 1 + big % 2
+        tight = int(np.count_nonzero(key[taken] >= thr * (n + 1)))
+    return forest, np.array(taken, dtype=np.intp), PathFamily(paths), tight
 
 
 def _edge_table(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,7 +277,7 @@ def _cover_round(G: Graph, alpha: float, codes: np.ndarray, us: np.ndarray,
     None when no search covers anything new."""
     n = G.n
     ru, rv = us[idx], vs[idx]
-    forest, taken, family = degree_first_forest(n, ru, rv)
+    forest, taken, family, tight = degree_first_forest(n, ru, rv)
     merged = merge_into_single_path(G, family, alpha)
     lost = merged.lost_matching
     losses["merge_lost"] += len(lost)
@@ -277,10 +286,8 @@ def _cover_round(G: Graph, alpha: float, codes: np.ndarray, us: np.ndarray,
     seeded = np.zeros(len(codes), dtype=bool)
     seeded[idx[taken]] = True
     # the forest takes its edges by falling degree of their larger end, so
-    # those with a tight end, d >= 2 * ceil(D/2) - 1, come first
-    deg = np.bincount(ru, minlength=n) + np.bincount(rv, minlength=n)
-    top = np.maximum(deg[ru[taken]], deg[rv[taken]])
-    locked = frozenset(forest[:np.count_nonzero(top >= top[0] - 1 + top[0] % 2)])
+    # those with a tight end come first
+    locked = frozenset(forest[:tight])
     if lost:
         on_seed -= lost
         locked -= lost

@@ -260,7 +260,8 @@ def _join(G: Graph, family: PathFamily, budget: ExtensionBudget) -> PathFamily:
         a, b = other.pop(x), other.pop(y)
         other[a], other[b] = b, a
         ends_mask ^= 1 << x | 1 << y
-        family_mask |= mask_of(interior)
+        if interior:
+            family_mask |= mask_of(interior)
         link[x], link[y] = (interior, y), (interior[::-1], x)
         heads.remove(a if a < x else x)
         heads.remove(b if b < y else y)

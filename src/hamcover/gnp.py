@@ -9,8 +9,10 @@ platform. With M the splitmix64 finalizer and GAMMA = 0x9E3779B97F4A7C15:
 
 and a uniform double in [0, 1) takes the top 53 bits of a draw. Pair i in
 the lexicographic order of the C(n,2) vertex pairs is included iff its
-uniform is < p; for n > 4096 the same stream drives geometric skip
-sampling instead, which touches only O(m) draws.
+uniform is < p. The dense sampler tests that on the whole draw, as
+draw_i < ceil(p * 2^53) * 2^11, with no float per pair; for n > 4096 the
+same stream drives geometric skip sampling instead, which touches only
+O(m) draws.
 
 Each draw is a pure function of its index, so both samplers draw the
 stream in numpy blocks of consecutive indices. The dense sampler's blocks
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -38,8 +41,10 @@ _MASK = (1 << 64) - 1
 
 # one uniform draw per pair up to this n, geometric skips above
 DENSE_SAMPLING_LIMIT = 4096
-# pairs per numpy draw block of the dense sampler: about 16 bytes of
-# scratch per pair while a block is drawn, so 4 MB a block
+# pairs per numpy draw block of the dense sampler: at most 16 bytes of
+# scratch per pair, the uint64 draws and one uint64 temporary while they
+# are mixed, so 4 MB a block; once the mix is done the hit and the pair
+# mask take 10 bytes a pair with the draws
 DRAW_BLOCK_PAIRS = 1 << 18
 # draws per numpy block of the skip sampler
 SKIP_BLOCK_DRAWS = 1 << 12
@@ -84,12 +89,18 @@ class RngSeed:
         return random.Random(self.key())
 
 
-def _uniform_block(seed: RngSeed, offset: int, count: int) -> np.ndarray:
-    """``seed.uniform(i)`` for i = offset .. offset + count - 1, as float64."""
+def _draw_block(seed: RngSeed, offset: int, count: int) -> np.ndarray:
+    """``seed.draw(i)`` for i = offset .. offset + count - 1, as uint64."""
     x = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     x *= np.uint64(GAMMA)
     x += np.uint64(seed.key())
     _mix64_inplace(x)
+    return x
+
+
+def _uniform_block(seed: RngSeed, offset: int, count: int) -> np.ndarray:
+    """``seed.uniform(i)`` for i = offset .. offset + count - 1, as float64."""
+    x = _draw_block(seed, offset, count)
     x >>= np.uint64(11)
     u = x.astype(np.float64)
     u *= 2.0 ** -53
@@ -101,11 +112,12 @@ def sample_gnp(n: int, p: float, seed: RngSeed) -> Graph:
 
     Pair i of the lexicographic pair order is an edge iff
     ``seed.uniform(i) < p``, so identical (n, p, seed) always yields the
-    identical graph. Up to n = ``DENSE_SAMPLING_LIMIT`` the uniforms are
-    drawn in blocks of whole rows of at most ``DRAW_BLOCK_PAIRS`` pairs,
-    and the hits fill an n x n boolean matrix (16 MB at n = 4096) that is
-    packed into the bitmask rows. Above it, geometric skips walk the same
-    stream in blocks of ``SKIP_BLOCK_DRAWS`` draws.
+    identical graph. Up to n = ``DENSE_SAMPLING_LIMIT`` the raw 64-bit
+    draws are drawn in blocks of whole rows of at most ``DRAW_BLOCK_PAIRS``
+    pairs and compared with the one integer bound ceil(p * 2^53) * 2^11,
+    which gives the same hits; they fill an n x n boolean matrix (16 MB at
+    n = 4096) that is packed into the bitmask rows. Above it, geometric
+    skips walk the same stream in blocks of ``SKIP_BLOCK_DRAWS`` draws.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
@@ -123,19 +135,29 @@ def sample_gnp(n: int, p: float, seed: RngSeed) -> Graph:
 def _sample_gnp_dense(n: int, p: float, seed: RngSeed) -> Graph:
     # row-major order of the strict upper triangle is the lexicographic pair
     # order, so a block of whole rows r0 .. r1 - 1 is one contiguous range of
-    # the stream, and np.triu with offset 1 marks its pairs in order within
-    # the block's columns r0 .. n - 1
+    # the stream, and cols[r0:] > cols[r0:r1, None] marks its pairs in order
+    # within the block's columns r0 .. n - 1.
+    # A pair is an edge iff u < p, u = (x >> 11) * 2^-53 for its draw x.
+    # p * 2^53 is exact, since scaling by a power of two only shifts the
+    # exponent, and u is exact, so for the integer x >> 11:
+    #   u < p  <=>  (x >> 11) < p * 2^53  <=>  (x >> 11) < ceil(p * 2^53)
+    #          <=>  x < ceil(p * 2^53) * 2^11.
+    # p <= 1 - 2^-53 here, so the bound is at most 2^64 - 2^11: a uint64.
+    bound = np.uint64(math.ceil(float(p) * 2.0 ** 53) << 11)
+    cols = np.arange(n, dtype=np.min_scalar_type(n))
     adj = np.zeros((n, n), dtype=bool)
     m = 0
     offset = 0  # stream index of the pair (r0, r0 + 1)
     r0 = 0
     while r0 < n - 1:
         r1, count = r0 + 1, n - 1 - r0
+        if count * (count + 1) // 2 <= DRAW_BLOCK_PAIRS:  # all rows left fit
+            r1, count = n - 1, count * (count + 1) // 2
         while r1 < n - 1 and count + n - 1 - r1 <= DRAW_BLOCK_PAIRS:
             count += n - 1 - r1
             r1 += 1
-        hits = _uniform_block(seed, offset, count) < p
-        pairs = np.triu(np.ones((r1 - r0, n - r0), dtype=bool), 1)
+        hits = _draw_block(seed, offset, count) < bound
+        pairs = cols[r0:] > cols[r0:r1, None]
         adj[r0:r1, r0:][pairs] = hits
         adj.T[r0:r1, r0:][pairs] = hits  # the symmetric entries
         m += int(np.count_nonzero(hits))
@@ -143,8 +165,9 @@ def _sample_gnp_dense(n: int, p: float, seed: RngSeed) -> Graph:
         r0 = r1
     packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
     width = (n + 7) // 8
-    rows = tuple(int.from_bytes(packed[i:i + width], "little")
-                 for i in range(0, n * width, width))
+    rows = tuple(map(int.from_bytes,
+                     [packed[i:i + width] for i in range(0, n * width, width)],
+                     repeat("little")))
     return Graph(n, rows, m)
 
 

@@ -348,8 +348,8 @@ def canonical_cycle(seq: Iterable[int]) -> tuple[int, ...]:
     vs = list(seq)
     i = vs.index(min(vs))
     fwd = vs[i:] + vs[:i]
-    bwd = vs[i::-1] + vs[:i:-1]
-    return tuple(fwd) if fwd[1:] <= bwd[1:] else tuple(bwd)
+    rev = fwd[:0:-1]  # the rest of the cycle, walked the other way
+    return tuple(fwd) if fwd[1:] <= rev else (fwd[0], *rev)
 
 
 # --- edge-list text format -------------------------------------------------

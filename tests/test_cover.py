@@ -322,7 +322,7 @@ def test_degree_first_forest_matches_sorted_reference(monkeypatch):
                 edges.add((min(u, v), max(u, v)))
         edges = sorted(edges)
         arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        got, taken, family = degree_first_forest(n, arr[:, 0], arr[:, 1])
+        got, taken, family, tight = degree_first_forest(n, arr[:, 0], arr[:, 1])
         assert got == degree_first_forest_ref(edges)
         assert set(got) <= set(edges)
         # the positions index exactly the accepted edges, in accepted order
@@ -333,6 +333,12 @@ def test_degree_first_forest_matches_sorted_reference(monkeypatch):
         assert walked == [list(p) for p in family.paths]
         if got:
             assert max(Counter(v for e in got for v in e).values()) <= 2
+        # the accepted edges with an end of degree d >= 2 * ceil(D/2) - 1,
+        # D the largest degree, come first, and tight counts them
+        deg = Counter(v for e in edges for v in e)
+        big = max(deg.values(), default=0)
+        at_tight = [max(deg[u], deg[v]) >= 2 * ((big + 1) // 2) - 1 for u, v in got]
+        assert at_tight == [True] * tight + [False] * (len(got) - tight)
         spanning += len(got) == n - 1
     assert spanning >= 10
 

@@ -9,6 +9,7 @@ from hamcover import gnp
 from hamcover.gnp import (
     DRAW_BLOCK_PAIRS,
     RngSeed,
+    _draw_block,
     _uniform_block,
     expander_params,
     expander_params_for_gnp,
@@ -106,8 +107,29 @@ def test_uniform_block_matches_scalar_uniforms():
     # the block wraps its uint64 arithmetic as mix64 masks it, at any offset
     for seed in (RngSeed(0), RngSeed(2**64 - 1, 9)):
         for offset in (0, 2**32 - 3, 2**63 - 2):
+            draws = [seed.draw(i) for i in range(offset, offset + 5)]
+            assert _draw_block(seed, offset, 5).tolist() == draws
             want = [seed.uniform(i) for i in range(offset, offset + 5)]
             assert _uniform_block(seed, offset, 5).tolist() == want
+
+
+def test_dense_hits_match_the_uniforms_at_the_integer_bound(monkeypatch):
+    # the dense sampler compares whole draws with ceil(p * 2^53) * 2^11;
+    # draws whose top 53 bits sit just below and at that bound, whatever
+    # their low 11 bits, must give the hits that uniform < p gives
+    half = (2**52 + 2**51 + 1) * 2.0**-54  # odd mantissa in [0.25, 0.5)
+    assert half * 2**53 % 1 == 0.5
+    for p in (0.5, half, 1 - 2.0**-53, 2.0**-60):
+        top = math.ceil(p * 2**53)
+        draws = [k << 11 | low for k in (top - 1, top) for low in (0, 1, 0x400, 0x7FF, 0x5A5)]
+        want = [(x >> 11) * 2.0**-53 < p for x in draws]
+        assert True in want and False in want
+        monkeypatch.setattr(gnp, "_draw_block",
+                            lambda seed, offset, count: np.array(draws, dtype=np.uint64))
+        n = 5  # C(5, 2) = 10 pairs, one block
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [e for e, hit in zip(pairs, want) if hit]
+        assert_same_graph(sample_gnp(n, p, RngSeed(0)), n, edges)
 
 
 def per_row_reference(n, p, seed):
@@ -134,9 +156,9 @@ def test_dense_blocks_are_whole_rows_within_the_cap(monkeypatch):
 
     def recording(seed, offset, count):
         calls.append((offset, count))
-        return _uniform_block(seed, offset, count)
+        return _draw_block(seed, offset, count)
 
-    monkeypatch.setattr(gnp, "_uniform_block", recording)
+    monkeypatch.setattr(gnp, "_draw_block", recording)
     n = 3000
     sample_gnp(n, 0.2, RngSeed(4))
     row_starts = {u * (2 * n - u - 1) // 2 for u in range(n)}
